@@ -8,11 +8,11 @@ output change, expected error reduction) affordable for every candidate
 in an unlabeled pool, and lets true labels stream into the model without
 touching SGD.
 
-Modules: ``linalg`` (jittered Cholesky, symmetric eigen), ``net`` (the
-network and its gradients), ``kernel`` (Gram matrices and the cached
-labeled-set state), ``lookahead`` (block-structured hypothetical
-retraining), ``acquire`` (acquisition functions), ``pool`` (query
-loops), ``data`` (datasets), ``cli`` (experiment runner).
+Modules: ``linalg`` (jittered Cholesky and triangular solves), ``net``
+(the network and its gradients), ``kernel`` (Gram matrices and the
+cached labeled-set state), ``lookahead`` (the batched block look-ahead
+engine and state augmentation), ``acquire`` (acquisition functions),
+``pool`` (query loops), ``data`` (datasets), ``cli`` (experiment runner).
 """
 
 from . import acquire, data, errors, kernel, linalg, lookahead, net, pool

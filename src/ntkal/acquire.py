@@ -3,9 +3,10 @@
 The look-ahead family (mlmoc, emoc, eer_lin) scores each unlabeled
 candidate by the effect that hypothetically labeling it would have on
 predictions over a reference set, using the block-structured linearized
-look-ahead instead of retraining. Because the per-candidate prediction
-change is rank one (per-query gain times a per-label shift), whole
-candidate batches are scored with a handful of matrix products.
+look-ahead of ``lookahead.lookahead_batch`` instead of retraining.
+Because the per-candidate prediction change is rank one (per-query gain
+times a per-label shift), whole candidate batches are scored with a
+handful of matrix products.
 
 Myopic baselines (entropy, margin, random) and a naive oracle that
 really retrains with SGD round out the comparison suite.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
-from . import linalg, net
+from . import lookahead, net
 from .errors import ContractError
 
 __all__ = [
@@ -66,60 +67,6 @@ def entropy(probs):
     return -np.sum(probs * np.log(p), axis=-1)
 
 
-@dataclass(frozen=True)
-class _BatchContext:
-    """Shared block quantities for scoring one candidate batch."""
-
-    outputs: np.ndarray  # (n, C) raw network outputs at candidates
-    v: np.ndarray  # (L, n) labeled-Gram solves of the cross columns
-    schur: np.ndarray  # (n,)
-    degenerate: np.ndarray  # (n,) bool
-    gains: np.ndarray  # (m, n) per-reference gains (k(r,X)v - k(r,x'))/u
-    shift_base: np.ndarray  # (n, C) v^T R + f(x'); shift for label y is this - y
-    ref_lin: np.ndarray  # (m, C) current linearized predictions on the reference
-    ref_raw: np.ndarray  # (m, C) raw network outputs on the reference
-
-
-def _prepare_batch(state, cand_inputs, reference):
-    cand_inputs = np.atleast_2d(np.asarray(cand_inputs, dtype=np.float64))
-    if len(cand_inputs) == 0:
-        raise ContractError("candidate set is empty")
-    reference = (
-        cand_inputs
-        if reference is None
-        else np.atleast_2d(np.asarray(reference, dtype=np.float64))
-    )
-    if len(reference) == 0:
-        raise ContractError("reference set is empty")
-
-    k_cl = state.kernel_rows(cand_inputs)  # (n, L)
-    diag = state.kernel_diag(cand_inputs)  # (n,)
-    v = linalg.chol_solve(state.factor, k_cl.T)  # (L, n)
-    schur = diag - np.einsum("nl,ln->n", k_cl, v)
-    degenerate = schur <= 1e-10 * np.maximum(diag, 0.0)
-
-    same_set = reference is cand_inputs
-    k_rl = k_cl if same_set else state.kernel_rows(reference)  # (m, L)
-    k_rc = state.kernel_block(reference, cand_inputs)  # (m, n)
-    safe_u = np.where(degenerate, 1.0, schur)
-    gains = (k_rl @ v - k_rc) / safe_u
-
-    outputs = np.atleast_2d(net.forward(state.params, cand_inputs))
-    shift_base = v.T @ state.residual + outputs  # (n, C)
-    ref_raw = np.atleast_2d(net.forward(state.params, reference))
-    ref_lin = ref_raw + k_rl @ state.solved_residual
-    return _BatchContext(
-        outputs=outputs,
-        v=v,
-        schur=schur,
-        degenerate=degenerate,
-        gains=gains,
-        shift_base=shift_base,
-        ref_lin=ref_lin,
-        ref_raw=ref_raw,
-    )
-
-
 def _change_norms(ctx, labels_onehot, baseline, ord_):
     """Sum over the reference set of per-point change norms, per candidate.
 
@@ -163,7 +110,7 @@ def mlmoc(state, candidates, reference_set=None, baseline="linearized"):
     measured against: the current linearized predictions (default, so a
     no-op augmentation scores exactly zero) or the raw network outputs.
     """
-    ctx = _prepare_batch(state, candidates, reference_set)
+    ctx = lookahead.lookahead_batch(state, candidates, reference_set)
     labels = _pseudo_labels(ctx)
     scores = _change_norms(ctx, labels, baseline, ord_=2)
     scores = np.where(ctx.degenerate, 0.0, scores)
@@ -180,7 +127,7 @@ def emoc(state, candidates, reference_set=None, distance="l2", baseline="lineari
     if distance not in ("l2", "l1"):
         raise ContractError(f"unknown distance {distance!r}")
     ord_ = 2 if distance == "l2" else 1
-    ctx = _prepare_batch(state, candidates, reference_set)
+    ctx = lookahead.lookahead_batch(state, candidates, reference_set)
     n, c = ctx.outputs.shape
     probs = softmax(ctx.outputs)
     scores = np.zeros(n)
@@ -201,7 +148,7 @@ def eer_lin(state, candidates, reference_set=None):
     candidates leave the model unchanged, so they score the current
     entropy sum, negated.
     """
-    ctx = _prepare_batch(state, candidates, reference_set)
+    ctx = lookahead.lookahead_batch(state, candidates, reference_set)
     n, c = ctx.outputs.shape
     probs = softmax(ctx.outputs)
     current_entropy = float(np.sum(entropy(softmax(ctx.ref_lin))))

@@ -7,7 +7,7 @@ Subcommands:
            [--width W] [--epochs E] [--reps R] [--out PATH]
     report --in CSV [CSV ...] --out SVG
 
-Configs are flat key=value text with [section] headers (see README for
+Configs are flat key=value text with [section] headers (see README.md for
 the grammar). Each run writes one records CSV (one row per cycle per
 seed) and a JSON summary whose config echo is enough to reproduce the
 accuracy columns exactly; timing columns are machine-dependent.

@@ -2,7 +2,7 @@
 
 Provides the MNIST-style IDX binary loader (plus a writer so tests can
 round-trip files), seeded 2-D synthetic generators for desk-scale
-experiments, splitting, and one-hot encoding. Datasets are immutable
+experiments, and one-hot encoding. Datasets are immutable
 value objects; every generator is a pure function of its arguments.
 """
 
@@ -21,8 +21,6 @@ __all__ = [
     "write_idx_labels",
     "gen_two_gaussians",
     "gen_spirals",
-    "split",
-    "to_csv",
 ]
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -197,27 +195,3 @@ def gen_spirals(n_per_class, noise, seed):
     labels = np.repeat([0, 1], n_per_class)
     perm = rng.permutation(len(inputs))
     return make_dataset(inputs[perm], labels[perm], 2, name="spirals")
-
-
-def split(data, fractions, seed):
-    """Seeded shuffle then partition into len(fractions) datasets.
-
-    Fractions must be positive and sum to 1; sizes are rounded so the
-    parts exactly cover the data.
-    """
-    fractions = [float(f) for f in fractions]
-    if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ContractError(f"fractions must be positive and sum to 1, got {fractions}")
-    n = len(data)
-    perm = np.random.default_rng(seed).permutation(n)
-    bounds = np.cumsum([int(round(f * n)) for f in fractions[:-1]])
-    parts = np.split(perm, bounds)
-    return tuple(data.subset(p) for p in parts)
-
-
-def to_csv(data, path):
-    """Export as CSV with header x0,...,xd,label."""
-    d = data.input_dim
-    header = ",".join([f"x{i}" for i in range(d)] + ["label"])
-    body = np.column_stack([data.inputs, data.labels.astype(np.float64)])
-    np.savetxt(path, body, delimiter=",", header=header, comments="")

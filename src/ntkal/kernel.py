@@ -18,7 +18,7 @@ networks, used as a drop-in replacement to study how look-ahead behaves
 when the kernel ignores the trained parameters.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,7 @@ __all__ = [
     "build_state",
     "build_state_xy",
     "infinite_ntk_fc",
-    "write_matrix_txt",
-    "read_matrix_txt",
 ]
-
-# Feature caching is cheap in the factorized form (one activation and one
-# delta row per layer), so the default row budget is generous.
-DEFAULT_CACHE_BUDGET_ROWS = 16384
 
 
 def _contract_factors(factors_a, factors_b, widths, beta):
@@ -105,7 +99,7 @@ class KernelState:
     factor: linalg.CholeskyFactor
     solved_residual: np.ndarray  # (L, C)
     kernel_fn: object = None  # None means the empirical kernel of params
-    factor_cache: tuple = None  # factorized labeled-set gradients, or None
+    factor_cache: tuple = None  # factorized labeled-set gradients (empirical kernel only)
     jitter_policy: linalg.JitterPolicy = linalg.DEFAULT_JITTER
 
     @property
@@ -121,15 +115,10 @@ class KernelState:
         q = np.atleast_2d(np.asarray(q, dtype=np.float64))
         if self.kernel_fn is not None:
             return self.kernel_fn(self.params, q, self.inputs)
-        if self.factor_cache is not None:
-            cfg = self.params.config
-            return _contract_factors(
-                net.grad_factors(self.params, q),
-                self.factor_cache,
-                cfg.widths,
-                cfg.beta,
-            )
-        return empirical_ntk(self.params, q, self.inputs)
+        cfg = self.params.config
+        return _contract_factors(
+            net.grad_factors(self.params, q), self.factor_cache, cfg.widths, cfg.beta
+        )
 
     def kernel_diag(self, q):
         """Self-kernel values k(q_i, q_i), shape (len(q),)."""
@@ -156,15 +145,13 @@ class KernelState:
 
 
 def build_state_xy(
-    params,
-    inputs,
-    targets,
-    kernel_fn=None,
-    jitter_policy=linalg.DEFAULT_JITTER,
-    cache_features=True,
-    cache_budget_rows=DEFAULT_CACHE_BUDGET_ROWS,
+    params, inputs, targets, kernel_fn=None, jitter_policy=linalg.DEFAULT_JITTER
 ):
-    """Assemble a KernelState from raw input/target arrays."""
+    """Assemble a KernelState from raw input/target arrays.
+
+    An empirical-kernel state keeps the labeled set's gradient factors, so
+    later kernel rows cost one factor pass over the query rows only.
+    """
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if len(x) < 1:
@@ -174,11 +161,9 @@ def build_state_xy(
 
     cache = None
     if kernel_fn is None:
-        factors = net.grad_factors(params, x)
+        cache = tuple(net.grad_factors(params, x))
         cfg = params.config
-        gram = _contract_factors(factors, factors, cfg.widths, cfg.beta)
-        if cache_features and len(x) <= cache_budget_rows:
-            cache = tuple(factors)
+        gram = _contract_factors(cache, cache, cfg.widths, cfg.beta)
     else:
         gram = kernel_fn(params, x, x)
     # Contracting G G^T can leave the Gram asymmetric at machine precision.
@@ -226,7 +211,7 @@ def _relu_dual(kaa, kbb, kab):
 
 
 def _relu_dual_diag(k):
-    return 0.5 * k
+    return 0.5 * k, np.full_like(k, 0.5)
 
 
 def _erf_dual(kaa, kbb, kab):
@@ -237,7 +222,17 @@ def _erf_dual(kaa, kbb, kab):
 
 
 def _erf_dual_diag(k):
-    return (2.0 / np.pi) * np.arcsin(2.0 * k / (1.0 + 2.0 * k))
+    ew = (2.0 / np.pi) * np.arcsin(2.0 * k / (1.0 + 2.0 * k))
+    return ew, (4.0 / np.pi) / np.sqrt(1.0 + 4.0 * k)
+
+
+def _coincident(a, b):
+    """Index arrays (rows, cols) of the pairs where a[i] and b[j] are bitwise equal."""
+    index = {}
+    for i, row in enumerate(a):
+        index.setdefault(row.tobytes(), []).append(i)
+    pairs = [(i, j) for j, row in enumerate(b) for i in index.get(row.tobytes(), ())]
+    return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
 
 
 def infinite_ntk_fc(config, a, b):
@@ -248,6 +243,10 @@ def infinite_ntk_fc(config, a, b):
     the nonlinearity's Gaussian expectation E[s(u)s(v)] (plus beta^2) while
     the tangent kernel accumulates T_{l+1} = S_{l+1} + T_l * E[s'(u)s'(v)].
     Only relu and erf have the closed-form expectations used here.
+
+    Identical rows of a and b take the values of the diagonal recursion,
+    so k(x, x) does not depend on the batch it is evaluated in (the general
+    recursion would recover it from a rounded angle).
     """
     if config.nonlinearity == "relu":
         dual, dual_diag = _relu_dual, _relu_dual_diag
@@ -270,29 +269,15 @@ def infinite_ntk_fc(config, a, b):
     s_aa = np.sum(a * a, axis=1) / n0 + b2
     s_bb = np.sum(b * b, axis=1) / n0 + b2
     theta = s_ab.copy()
+    theta_aa = s_aa.copy()
     for _ in range(config.n_layers - 1):
         ew, ed = dual(s_aa, s_bb, s_ab)
         s_ab = ew + b2
         theta = s_ab + theta * ed
-        s_aa = dual_diag(s_aa) + b2
-        s_bb = dual_diag(s_bb) + b2
+        ew_aa, ed_aa = dual_diag(s_aa)
+        s_aa = ew_aa + b2
+        theta_aa = s_aa + theta_aa * ed_aa
+        s_bb = dual_diag(s_bb)[0] + b2
+    rows, cols = _coincident(a, b)
+    theta[rows, cols] = theta_aa[rows]
     return theta
-
-
-# --- plain-text Gram dump -------------------------------------------------
-
-
-def write_matrix_txt(m, path):
-    """Dump a matrix as "rows cols" then row-major whitespace values."""
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    with open(path, "w") as f:
-        f.write(f"{m.shape[0]} {m.shape[1]}\n")
-        for row in m:
-            f.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_matrix_txt(path):
-    with open(path) as f:
-        rows, cols = (int(t) for t in f.readline().split())
-        values = np.loadtxt(f, dtype=np.float64).reshape(rows, cols)
-    return values

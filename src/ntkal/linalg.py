@@ -1,13 +1,12 @@
 """Dense linear algebra helpers used by the kernel machinery.
 
 Matrices are plain ``numpy`` 2-D ``float64`` arrays in row-major order.
-The only nontrivial pieces here are the jittered Cholesky factorization
+The only nontrivial piece here is the jittered Cholesky factorization
 (Gram matrices of gradient features are positive semidefinite in exact
-arithmetic but can lose definiteness in finite precision) and a
-symmetric eigendecomposition with a fixed, descending eigenvalue order.
+arithmetic but can lose definiteness in finite precision).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
@@ -19,10 +18,8 @@ __all__ = [
     "JitterPolicy",
     "CholeskyFactor",
     "as_matrix",
-    "matmul",
     "cholesky",
     "chol_solve",
-    "sym_eig",
 ]
 
 # Relative tolerance used when checking that an input is symmetric.
@@ -65,23 +62,6 @@ def as_matrix(a):
     if not np.all(np.isfinite(m)):
         raise ContractError("matrix contains non-finite entries")
     return m
-
-
-def matmul(a, b):
-    """Matrix product with an explicit shape check.
-
-    Raises ShapeError naming both operand shapes when inner dims differ.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul dimension mismatch: ({a.shape[0]}x{a.shape[1]}) @ "
-            f"({b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
 
 
 def _check_square_symmetric(a, op):
@@ -142,16 +122,3 @@ def chol_solve(factor, b):
     y = solve_triangular(factor.lower, b, lower=True, check_finite=False)
     x = solve_triangular(factor.lower, y, lower=True, trans="T", check_finite=False)
     return x[:, 0] if squeeze else x
-
-
-def sym_eig(a):
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order and eigenvectors as the corresponding columns.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    _check_square_symmetric(a, "sym_eig")
-    w, v = np.linalg.eigh(a)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]

@@ -13,13 +13,12 @@ empirical tangent kernel) are available both as flat vectors and in the
 factorized activation/delta form used for fast Gram computation.
 """
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf as _erf
 
-from .errors import ContractError, DivergenceError, FormatError, ShapeError
+from .errors import ContractError, DivergenceError, ShapeError
 
 __all__ = [
     "MlpConfig",
@@ -30,11 +29,7 @@ __all__ = [
     "grad_first_logit",
     "grad_factors",
     "train_sgd",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
-
-CHECKPOINT_MAGIC = "NTKAL-MLP-v1"
 
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
@@ -325,46 +320,3 @@ def train_sgd(params, data, cfg):
             )
         lr *= cfg.lr_decay
     return work
-
-
-# --- checkpoint io -------------------------------------------------------
-#
-# Layout: magic line, one JSON line with the architecture, then the flat
-# parameter vector as little-endian float64 bytes.
-
-
-def save_checkpoint(params, path):
-    header = {
-        "widths": list(params.config.widths),
-        "nonlinearity": params.config.nonlinearity,
-        "beta": params.config.beta,
-        "seed": params.config.seed,
-    }
-    with open(path, "wb") as f:
-        f.write((CHECKPOINT_MAGIC + "\n").encode("ascii"))
-        f.write((json.dumps(header) + "\n").encode("ascii"))
-        f.write(params.flat().astype("<f8").tobytes())
-
-
-def load_checkpoint(path):
-    with open(path, "rb") as f:
-        magic = f.readline().decode("ascii", errors="replace").rstrip("\n")
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(
-                f"bad checkpoint magic: got {magic!r}, want {CHECKPOINT_MAGIC!r}"
-            )
-        header = json.loads(f.readline().decode("ascii"))
-        blob = f.read()
-    config = MlpConfig(
-        widths=tuple(header["widths"]),
-        nonlinearity=header["nonlinearity"],
-        beta=header["beta"],
-        seed=header["seed"],
-    )
-    flat = np.frombuffer(blob, dtype="<f8")
-    if flat.size != config.param_count:
-        raise FormatError(
-            f"checkpoint payload has {flat.size} parameters, "
-            f"architecture needs {config.param_count}"
-        )
-    return params_from_flat(config, flat.astype(np.float64))

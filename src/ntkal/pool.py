@@ -12,7 +12,7 @@ retraining happens only every ``retrain_every`` cycles.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,7 +79,8 @@ class Pool:
         for i in moving:
             if i not in unlabeled:
                 raise ContractError(f"index {i} is not unlabeled")
-        remaining = tuple(i for i in self.unlabeled_indices if i not in set(moving))
+        moving_set = set(moving)
+        remaining = tuple(i for i in self.unlabeled_indices if i not in moving_set)
         return Pool(self.dataset, self.labeled_indices + tuple(moving), remaining)
 
     def labeled_dataset(self):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ntkal import acquire, data, kernel, lookahead, net
-from ntkal.errors import ContractError
+from ntkal import acquire, data, kernel, linalg, lookahead, net
+from ntkal.errors import ContractError, DegenerateCandidateError
 
 LN2 = float(np.log(2.0))
 
@@ -13,6 +13,12 @@ def _problem(l_size=8, c=2, dim=2, seed=0, width=24):
     x = rng.standard_normal((l_size, dim))
     y = data.one_hot_encode(rng.integers(0, c, l_size), c)
     return params, x, y, kernel.build_state_xy(params, x, y)
+
+
+def _lookahead_after(state, xc, yc, q):
+    """Predictions at q after hypothetically labeling xc with yc (engine at n=1)."""
+    batch = lookahead.lookahead_batch(state, np.atleast_2d(xc), q)
+    return batch.ref_lin + np.outer(batch.gains[:, 0], batch.shift_base[0] - yc)
 
 
 def _brute_change_score(params, x, y, cand, label, reference, ord_=2):
@@ -84,8 +90,7 @@ class TestMlmoc:
         for i in range(2):
             label = np.zeros(2)
             label[np.argmax(outs[i])] = 1.0
-            ctx = lookahead.prepare_candidate(state, cands[i], label)
-            after = lookahead.lookahead_predict(state, ctx, ref)
+            after = _lookahead_after(state, cands[i], label, ref)
             expected = float(np.sum(np.linalg.norm(after - raw_ref, axis=1)))
             assert abs(result.scores[i] - expected) < 1e-9 * max(expected, 1.0)
 
@@ -93,6 +98,50 @@ class TestMlmoc:
         _, _, _, state = _problem()
         with pytest.raises(ContractError):
             acquire.mlmoc(state, np.zeros((0, 2)))
+
+
+class TestScoresMatchAugmentedState:
+    """mlmoc against explicitly augmented states on jittered and rank-deficient Grams.
+
+    Width 3 on 2-d inputs has 17 parameters, so 30 labels give a Gram of
+    rank at most 17 that only factorizes with jitter.
+    """
+
+    @staticmethod
+    def _state(seed, ladder):
+        rng = np.random.default_rng(seed)
+        params = net.init(net.MlpConfig((2, 3, 2), seed=seed))
+        x = rng.standard_normal((30, 2))
+        y = data.one_hot_encode(rng.integers(0, 2, 30), 2)
+        state = kernel.build_state_xy(
+            params, x, y, jitter_policy=linalg.JitterPolicy(ladder)
+        )
+        assert state.labeled_count > params.config.param_count
+        return state, rng.standard_normal((40, 2))
+
+    def test_jittered_scores_equal_augmented_change(self):
+        for seed in range(10):
+            state, cands = self._state(seed, (1e-3,))
+            assert state.factor.jitter_applied > 0.0
+            result = acquire.mlmoc(state, cands)
+            before = lookahead.predict_lin(state, cands)
+            for i in np.flatnonzero(~result.degenerate_flags):
+                aug = lookahead.augment_state(state, cands[i], result.pseudo_labels[i])
+                change = lookahead.predict_lin(aug, cands) - before
+                explicit = float(np.sum(np.linalg.norm(change, axis=1)))
+                assert abs(result.scores[i] - explicit) <= 1e-8 * explicit
+
+    def test_rank_deficient_flags_agree_with_augment(self):
+        for seed in range(20):
+            state, cands = self._state(seed, linalg.DEFAULT_JITTER.ladder)
+            result = acquire.mlmoc(state, cands)
+            for i, x in enumerate(cands):
+                try:
+                    lookahead.augment_state(state, x, result.pseudo_labels[i])
+                    raised = False
+                except DegenerateCandidateError:
+                    raised = True
+                assert raised == result.degenerate_flags[i]
 
 
 class TestEmoc:
@@ -126,8 +175,7 @@ class TestEmoc:
             per_label = []
             for cls in range(2):
                 label = np.eye(2)[cls]
-                ctx = lookahead.prepare_candidate(state, cands[i], label)
-                after = lookahead.lookahead_predict(state, ctx, ref)
+                after = _lookahead_after(state, cands[i], label, ref)
                 base = lookahead.predict_lin(state, ref)
                 per_label.append(float(np.sum(np.linalg.norm(after - base, axis=1))))
             assert abs(result.scores[i] - np.mean(per_label)) < 1e-9
@@ -337,13 +385,7 @@ class TestNaiveOracle:
             for i, xc in enumerate(cands):
                 yc = np.zeros(2)
                 yc[np.argmax(outs[i])] = 1.0
-                ctx = lookahead.prepare_candidate(state, xc, yc)
-                if ctx.degenerate:
-                    k_changes.append(np.zeros_like(base).ravel())
-                else:
-                    k_changes.append(
-                        (lookahead.lookahead_predict(state, ctx, ref) - base).ravel()
-                    )
+                k_changes.append((_lookahead_after(state, xc, yc, ref) - base).ravel())
                 after = acquire.naive_sgd_oracle(params, labeled, (xc, yc), tc, ref)
                 n_changes.append((after - base).ravel())
             r = np.corrcoef(np.concatenate(k_changes), np.concatenate(n_changes))[0, 1]

@@ -103,25 +103,6 @@ class TestGenerators:
 
 
 class TestSplitAndEncode:
-    def test_split_sizes_disjoint(self):
-        ds = data.gen_two_gaussians(50, 1.0, 0)
-        a, b = data.split(ds, [0.8, 0.2], seed=1)
-        assert len(a) == 80 and len(b) == 20
-        rows = {tuple(r) for r in a.inputs} | {tuple(r) for r in b.inputs}
-        assert len(rows) == 100
-
-    def test_split_restores_multiset(self):
-        ds = data.gen_two_gaussians(30, 1.0, 2)
-        a, b = data.split(ds, [0.5, 0.5], seed=3)
-        merged = sorted(map(tuple, np.vstack([a.inputs, b.inputs])))
-        original = sorted(map(tuple, ds.inputs))
-        assert merged == original
-
-    def test_split_bad_fractions(self):
-        ds = data.gen_two_gaussians(10, 1.0, 0)
-        with pytest.raises(ContractError):
-            data.split(ds, [0.5, 0.6], seed=0)
-
     def test_one_hot(self):
         row = data.one_hot_encode([3], 10)[0]
         assert row[3] == 1.0 and row.sum() == 1.0
@@ -132,11 +113,3 @@ class TestSplitAndEncode:
         oh = data.one_hot_encode(labels, 6)
         assert np.array_equal(np.argmax(oh, axis=1), labels)
         assert np.array_equal(data.one_hot_encode(np.argmax(oh, axis=1), 6), oh)
-
-    def test_csv_export(self, tmp_path):
-        ds = data.gen_two_gaussians(5, 1.0, 0)
-        path = tmp_path / "out.csv"
-        data.to_csv(ds, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x0,x1,label"
-        assert len(lines) == 11

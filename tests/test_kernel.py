@@ -136,20 +136,6 @@ class TestBuildState:
                 stacked.reshape(8, c), state.solved_residual, rtol=1e-8, atol=1e-10
             )
 
-    def test_cache_budget_disables_cache(self):
-        params = _random_params((2, 4, 2), 1)
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((6, 2))
-        y = data.one_hot_encode(rng.integers(0, 2, 6), 2)
-        state = kernel.build_state_xy(params, x, y, cache_budget_rows=3)
-        assert state.factor_cache is None
-        cached = kernel.build_state_xy(params, x, y)
-        assert cached.factor_cache is not None
-        q = rng.standard_normal((4, 2))
-        np.testing.assert_allclose(
-            state.kernel_rows(q), cached.kernel_rows(q), rtol=1e-12
-        )
-
 
 def _monte_carlo_dual(fn, cov, seed, n=2_000_000):
     """Monte-Carlo oracle for E[fn(u) fn(v)] under a 2-D centered Gaussian.
@@ -172,6 +158,26 @@ class TestInfiniteNtk:
         k = kernel.infinite_ntk_fc(cfg, a, a)
         assert np.all(np.diag(k) > 0.0)
         assert np.allclose(k, k.T, atol=1e-12)
+
+    @pytest.mark.parametrize("nonlinearity", ["relu", "erf"])
+    def test_coincident_rows_independent_of_batch(self, nonlinearity):
+        # k(x, x) is the same whether x is evaluated alone, inside a block
+        # with other rows, or against a labeled set that contains it.
+        cfg = net.MlpConfig((784, 16, 16, 10), nonlinearity=nonlinearity)
+        params = net.init(cfg)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 1.0, (24, 784)) * (rng.uniform(size=(24, 784)) < 0.2)
+
+        def kernel_fn(p, a, b):
+            return kernel.infinite_ntk_fc(p.config, a, b)
+
+        y = data.one_hot_encode(rng.integers(0, 10, 16), 10)
+        state = kernel.build_state_xy(params, x[:16], y, kernel_fn=kernel_fn)
+        diag = state.kernel_diag(x)
+        np.testing.assert_allclose(np.diag(state.kernel_block(x, x)), diag, rtol=1e-12, atol=0)
+        rows = state.kernel_rows(x[:16])
+        np.testing.assert_allclose(np.diag(rows), diag[:16], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.diag(state.gram), diag[:16], rtol=1e-12, atol=0)
 
     def test_unsupported_activation(self):
         cfg = net.MlpConfig((3, 4, 2), nonlinearity="identity")
@@ -230,15 +236,3 @@ class TestInfiniteNtk:
                 devs.append(np.mean(np.abs(emp - limit) / np.abs(limit)))
             deviations[width] = float(np.mean(devs))
         assert deviations[4096] < deviations[256]
-
-
-class TestMatrixDump:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((4, 4))
-        path = tmp_path / "gram.txt"
-        kernel.write_matrix_txt(m, path)
-        first = path.read_text().splitlines()[0]
-        assert first == "4 4"
-        back = kernel.read_matrix_txt(path)
-        assert np.array_equal(back, m)

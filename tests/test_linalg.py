@@ -5,28 +5,6 @@ from ntkal import linalg
 from ntkal.errors import ContractError, NotPositiveDefiniteError, ShapeError
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(linalg.matmul(np.eye(3), a), a)
-
-    def test_hand_expansion(self):
-        # Independently verified entry by entry with a triple loop.
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        expected = np.zeros((2, 1))
-        for i in range(2):
-            for j in range(1):
-                for k in range(2):
-                    expected[i, j] += a[i, k] * b[k, j]
-        assert np.array_equal(linalg.matmul(a, b), np.array([[17.0], [39.0]]))
-        assert np.array_equal(linalg.matmul(a, b), expected)
-
-    def test_shape_error_names_dims(self):
-        with pytest.raises(ShapeError, match=r"2x3.*2x3"):
-            linalg.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
 class TestCholesky:
     def test_identity(self):
         f = linalg.cholesky(np.eye(2))
@@ -106,41 +84,3 @@ class TestCholSolve:
         b = rng.standard_normal((30, 2))
         x = linalg.chol_solve(linalg.cholesky(a), b)
         assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
-
-
-class TestSymEig:
-    def test_diagonal(self):
-        vals, vecs = linalg.sym_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(vals, [3.0, 1.0])
-        assert np.allclose(np.abs(vecs), np.eye(2))
-
-    def test_two_by_two_closed_form(self):
-        # Characteristic polynomial gives eigenvalues 3 and 1 with
-        # eigenvectors (1,1)/sqrt(2) and (1,-1)/sqrt(2).
-        vals, vecs = linalg.sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(vals, [3.0, 1.0])
-        r = 1.0 / np.sqrt(2.0)
-        assert np.allclose(np.abs(vecs[:, 0]), [r, r])
-        assert np.allclose(np.abs(vecs[:, 1]), [r, r])
-        recon = vecs @ np.diag(vals) @ vecs.T
-        assert np.allclose(recon, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
-
-    def test_identity(self):
-        vals, _ = linalg.sym_eig(np.eye(4))
-        assert np.allclose(vals, np.ones(4))
-
-    def test_descending_order_and_reconstruction(self):
-        rng = np.random.default_rng(9)
-        for n in (5, 50, 200):
-            m = rng.standard_normal((n, n))
-            a = 0.5 * (m + m.T)
-            vals, vecs = linalg.sym_eig(a)
-            assert np.all(np.diff(vals) <= 1e-12)
-            recon = vecs @ np.diag(vals) @ vecs.T
-            err = np.linalg.norm(recon - a) / np.linalg.norm(a)
-            assert err < 1e-7
-            assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-8)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ContractError):
-            linalg.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ntkal import data, kernel, linalg, lookahead, net
+from ntkal import data, kernel, lookahead, net
 from ntkal.errors import ContractError, DegenerateCandidateError
 
 
@@ -50,44 +50,17 @@ class TestPredictLin:
         assert err < 1e-8
 
 
-class TestPredictLinAtTime:
-    def test_time_zero_is_raw_network(self):
-        params, x, y, state = _problem(seed=5)
-        q = np.random.default_rng(6).standard_normal((4, 3))
-        out = lookahead.predict_lin_at_time(state, q, 0.0)
-        assert np.array_equal(out, np.atleast_2d(net.forward(params, q)))
-
-    def test_long_time_matches_converged(self):
-        params, x, y, state = _problem(seed=7)
-        evals, _ = linalg.sym_eig(state.gram)
-        t = 1e6 / max(evals[-1], 1e-12)
-        late = lookahead.predict_lin_at_time(state, x, t)
-        conv = lookahead.predict_lin(state, x)
-        err = np.max(np.abs(late - conv)) / max(np.max(np.abs(conv)), 1e-12)
-        assert err < 1e-6
-
-    def test_training_loss_non_increasing(self):
-        params, x, y, state = _problem(seed=8)
-        losses = []
-        for t in (0.0, 1.0, 10.0, 100.0):
-            pred = lookahead.predict_lin_at_time(state, x, t)
-            losses.append(float(np.sum((y - pred) ** 2)))
-        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-
-    def test_negative_time_rejected(self):
-        _, _, _, state = _problem()
-        with pytest.raises(ContractError):
-            lookahead.predict_lin_at_time(state, np.zeros((1, 3)), -1.0)
-
-
 def _hand_kernel_state():
     """State over one labeled point with a hand-set kernel.
 
     Kernel values are looked up by the first input coordinate:
     labeled point a=0 with k(a,a)=2; candidate b=1 with k(a,b)=1,
-    k(b,b)=3.
+    k(b,b)=3; reference point r=2 with k(r,a)=1, k(r,b)=2.
     """
-    table = {(0, 0): 2.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 3.0}
+    table = {
+        (0, 0): 2.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 3.0,
+        (0, 2): 1.0, (2, 0): 1.0, (1, 2): 2.0, (2, 1): 2.0, (2, 2): 4.0,
+    }
 
     def kernel_fn(params, rows_a, rows_b):
         out = np.zeros((len(rows_a), len(rows_b)))
@@ -104,26 +77,40 @@ def _hand_kernel_state():
     return state
 
 
+def _lookahead_after(state, xc, yc, q):
+    """Predictions at q after hypothetically labeling xc with yc (engine at n=1)."""
+    batch = lookahead.lookahead_batch(state, xc[None, :], q)
+    return batch.ref_lin + np.outer(batch.gains[:, 0], batch.shift_base[0] - yc)
+
+
 class TestPrepareCandidate:
+    """Block quantities of one candidate, through the batched engine."""
+
     def test_hand_block_inverse(self):
-        # 2x2 block inverse by hand: v = 1/2, u = 3 - 1*(1/2)*1 = 2.5,
-        # cross-checked against a direct inversion oracle.
+        # 2x2 block inverse by hand: v = 1/2, u = 3 - 1*(1/2)*1 = 2.5, so the
+        # gains (k(q,a) v - k(q,b)) / u at q = a, b, r are 0, -1 and -0.6,
+        # and the shift base is the current prediction k(b,a) K^{-1} y_a = 1/2.
         state = _hand_kernel_state()
-        ctx = lookahead.prepare_candidate(state, np.array([1.0]), np.array([1.0]))
-        assert np.allclose(ctx.v, [0.5])
-        assert abs(ctx.schur - 2.5) < 1e-12
+        ref = np.array([[0.0], [1.0], [2.0]])
+        batch = lookahead.lookahead_batch(state, np.array([[1.0]]), ref)
+        np.testing.assert_allclose(batch.gains[:, 0], [0.0, -1.0, -0.6], atol=1e-12)
+        np.testing.assert_allclose(batch.shift_base, [[0.5]], atol=1e-12)
+        assert not batch.degenerate[0]
+        # Cross-checked against a direct inversion oracle of the augmented Gram.
         aug = np.array([[2.0, 1.0], [1.0, 3.0]])
-        schur_oracle = 1.0 / np.linalg.inv(aug)[1, 1]
-        assert abs(ctx.schur - schur_oracle) < 1e-12
-        assert not ctx.degenerate
+        k_ref = np.array([[2.0, 1.0], [1.0, 3.0], [1.0, 2.0]])
+        oracle = k_ref @ np.linalg.solve(aug, np.array([[1.0], [1.0]]))
+        after = batch.ref_lin + np.outer(batch.gains[:, 0], batch.shift_base[0] - 1.0)
+        np.testing.assert_allclose(after, oracle, atol=1e-12)
 
     def test_duplicate_labeled_point_degenerate(self):
         params, x, y, state = _problem(seed=9)
-        ctx = lookahead.prepare_candidate(state, x[0], y[0])
-        assert ctx.degenerate
+        batch = lookahead.lookahead_batch(state, x[:1])
+        assert batch.degenerate[0]
 
     def test_orthogonal_candidate(self):
-        # Zero cross kernel leaves u equal to the self kernel and v zero.
+        # Zero cross kernel leaves u equal to the self kernel and v zero:
+        # the candidate moves only itself, by its whole residual.
         table = {(0, 0): 2.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 3.0}
 
         def kernel_fn(params, rows_a, rows_b):
@@ -139,16 +126,27 @@ class TestPrepareCandidate:
         state = kernel.build_state_xy(
             params, np.array([[0.0]]), np.array([[1.0]]), kernel_fn=kernel_fn
         )
-        ctx = lookahead.prepare_candidate(state, np.array([1.0]), np.array([1.0]))
-        assert np.allclose(ctx.v, [0.0])
-        assert abs(ctx.schur - 3.0) < 1e-12
+        batch = lookahead.lookahead_batch(
+            state, np.array([[1.0]]), np.array([[0.0], [1.0]])
+        )
+        np.testing.assert_allclose(batch.gains[:, 0], [0.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(batch.shift_base, [[0.0]], atol=1e-12)
 
     def test_schur_identity(self):
+        # Gains equal (k(q,X) K^{-1} k(X,c) - k(q,c)) / (k(c,c) - k(c,X) K^{-1} k(X,c)).
         params, x, y, state = _problem(seed=10)
-        xc = np.random.default_rng(11).standard_normal(3)
-        ctx = lookahead.prepare_candidate(state, xc, y[0])
-        direct = ctx.self_kernel - ctx.cross_to_labeled @ ctx.v
-        assert abs(ctx.schur - direct) < 1e-10
+        assert state.factor.jitter_applied == 0.0
+        rng = np.random.default_rng(11)
+        xc = rng.standard_normal((1, 3))
+        q = rng.standard_normal((5, 3))
+        batch = lookahead.lookahead_batch(state, xc, q)
+        gram = kernel.empirical_ntk(params, x)
+        col = kernel.empirical_ntk(params, x, xc)[:, 0]
+        v = np.linalg.solve(gram, col)
+        u = kernel.empirical_ntk(params, xc)[0, 0] - col @ v
+        direct = (kernel.empirical_ntk(params, q, x) @ v
+                  - kernel.empirical_ntk(params, q, xc)[:, 0]) / u
+        np.testing.assert_allclose(batch.gains[:, 0], direct, rtol=1e-8)
 
 
 class TestLookaheadPredict:
@@ -157,10 +155,9 @@ class TestLookaheadPredict:
         y = np.atleast_2d(net.forward(params, x))
         state = kernel.build_state_xy(params, x, y)
         xc = np.random.default_rng(13).standard_normal(3)
-        yc = net.forward(params, xc)  # candidate residual is zero too
-        ctx = lookahead.prepare_candidate(state, xc, yc)
+        yc = np.atleast_2d(net.forward(params, xc[None, :]))[0]  # zero residual too
         q = np.random.default_rng(14).standard_normal((5, 3))
-        pred = lookahead.lookahead_predict(state, ctx, q)
+        pred = _lookahead_after(state, xc, yc, q)
         assert np.array_equal(pred, lookahead.predict_lin(state, q))
 
     def test_matches_direct_augmented_solve(self):
@@ -170,8 +167,7 @@ class TestLookaheadPredict:
         for trial in range(5):
             xc = rng.standard_normal(3)
             yc = data.one_hot_encode([trial % 3], 3)[0]
-            ctx = lookahead.prepare_candidate(state, xc, yc)
-            fast = lookahead.lookahead_predict(state, ctx, q)
+            fast = _lookahead_after(state, xc, yc, q)
             slow = _dense_predict(
                 params, np.vstack([x, xc]), np.vstack([y, yc]), q
             )
@@ -182,15 +178,63 @@ class TestLookaheadPredict:
         params, x, y, state = _problem(seed=17)
         xc = np.random.default_rng(18).standard_normal(3)
         yc = np.array([0.0, 1.0])
-        ctx = lookahead.prepare_candidate(state, xc, yc)
-        pred = lookahead.lookahead_predict(state, ctx, xc[None, :])
+        pred = _lookahead_after(state, xc, yc, xc[None, :])
         assert np.max(np.abs(pred[0] - yc)) < 1e-6
 
     def test_degenerate_raises(self):
+        # A degenerate candidate is flagged, its look-ahead change is exactly
+        # zero, and augment_state refuses it.
         params, x, y, state = _problem(seed=19)
-        ctx = lookahead.prepare_candidate(state, x[0], y[0])
+        batch = lookahead.lookahead_batch(state, x[:1], x)
+        assert batch.degenerate[0]
+        assert not np.any(batch.gains)
         with pytest.raises(DegenerateCandidateError):
-            lookahead.lookahead_predict(state, ctx, x)
+            lookahead.augment_state(state, x[0], y[0])
+
+
+class TestLookaheadBatch:
+    def test_columns_match_single_candidate_runs(self):
+        params, x, y, state = _problem(l_size=20, c=3, seed=36)
+        rng = np.random.default_rng(37)
+        cands = np.vstack([rng.standard_normal((4, 3)), x[:1]])
+        ref = rng.standard_normal((6, 3))
+        batch = lookahead.lookahead_batch(state, cands, ref)
+        for i in range(len(cands)):
+            one = lookahead.lookahead_batch(state, cands[i : i + 1], ref)
+            np.testing.assert_allclose(
+                one.gains[:, 0], batch.gains[:, i], rtol=1e-12, atol=1e-14
+            )
+            np.testing.assert_allclose(
+                one.shift_base[0], batch.shift_base[i], rtol=1e-12, atol=1e-12
+            )
+            assert one.degenerate[0] == batch.degenerate[i]
+
+    def test_reference_defaults_to_candidates(self):
+        params, x, y, state = _problem(seed=38)
+        cands = np.random.default_rng(39).standard_normal((4, 3))
+        own = lookahead.lookahead_batch(state, cands)
+        explicit = lookahead.lookahead_batch(state, cands, cands.copy())
+        np.testing.assert_allclose(own.gains, explicit.gains, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(own.ref_lin, explicit.ref_lin, rtol=1e-12)
+
+    @pytest.mark.parametrize("where", ["candidates", "reference"])
+    def test_non_finite_rows_rejected(self, where):
+        _, _, _, state = _problem(seed=40)
+        good = np.random.default_rng(41).standard_normal((3, 3))
+        bad = good.copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(ContractError):
+            if where == "candidates":
+                lookahead.lookahead_batch(state, bad, good)
+            else:
+                lookahead.lookahead_batch(state, good, bad)
+
+    def test_empty_sets_rejected(self):
+        _, _, _, state = _problem()
+        with pytest.raises(ContractError):
+            lookahead.lookahead_batch(state, np.zeros((0, 3)))
+        with pytest.raises(ContractError):
+            lookahead.lookahead_batch(state, np.ones((1, 3)), np.zeros((0, 3)))
 
 
 class TestAugmentState:
@@ -255,8 +299,7 @@ class TestAugmentState:
         params, x, y, state = _problem(seed=33)
         xc = np.random.default_rng(34).standard_normal(3)
         yc = np.array([0.0, 1.0])
-        ctx = lookahead.prepare_candidate(state, xc, yc)
         q = np.random.default_rng(35).standard_normal((4, 3))
-        hypothetical = lookahead.lookahead_predict(state, ctx, q)
+        hypothetical = _lookahead_after(state, xc, yc, q)
         committed = lookahead.predict_lin(lookahead.augment_state(state, xc, yc), q)
         np.testing.assert_allclose(hypothetical, committed, rtol=1e-9, atol=1e-11)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ntkal import data, net
-from ntkal.errors import ContractError, DivergenceError, FormatError, ShapeError
+from ntkal.errors import ContractError, DivergenceError, ShapeError
 
 
 def _finite_difference_grad(params, x, step=1e-5):
@@ -222,30 +222,3 @@ class TestTrainSgd:
         jittered = net.params_from_flat(cfg, params.flat() + 1.0)
         b = net.train_sgd(jittered, ds, tc)
         assert np.array_equal(a.flat(), b.flat())
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        cfg = net.MlpConfig((3, 9, 2), nonlinearity="erf", beta=0.25, seed=11)
-        params = net.init(cfg)
-        path = tmp_path / "model.ntk"
-        net.save_checkpoint(params, path)
-        assert path.read_bytes().startswith(b"NTKAL-MLP-v1\n")
-        loaded = net.load_checkpoint(path)
-        assert loaded.config == cfg
-        assert np.array_equal(loaded.flat(), params.flat())
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "model.ntk"
-        path.write_bytes(b"NTKAL-MLP-v9\n{}\n")
-        with pytest.raises(FormatError):
-            net.load_checkpoint(path)
-
-    def test_truncated_payload(self, tmp_path):
-        cfg = net.MlpConfig((3, 9, 2), seed=1)
-        params = net.init(cfg)
-        path = tmp_path / "model.ntk"
-        net.save_checkpoint(params, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(FormatError):
-            net.load_checkpoint(path)

@@ -50,6 +50,13 @@ class TestPool:
         assert len(q.labeled_indices) == 8
         assert not set(move) & set(q.unlabeled_indices)
         assert set(q.labeled_indices) | set(q.unlabeled_indices) == set(range(len(ds)))
+        assert q.unlabeled_indices == p.unlabeled_indices[3:]
+        scattered = q.unlabeled_indices[::7]
+        r = q.acquire(scattered)
+        assert r.labeled_indices[-len(scattered):] == scattered
+        assert r.unlabeled_indices == tuple(
+            i for i in q.unlabeled_indices if i not in scattered
+        )
 
     def test_acquire_rejects_labeled(self):
         ds, _ = _toy_data()
