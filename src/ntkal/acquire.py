@@ -6,7 +6,10 @@ predictions over a reference set, using the block-structured linearized
 look-ahead of ``lookahead.lookahead_batch`` instead of retraining.
 Because the per-candidate prediction change is rank one (per-query gain
 times a per-label shift), whole candidate batches are scored with a
-handful of matrix products.
+handful of matrix products. Each takes a kernel state and candidate rows
+and scores the batch it builds with ``score_mlmoc``, ``score_emoc`` or
+``score_eer_lin``; sequential querying calls those directly on a batch
+kept up to date with ``lookahead.condition``.
 
 Myopic baselines (entropy, margin, random) and a naive oracle that
 really retrains with SGD round out the comparison suite.
@@ -25,6 +28,9 @@ __all__ = [
     "mlmoc",
     "emoc",
     "eer_lin",
+    "score_mlmoc",
+    "score_emoc",
+    "score_eer_lin",
     "entropy_score",
     "margin_score",
     "random_score",
@@ -110,7 +116,11 @@ def mlmoc(state, candidates, reference_set=None, baseline="linearized"):
     measured against: the current linearized predictions (default, so a
     no-op augmentation scores exactly zero) or the raw network outputs.
     """
-    ctx = lookahead.lookahead_batch(state, candidates, reference_set)
+    return score_mlmoc(lookahead.lookahead_batch(state, candidates, reference_set), baseline)
+
+
+def score_mlmoc(ctx, baseline="linearized"):
+    """mlmoc scores of a LookaheadBatch."""
     labels = _pseudo_labels(ctx)
     scores = _change_norms(ctx, labels, baseline, ord_=2)
     scores = np.where(ctx.degenerate, 0.0, scores)
@@ -124,10 +134,16 @@ def emoc(state, candidates, reference_set=None, distance="l2", baseline="lineari
     network output at the candidate; per-label changes are evaluated with
     the same block correction as mlmoc. Costs one mlmoc per class.
     """
+    return score_emoc(
+        lookahead.lookahead_batch(state, candidates, reference_set), distance, baseline
+    )
+
+
+def score_emoc(ctx, distance="l2", baseline="linearized"):
+    """emoc scores of a LookaheadBatch."""
     if distance not in ("l2", "l1"):
         raise ContractError(f"unknown distance {distance!r}")
     ord_ = 2 if distance == "l2" else 1
-    ctx = lookahead.lookahead_batch(state, candidates, reference_set)
     n, c = ctx.outputs.shape
     probs = softmax(ctx.outputs)
     scores = np.zeros(n)
@@ -148,7 +164,11 @@ def eer_lin(state, candidates, reference_set=None):
     candidates leave the model unchanged, so they score the current
     entropy sum, negated.
     """
-    ctx = lookahead.lookahead_batch(state, candidates, reference_set)
+    return score_eer_lin(lookahead.lookahead_batch(state, candidates, reference_set))
+
+
+def score_eer_lin(ctx):
+    """eer_lin scores of a LookaheadBatch."""
     n, c = ctx.outputs.shape
     probs = softmax(ctx.outputs)
     current_entropy = float(np.sum(entropy(softmax(ctx.ref_lin))))

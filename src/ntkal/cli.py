@@ -333,16 +333,17 @@ def _bench_problem(l_size, u_size, width, seed, dim=8):
 
 
 def bench_block_vs_direct(l_size, u_size, width=64, reps=5, seed=0):
-    """Score U candidates via the rank-one block path vs. per-candidate
-    refactorization of the augmented Gram matrix.
+    """Score U candidates with mlmoc via the block look-ahead engine vs.
+    per-candidate refactorization of the augmented Gram matrix.
 
-    Kernel blocks are precomputed outside both timers so the comparison
-    isolates the linear algebra. Returns a dict with median seconds per
-    path and the speedup ratio.
+    Both timers include evaluating the kernel values they use. Agreement
+    is the largest relative score difference over the candidates the
+    engine does not flag degenerate (None when it flags them all). Returns
+    a dict with median seconds per path and the speedup ratio.
     """
     import numpy as np
 
-    from . import linalg
+    from . import acquire, linalg, net
     from .errors import ContractError
 
     if reps < 1:
@@ -352,60 +353,51 @@ def bench_block_vs_direct(l_size, u_size, width=64, reps=5, seed=0):
             f"sizes exceed benchmark budget ({_BENCH_MAX_L}, {_BENCH_MAX_U})"
         )
     params, labeled, cand, state = _bench_problem(l_size, u_size, width, seed)
-    k_ul = state.kernel_rows(cand)  # (U, L)
-    k_uu_diag = state.kernel_diag(cand)
-    k_ru = state.kernel_block(cand, cand)  # reference = candidate subset
-    residual = state.residual
-    base_lin = k_ul @ state.solved_residual  # offset shared by both paths
+    jitter = state.factor.jitter_applied
 
-    # Both paths score the model change from adding each candidate with a
-    # zero pseudo-residual; the per-candidate label shift is identical work
-    # for both, so omitting it keeps the timing about the linear algebra.
     block_times, direct_times = [], []
-    block_scores = direct_scores = None
+    result = direct_scores = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        v = linalg.chol_solve(state.factor, k_ul.T)  # (L, U)
-        u = k_uu_diag - np.einsum("ul,lu->u", k_ul, v)
-        gains = (k_ul @ v - k_ru) / u  # (U, U): reference x candidate
-        shift = v.T @ residual  # (U, C); shared pseudo-residual omitted
-        block_scores = np.sum(np.abs(gains), axis=0) * np.linalg.norm(shift, axis=1)
+        result = acquire.mlmoc(state, cand)
         block_times.append(time.perf_counter() - t0)
 
         t0 = time.perf_counter()
+        k_ul = state.kernel_rows(cand)  # (U, L)
+        k_uu_diag = state.kernel_diag(cand)
+        k_ru = state.kernel_block(cand, cand)  # reference = candidate subset
+        outputs = net.forward(params, cand)
+        base = outputs + k_ul @ state.solved_residual
+        labels = np.zeros_like(outputs)
+        labels[np.arange(u_size), np.argmax(outputs, axis=1)] = 1.0
         direct_scores = np.zeros(u_size)
-        zero_row = np.zeros((1, residual.shape[1]))
-        # Refactorize at the same jitter as the cached factor so both
-        # paths solve the identical regularized system.
-        jitter = state.factor.jitter_applied
         for i in range(u_size):
+            # The augmented system of augment_state: the jitter of the
+            # cached factor on every diagonal entry, the new one included.
             gram_aug = np.zeros((state.labeled_count + 1, state.labeled_count + 1))
             gram_aug[:-1, :-1] = state.gram
             gram_aug[-1, :-1] = k_ul[i]
             gram_aug[:-1, -1] = k_ul[i]
             gram_aug[-1, -1] = k_uu_diag[i]
-            if jitter:
-                gram_aug[np.diag_indices_from(gram_aug)] += jitter
+            gram_aug[np.diag_indices_from(gram_aug)] += jitter
             factor = linalg.cholesky(gram_aug)
-            residual_aug = np.vstack([residual, zero_row])
+            residual_aug = np.vstack([state.residual, labels[i] - outputs[i]])
             solved = linalg.chol_solve(factor, residual_aug)
-            k_ref_aug = np.column_stack([k_ul, k_ru[:, i]])
-            preds = k_ref_aug @ solved
-            direct_scores[i] = np.sum(np.linalg.norm(preds - base_lin, axis=1))
+            preds = outputs + np.column_stack([k_ul, k_ru[:, i]]) @ solved
+            direct_scores[i] = np.sum(np.linalg.norm(preds - base, axis=1))
         direct_times.append(time.perf_counter() - t0)
 
-    # Agreement is reported over candidates with a healthy Schur complement;
-    # the acquisition path flags the near-degenerate ones and scores them 0,
-    # so their amplified rounding noise is not meaningful.
-    v = linalg.chol_solve(state.factor, k_ul.T)
-    schur = k_uu_diag - np.einsum("ul,lu->u", k_ul, v)
-    healthy = schur > 1e-6 * np.maximum(k_uu_diag, 0.0)
-    agreement = float(
-        np.max(
-            np.abs(block_scores[healthy] - direct_scores[healthy])
-            / np.maximum(np.abs(direct_scores[healthy]), 1e-12)
+    # Flagged candidates score 0 in the engine; the direct path only
+    # amplifies rounding noise for them.
+    healthy = ~result.degenerate_flags
+    agreement = None
+    if np.any(healthy):
+        agreement = float(
+            np.max(
+                np.abs(result.scores[healthy] - direct_scores[healthy])
+                / np.maximum(np.abs(direct_scores[healthy]), 1e-12)
+            )
         )
-    )
     return {
         "mode": "block_vs_direct",
         "l": l_size,

@@ -34,30 +34,54 @@ __all__ = [
 ]
 
 
+# Rows of the output contracted at a time. The temporaries are two
+# (rows, n) products, so a block costs little more than its own memory.
+_CONTRACT_CHUNK_ROWS = 256
+
+
 def _contract_factors(factors_a, factors_b, widths, beta):
-    """Gram block from two factorized gradient stacks."""
-    gram = 0.0
+    """Gram block from two factorized gradient stacks.
+
+    Row chunks are accumulated in place into the preallocated output.
+    When both stacks are the same object the block is symmetric: each
+    chunk is contracted from its diagonal onwards and mirrored.
+    """
+    symmetric = factors_a is factors_b
+    m, n = len(factors_a[0][0]), len(factors_b[0][0])
+    gram = np.zeros((m, n))
     b2 = beta * beta
-    for l, ((aa, da), (ab, db)) in enumerate(zip(factors_a, factors_b)):
-        gram = gram + (aa @ ab.T / widths[l] + b2) * (da @ db.T)
+    for start in range(0, m, _CONTRACT_CHUNK_ROWS):
+        stop = start + _CONTRACT_CHUNK_ROWS
+        rows = slice(start, stop)
+        cols = slice(start, n) if symmetric else slice(0, n)
+        out = gram[rows, cols]
+        for l, ((aa, da), (ab, db)) in enumerate(zip(factors_a, factors_b)):
+            term = aa[rows] @ ab[cols].T
+            term /= widths[l]
+            term += b2
+            term *= da[rows] @ db[cols].T
+            out += term
+        if symmetric:
+            gram[stop:, rows] = gram[rows, stop:].T
     return gram
 
 
 def empirical_ntk(params, a, b=None, method="factors"):
     """Gram matrix of first-logit gradients, shape (len(a), len(b)).
 
-    ``b=None`` reuses ``a`` (symmetric case). ``method="factors"`` is the
-    fast layerwise contraction; ``method="features"`` materializes the
+    ``b=None`` or ``b is a`` reuses ``a`` (symmetric case).
+    ``method="factors"`` is the fast layerwise contraction, with one factor
+    pass in the symmetric case; ``method="features"`` materializes the
     flat per-example gradient vectors and dots them, which is what the
     factorized path must reproduce (used as a cross-check in tests).
     """
+    symmetric = b is None or b is a
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     if a.shape[1] != params.config.input_dim:
         raise ShapeError(
             f"kernel inputs have dim {a.shape[1]}, network expects "
             f"{params.config.input_dim}"
         )
-    symmetric = b is None
     b_arr = a if symmetric else np.atleast_2d(np.asarray(b, dtype=np.float64))
     if b_arr.shape[1] != params.config.input_dim:
         raise ShapeError(

@@ -20,12 +20,28 @@ whole candidate batch against a reference set with one triangular solve
 and one matrix product; ``augment_state`` uses the same block quantities
 to extend the Cholesky factor, so feeding true labels sequentially into
 the state costs one solve per point and is order independent.
+
+Once a candidate x* is really labeled, ``condition`` updates a batch
+whose reference set is its candidate set in O(n^2), instead of a fresh
+``lookahead_batch`` on the augmented state. With the unjittered cross term
+S(r, c) = k(r, c) - W_r^T W_c (so gain(r, c) = -S(r, c) / u_c) and
+s = S(., x*), the augmented system is a rank-one covariance downdate:
+
+    S'(r, c)       = S(r, c) - s_r s_c / u*
+    schur'_c       = schur_c - s_c^2 / u*          (u'_c = schur'_c + jitter)
+    predict'(c)    = predict(c) + gain(c, x*) * (predict(x*) - y)
+
+This is exact, not an approximation: ``augment_state`` appends the factor
+row [W*^T, sqrt(u*)], which gives every candidate the one new W entry
+S(x*, c) / sqrt(u*), and S is symmetric, so s is both S(., x*) and
+S(x*, .). A fresh rescoring differs only by rounding. Schur complements
+only shrink, so a degenerate candidate stays degenerate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import blas, solve_triangular
 
 from . import kernel as kernel_mod
 from . import linalg, net
@@ -35,6 +51,7 @@ __all__ = [
     "LookaheadBatch",
     "predict_lin",
     "lookahead_batch",
+    "condition",
     "augment_state",
 ]
 
@@ -56,19 +73,24 @@ def _forward_solve(state, k_rows):
     return solve_triangular(state.factor.lower, k_rows.T, lower=True, check_finite=False)
 
 
+def _degenerate(schur, self_k):
+    """Flags of candidates inside the labeled span: schur <= scale * max(k(c,c), 0)."""
+    return schur <= DEGENERATE_U_SCALE * np.maximum(self_k, 0.0)
+
+
 def _schur_rows(state, rows):
     """Block quantities of candidate rows against the labeled set.
 
-    Returns k(c, X) (n, L), k(c, c) (n,), W_c (L, n), the jittered Schur
-    complement u (n,), and the degeneracy flags (n,): a candidate is
-    degenerate when k(c,c) - |W_c|^2 <= DEGENERATE_U_SCALE * max(k(c,c), 0).
+    Returns k(c, X) (n, L), k(c, c) (n,), W_c (L, n), the unjittered Schur
+    complement k(c,c) - |W_c|^2 (n,) and the degeneracy flags (n,). The
+    pivot of the augmented jittered Gram is the Schur complement plus the
+    state's jitter.
     """
     k_cl = state.kernel_rows(rows)
     self_k = state.kernel_diag(rows)
     w = _forward_solve(state, k_cl)
     schur = self_k - np.einsum("ln,ln->n", w, w)
-    degenerate = schur <= DEGENERATE_U_SCALE * np.maximum(self_k, 0.0)
-    return k_cl, self_k, w, schur + state.factor.jitter_applied, degenerate
+    return k_cl, self_k, w, schur, _degenerate(schur, self_k)
 
 
 @dataclass(frozen=True)
@@ -86,6 +108,10 @@ class LookaheadBatch:
     shift_base: np.ndarray  # (n, C) current linearized predictions at the candidates
     ref_lin: np.ndarray  # (m, C) current linearized predictions on the reference
     ref_raw: np.ndarray  # (m, C) raw network outputs on the reference
+    schur: np.ndarray  # (n,) unjittered Schur complements k(c,c) - |W_c|^2
+    self_k: np.ndarray  # (n,) self-kernel values k(c, c)
+    jitter: float  # the state's jitter; u = schur + jitter
+    same_set: bool  # whether the reference set is the candidate set
 
 
 def lookahead_batch(state, candidates, reference=None):
@@ -102,7 +128,9 @@ def lookahead_batch(state, candidates, reference=None):
     if len(ref) == 0:
         raise ContractError("reference set is empty")
 
-    k_cl, _, w_c, u, degenerate = _schur_rows(state, cands)
+    k_cl, self_k, w_c, schur, degenerate = _schur_rows(state, cands)
+    jitter = state.factor.jitter_applied
+    u = schur + jitter
     if same_set:
         k_rl, w_r = k_cl, w_c
     else:
@@ -130,6 +158,61 @@ def lookahead_batch(state, candidates, reference=None):
         shift_base=shift_base,
         ref_lin=ref_lin,
         ref_raw=ref_raw,
+        schur=schur,
+        self_k=self_k,
+        jitter=jitter,
+        same_set=same_set,
+    )
+
+
+def condition(batch, i, y):
+    """The batch over the other candidates once candidate i is labeled y.
+
+    Equals, up to rounding, ``lookahead_batch`` on the state returned by
+    ``augment_state(state, candidates[i], y)`` over the remaining candidates
+    (see the module docstring), at O(n^2) cost and without evaluating the
+    kernel. A degenerate pick leaves the state unchanged, so only its row
+    and column are dropped. Needs a batch whose reference set is its
+    candidate set and at least two candidates; raises ContractError
+    otherwise.
+    """
+    if not batch.same_set:
+        raise ContractError("conditioning needs the candidates as reference set")
+    n = len(batch.outputs)
+    if not 0 <= i < n:
+        raise ContractError(f"candidate index {i} out of range for {n} candidates")
+    if n < 2:
+        raise ContractError("conditioning the last candidate leaves an empty batch")
+    keep = np.arange(n) != i
+    gains = batch.gains[np.ix_(keep, keep)]  # the only (n, n) allocation
+    schur, shift_base = batch.schur[keep], batch.shift_base[keep]
+    degenerate = batch.degenerate[keep]
+    if not batch.degenerate[i]:
+        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        u = batch.schur + batch.jitter
+        column = batch.gains[keep, i]
+        s = -column * u[i]  # S(., x*), also S(x*, .) by symmetry
+        schur = schur - s * s / u[i]
+        degenerate = degenerate | _degenerate(schur, batch.self_k[keep])
+        u_new = np.where(degenerate, 1.0, schur + batch.jitter)
+        # Column c of gains is -S(., c) / u_c, so the conditioned gains
+        # -S'(., c) / u'_c are gains * u_c / u'_c + s * s_c / (u* u'_c):
+        # scale the columns, then add the rank-one term in place.
+        gains *= u[keep] / u_new
+        gains = blas.dger(1.0 / u[i], s / u_new, s, a=gains.T, overwrite_a=True).T
+        gains[:, degenerate] = 0.0
+        shift_base = shift_base + np.outer(column, batch.shift_base[i] - y)
+    outputs = batch.outputs[keep]
+    return replace(
+        batch,
+        outputs=outputs,
+        degenerate=degenerate,
+        gains=gains,
+        shift_base=shift_base,
+        ref_lin=shift_base,
+        ref_raw=outputs,
+        schur=schur,
+        self_k=batch.self_k[keep],
     )
 
 
@@ -146,7 +229,7 @@ def augment_state(state, x, y, f_val=None):
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    k_cl, self_k, w, u, degenerate = _schur_rows(state, x[None, :])
+    k_cl, self_k, w, schur, degenerate = _schur_rows(state, x[None, :])
     if degenerate[0]:
         raise DegenerateCandidateError(
             "cannot augment with a point inside the labeled span"
@@ -156,7 +239,7 @@ def augment_state(state, x, y, f_val=None):
     lower = np.zeros((n + 1, n + 1))
     lower[:n, :n] = state.factor.lower
     lower[n, :n] = w[:, 0]
-    lower[n, n] = np.sqrt(u[0])
+    lower[n, n] = np.sqrt(schur[0] + state.factor.jitter_applied)
     factor = linalg.CholeskyFactor(
         lower=lower, jitter_applied=state.factor.jitter_applied
     )

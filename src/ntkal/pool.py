@@ -9,6 +9,14 @@ The sequential loop instead feeds each newly labeled point straight
 into the kernel state (one factor extension, no SGD) so that later
 picks within the same cycle already see the earlier labels; SGD
 retraining happens only every ``retrain_every`` cycles.
+
+Sequential cost model, for n subset candidates against L labels: each
+cycle pays one ``lookahead_batch`` pass (kernel rows, self-kernels and
+the n x n kernel block, one triangular solve, the L n^2 gain product).
+Each pick then pays only O(n^2 + L^2): scoring the batch,
+``lookahead.condition`` (a rank-one downdate of the gains, no kernel
+evaluation) and ``augment_state`` (one kernel row and one triangular
+solve).
 """
 
 import time
@@ -214,6 +222,17 @@ def _score_candidates(strategy, state, params, labeled_ds, cand_inputs, cfg, cyc
     raise ContractError(f"unknown strategy {strategy!r}")
 
 
+def _score_batch(strategy, batch, cfg):
+    """Score a LookaheadBatch with a kernel strategy's scorer."""
+    if strategy in ("mlmoc", "mlmoc-inf"):
+        return acquire.score_mlmoc(batch, baseline=cfg.score_baseline)
+    if strategy == "emoc":
+        return acquire.score_emoc(batch, baseline=cfg.score_baseline)
+    if strategy == "eer":
+        return acquire.score_eer_lin(batch)
+    raise ContractError(f"{strategy!r} is not a kernel look-ahead strategy")
+
+
 def _initial_training(config, pool):
     mlp_cfg = replace(config.mlp, seed=_mix(config.mlp.seed, config.seed))
     train_cfg = replace(
@@ -281,7 +300,9 @@ def run_sequential_al(config, train_data, test_data, on_cycle_end=None):
 
     Within a cycle each of the k picks is scored against a state already
     augmented with the previous picks' true labels; SGD retraining (and a
-    state rebuild) happens every ``retrain_every`` cycles.
+    state rebuild) happens every ``retrain_every`` cycles. The subset is
+    scored once per cycle; after each pick the look-ahead batch is
+    conditioned on the true label instead of rebuilt.
     """
     if not config.sequential:
         raise ContractError("config.sequential is not set; use run_batch_al")
@@ -302,26 +323,26 @@ def run_sequential_al(config, train_data, test_data, on_cycle_end=None):
                 params, pool.labeled_dataset(), kernel_fn=kernel_fn
             )
         subset = list(sample_subset(pool, config.subset_size, _mix(config.seed, 1, cycle)))
+        batch = lookahead.lookahead_batch(state, train_data.inputs[subset])
         degenerate_skipped = 0
         chosen = []
-        for _ in range(config.query_batch_size):
-            cand_inputs = train_data.inputs[subset]
-            result = _score_candidates(
-                config.strategy, state, params, pool.labeled_dataset(),
-                cand_inputs, config, cycle,
-            )
+        for step in range(config.query_batch_size):
+            result = _score_batch(config.strategy, batch, config)
             pick = query_batch_topk(result, 1)[0]
             degenerate_skipped = max(
                 degenerate_skipped, int(np.sum(result.degenerate_flags))
             )
             idx = subset.pop(pick)
             chosen.append(idx)
-            x_new = train_data.inputs[idx]
             y_new = train_data.one_hot[idx]
             try:
-                state = lookahead.augment_state(state, x_new, y_new)
+                state = lookahead.augment_state(
+                    state, train_data.inputs[idx], y_new, f_val=batch.outputs[pick]
+                )
             except DegenerateCandidateError:
                 pass  # consumes budget but adds nothing to the regression
+            if step + 1 < config.query_batch_size:
+                batch = lookahead.condition(batch, pick, y_new)
         query_seconds = time.perf_counter() - t0
 
         pool = pool.acquire(chosen)

@@ -402,3 +402,80 @@ class TestNaiveOracle:
         assert a.scores.shape == (3,)
         assert np.array_equal(a.scores, b.scores)
         assert np.all(a.scores >= 0.0)
+
+
+class TestConditionedBatch:
+    """lookahead.condition against a fresh lookahead_batch on the augmented state.
+
+    Each step labels the top mlmoc candidate with its (random) true label,
+    augments the state, conditions the batch, and compares every
+    look-ahead scorer with a fresh batch over the remaining candidates.
+    """
+
+    PICKS = 12
+
+    @staticmethod
+    def _well_conditioned(seed):
+        # Eight input dimensions keep the Gram of 18 points far from singular.
+        rng = np.random.default_rng(seed)
+        params = net.init(net.MlpConfig((8, 16, 2), seed=seed))
+        x = rng.standard_normal((6, 8))
+        y = data.one_hot_encode(rng.integers(0, 2, 6), 2)
+        cands = rng.standard_normal((30, 8))
+        labels = data.one_hot_encode(rng.integers(0, 2, 30), 2)
+        return kernel.build_state_xy(params, x, y), cands, labels
+
+    @staticmethod
+    def _rank_deficient(seed, ladder):
+        state, cands = TestScoresMatchAugmentedState._state(seed, ladder)
+        labels = data.one_hot_encode(np.random.default_rng(seed + 100).integers(0, 2, 40), 2)
+        return state, cands, labels
+
+    @staticmethod
+    def _all_scores(batch):
+        results = [acquire.score_mlmoc(batch), acquire.score_mlmoc(batch, baseline="raw")]
+        results += [
+            acquire.score_emoc(batch, distance, baseline)
+            for distance in ("l2", "l1")
+            for baseline in ("linearized", "raw")
+        ]
+        results.append(acquire.score_eer_lin(batch))
+        return results
+
+    def _walk(self, state, cands, labels):
+        """Yield (conditioned, fresh) batches after each of PICKS picks."""
+        batch = lookahead.lookahead_batch(state, cands)
+        for _ in range(self.PICKS):
+            i = acquire.score_mlmoc(batch).argmax_index
+            try:
+                state = lookahead.augment_state(
+                    state, cands[i], labels[i], f_val=batch.outputs[i]
+                )
+            except DegenerateCandidateError:
+                pass
+            batch = lookahead.condition(batch, i, labels[i])
+            cands = np.delete(cands, i, axis=0)
+            labels = np.delete(labels, i, axis=0)
+            yield batch, lookahead.lookahead_batch(state, cands)
+
+    def _assert_scores_match(self, state, cands, labels):
+        for conditioned, fresh in self._walk(state, cands, labels):
+            np.testing.assert_array_equal(conditioned.degenerate, fresh.degenerate)
+            for got, want in zip(self._all_scores(conditioned), self._all_scores(fresh)):
+                np.testing.assert_allclose(got.scores, want.scores, rtol=1e-9, atol=0.0)
+
+    def test_well_conditioned_scores_match_fresh_batch(self):
+        for seed in range(5):
+            self._assert_scores_match(*self._well_conditioned(seed))
+
+    def test_jittered_scores_match_fresh_batch(self):
+        for seed in range(6):
+            state, cands, labels = self._rank_deficient(seed, (1e-3,))
+            assert state.factor.jitter_applied > 0.0
+            self._assert_scores_match(state, cands, labels)
+
+    def test_rank_deficient_flags_match_fresh_batch(self):
+        for seed in range(10):
+            problem = self._rank_deficient(seed, linalg.DEFAULT_JITTER.ladder)
+            for conditioned, fresh in self._walk(*problem):
+                np.testing.assert_array_equal(conditioned.degenerate, fresh.degenerate)

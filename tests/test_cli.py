@@ -130,6 +130,18 @@ class TestBench:
         assert report["block_median_seconds"] > 0
         assert report["direct_median_seconds"] > 0
 
+    def test_block_vs_direct_agrees_with_jittered_direct_path(self):
+        report = cli.bench_block_vs_direct(100, 50, width=16, reps=1, seed=0)
+        assert report["max_score_rel_diff"] < 1e-8
+
+    def test_block_vs_direct_without_healthy_candidates(self):
+        # 200 labels: width 12 (134 parameters) leaves every candidate
+        # within 1.5e-9 of the labeled span, and the engine flags 43 of 100;
+        # width 4 (46 parameters) puts all of them inside it.
+        assert cli.bench_block_vs_direct(200, 100, width=12, reps=1)["speedup"] > 0
+        report = cli.bench_block_vs_direct(200, 50, width=4, reps=1)
+        assert report["max_score_rel_diff"] is None
+
     def test_reps_must_be_positive(self):
         with pytest.raises(ContractError):
             cli.bench_block_vs_direct(10, 5, reps=0)

@@ -61,6 +61,26 @@ class TestEmpiricalNtk:
             kernel.empirical_ntk(params, np.zeros((2, 5)))
 
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_chunked_contraction_matches_whole_block_products(self, symmetric):
+        # More rows than one chunk, with a partial last chunk. Reference:
+        # each layer's products over the whole block, summed.
+        params = net.init(net.MlpConfig((6, 32, 24, 3), seed=9))
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((2 * kernel._CONTRACT_CHUNK_ROWS + 37, 6))
+        b = a if symmetric else rng.standard_normal((50, 6))
+        cfg = params.config
+        fa, fb = net.grad_factors(params, a), net.grad_factors(params, b)
+        want = sum(
+            (aa @ ab.T / cfg.widths[l] + cfg.beta**2) * (da @ db.T)
+            for l, ((aa, da), (ab, db)) in enumerate(zip(fa, fb))
+        )
+        got = kernel.empirical_ntk(params, a, b)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        if symmetric:
+            np.testing.assert_array_equal(got, got.T)
+
+
 class TestBuildState:
     def test_single_point_gram(self):
         params = _random_params((2, 5, 2), 1)

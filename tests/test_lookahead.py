@@ -237,6 +237,55 @@ class TestLookaheadBatch:
             lookahead.lookahead_batch(state, np.ones((1, 3)), np.zeros((0, 3)))
 
 
+class TestCondition:
+    def test_separate_reference_rejected(self):
+        _, _, _, state = _problem(seed=42)
+        rng = np.random.default_rng(43)
+        batch = lookahead.lookahead_batch(
+            state, rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
+        )
+        with pytest.raises(ContractError):
+            lookahead.condition(batch, 0, np.array([1.0, 0.0]))
+
+    def test_index_out_of_range_rejected(self):
+        _, _, _, state = _problem(seed=44)
+        batch = lookahead.lookahead_batch(state, np.random.default_rng(45).standard_normal((3, 3)))
+        with pytest.raises(ContractError):
+            lookahead.condition(batch, 3, np.array([1.0, 0.0]))
+
+    def test_degenerate_pick_only_drops_its_row_and_column(self):
+        params, x, y, state = _problem(seed=46)
+        rng = np.random.default_rng(47)
+        cands = np.vstack([rng.standard_normal((2, 3)), x[:1], rng.standard_normal((2, 3))])
+        batch = lookahead.lookahead_batch(state, cands)
+        assert batch.degenerate.tolist() == [False, False, True, False, False]
+        keep = [0, 1, 3, 4]
+        after = lookahead.condition(batch, 2, np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(after.gains, batch.gains[np.ix_(keep, keep)])
+        for name in ("outputs", "degenerate", "shift_base", "schur", "self_k"):
+            np.testing.assert_array_equal(getattr(after, name), getattr(batch, name)[keep])
+        np.testing.assert_array_equal(after.ref_lin, after.shift_base)
+        np.testing.assert_array_equal(after.ref_raw, after.outputs)
+
+    def test_conditions_down_to_the_last_candidate(self):
+        params, x, y, state = _problem(seed=48)
+        rng = np.random.default_rng(49)
+        cands = rng.standard_normal((4, 3))
+        labels = np.eye(2)[rng.integers(0, 2, 4)]
+        batch = lookahead.lookahead_batch(state, cands)
+        while len(cands) > 1:
+            state = lookahead.augment_state(state, cands[0], labels[0])
+            batch = lookahead.condition(batch, 0, labels[0])
+            cands, labels = cands[1:], labels[1:]
+            fresh = lookahead.lookahead_batch(state, cands)
+            np.testing.assert_allclose(batch.gains, fresh.gains, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(batch.shift_base, fresh.shift_base, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(batch.schur, fresh.schur, rtol=1e-9, atol=1e-12)
+        assert batch.gains.shape == (1, 1)
+        with pytest.raises(ContractError):
+            lookahead.condition(batch, 0, labels[0])
+
+
 class TestAugmentState:
     def test_preserves_interpolation(self):
         params, x, y, state = _problem(seed=20)

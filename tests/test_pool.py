@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ntkal import acquire, data, kernel, lookahead, net, pool
-from ntkal.errors import ContractError
+from ntkal.errors import ContractError, DegenerateCandidateError
 
 
 def _tiny_config(strategy="random", sequential=False, **overrides):
@@ -249,6 +249,74 @@ class TestRunSequential:
         rebuilt = lookahead.predict_lin(cold, q)
         err = np.max(np.abs(streaming - rebuilt)) / max(np.max(np.abs(rebuilt)), 1e-12)
         assert err < 1e-6
+
+    @pytest.mark.parametrize("strategy", ["mlmoc", "emoc", "eer", "mlmoc-inf"])
+    def test_matches_per_pick_rescoring(self, strategy):
+        # The subset is the whole unlabeled set, so a rescoring loop over
+        # public API reproduces every candidate set. Cycle 1 retrains, so
+        # cycle 2 starts from a rebuilt state.
+        train, test = _toy_data(n=15)
+        cfg = _tiny_config(
+            strategy=strategy, sequential=True, cycles=3, retrain_every=2,
+            subset_size=len(train),
+        )
+        seen = []
+        pool.run_sequential_al(
+            cfg, train, test, on_cycle_end=lambda c, p, prm, st: seen.append((p, prm))
+        )
+        scorer = {
+            "mlmoc": acquire.mlmoc, "mlmoc-inf": acquire.mlmoc,
+            "emoc": acquire.emoc, "eer": acquire.eer_lin,
+        }[strategy]
+        kernel_fn = None
+        if strategy == "mlmoc-inf":
+            kernel_fn = lambda params, a, b: kernel.infinite_ntk_fc(params.config, a, b)
+        labeled = list(seen[-1][0].labeled_indices[: cfg.initial_labeled])
+        state = None
+        for cycle, (cycle_pool, params_after) in enumerate(seen):
+            params = seen[0][1] if cycle < 2 else seen[1][1]
+            if state is None:
+                state = kernel.build_state(
+                    params, train.subset(labeled), kernel_fn=kernel_fn
+                )
+            subset = sorted(set(range(len(train))) - set(labeled))
+            for _ in range(cfg.query_batch_size):
+                result = scorer(state, train.inputs[subset])
+                idx = subset.pop(pool.query_batch_topk(result, 1)[0])
+                labeled.append(idx)
+                try:
+                    state = lookahead.augment_state(
+                        state, train.inputs[idx], train.one_hot[idx]
+                    )
+                except DegenerateCandidateError:
+                    pass
+            assert tuple(labeled) == cycle_pool.labeled_indices
+            if cycle == 1:
+                state = None
+
+    def test_subset_of_batch_size_conditions_to_the_last_candidate(self):
+        train, test = _toy_data()
+        cfg = _tiny_config(
+            strategy="mlmoc", sequential=True, cycles=2, subset_size=3, query_batch_size=3
+        )
+        records = pool.run_sequential_al(cfg, train, test)
+        assert [r.labeled_size for r in records] == [9, 12]
+
+    def test_kernel_block_once_per_cycle(self, monkeypatch):
+        # The subset's n x n kernel block is evaluated once per cycle, not
+        # once per pick: later picks condition the cycle's batch.
+        calls = []
+        original = kernel.KernelState.kernel_block
+
+        def counting(self, a, b):
+            calls.append(len(a))
+            return original(self, a, b)
+
+        monkeypatch.setattr(kernel.KernelState, "kernel_block", counting)
+        train, test = _toy_data()
+        cfg = _tiny_config(strategy="mlmoc", sequential=True, cycles=3, query_batch_size=4)
+        pool.run_sequential_al(cfg, train, test)
+        assert calls == [cfg.subset_size] * cfg.cycles
 
     def test_requires_kernel_strategy(self):
         train, test = _toy_data()
