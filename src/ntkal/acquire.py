@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
-from . import lookahead, net
+from . import linalg, lookahead, net
 from .errors import ContractError
 
 __all__ = [
@@ -73,12 +73,35 @@ def entropy(probs):
     return -np.sum(probs * np.log(p), axis=-1)
 
 
-def _change_norms(ctx, labels_onehot, baseline, ord_):
+# Bytes of one (m, k, C) change tensor of the raw baseline; candidates
+# are scored k columns at a time.
+_RAW_CHUNK_BYTES = 32 << 20
+
+
+def _abs_column_sums(gains):
+    """sum(|gains|, axis=0), one row chunk of |gains| at a time.
+
+    Each chunk is reduced together with the running sum as its first row,
+    so the rows are added in the same order as by one reduction over the
+    whole array and the result is bitwise the same.
+    """
+    m, n = gains.shape
+    buf = np.zeros((min(m, linalg.CHUNK_ROWS) + 1, n))
+    for start in range(0, m, linalg.CHUNK_ROWS):
+        chunk = gains[start : start + linalg.CHUNK_ROWS]
+        np.abs(chunk, out=buf[1 : len(chunk) + 1])
+        buf[0] = np.sum(buf[: len(chunk) + 1], axis=0)
+    return buf[0].copy()
+
+
+def _change_norms(ctx, labels_onehot, baseline, ord_, abs_sums=None):
     """Sum over the reference set of per-point change norms, per candidate.
 
     With the linearized baseline the change at reference point r is exactly
-    gains[r] * shift, so the sum factorizes; the raw baseline adds the
-    constant offset between linearized and raw current predictions.
+    gains[r] * shift, so the sum factorizes into the column sums of |gains|
+    (``abs_sums``, computed here when not given) times the shift norm; the
+    raw baseline adds the constant offset between linearized and raw
+    current predictions.
     """
     shift = ctx.shift_base - labels_onehot  # (n, C)
     if baseline == "linearized":
@@ -86,17 +109,25 @@ def _change_norms(ctx, labels_onehot, baseline, ord_):
             shift_norm = np.linalg.norm(shift, axis=1)
         else:
             shift_norm = np.sum(np.abs(shift), axis=1)
-        return np.sum(np.abs(ctx.gains), axis=0) * shift_norm
+        if abs_sums is None:
+            abs_sums = _abs_column_sums(ctx.gains)
+        return abs_sums * shift_norm
     if baseline != "raw":
         raise ContractError(f"unknown baseline {baseline!r}")
     offset = ctx.ref_lin - ctx.ref_raw  # (m, C)
-    # changes[m, n, c] = offset[m, c] + gains[m, n] * shift[n, c]
-    changes = offset[:, None, :] + ctx.gains[:, :, None] * shift[None, :, :]
-    if ord_ == 2:
-        norms = np.sqrt(np.sum(changes * changes, axis=2))
-    else:
-        norms = np.sum(np.abs(changes), axis=2)
-    return np.sum(norms, axis=0)
+    m, n = ctx.gains.shape
+    step = max(1, _RAW_CHUNK_BYTES // (8 * m * shift.shape[1]))
+    sums = np.empty(n)
+    for start in range(0, n, step):
+        cols = slice(start, start + step)
+        # changes[m, k, c] = offset[m, c] + gains[m, k] * shift[k, c]
+        changes = offset[:, None, :] + ctx.gains[:, cols, None] * shift[None, cols, :]
+        if ord_ == 2:
+            norms = np.sqrt(np.sum(changes * changes, axis=2))
+        else:
+            norms = np.sum(np.abs(changes), axis=2)
+        sums[cols] = np.sum(norms, axis=0)
+    return sums
 
 
 def _pseudo_labels(ctx):
@@ -146,11 +177,12 @@ def score_emoc(ctx, distance="l2", baseline="linearized"):
     ord_ = 2 if distance == "l2" else 1
     n, c = ctx.outputs.shape
     probs = softmax(ctx.outputs)
+    abs_sums = _abs_column_sums(ctx.gains) if baseline == "linearized" else None
     scores = np.zeros(n)
     for cls in range(c):
         label = np.zeros((n, c))
         label[:, cls] = 1.0
-        scores += probs[:, cls] * _change_norms(ctx, label, baseline, ord_)
+        scores += probs[:, cls] * _change_norms(ctx, label, baseline, ord_, abs_sums)
     scores = np.where(ctx.degenerate, 0.0, scores)
     return AcquisitionResult.from_scores(scores, _pseudo_labels(ctx), ctx.degenerate)
 

@@ -34,24 +34,22 @@ __all__ = [
 ]
 
 
-# Rows of the output contracted at a time. The temporaries are two
-# (rows, n) products, so a block costs little more than its own memory.
-_CONTRACT_CHUNK_ROWS = 256
-
-
 def _contract_factors(factors_a, factors_b, widths, beta):
     """Gram block from two factorized gradient stacks.
 
     Row chunks are accumulated in place into the preallocated output.
     When both stacks are the same object the block is symmetric: each
-    chunk is contracted from its diagonal onwards and mirrored.
+    chunk is contracted from its diagonal onwards and mirrored. The
+    output layer's deltas are the first-logit unit rows e_1, so their
+    Gram is exactly 1.0 and is not formed.
     """
     symmetric = factors_a is factors_b
     m, n = len(factors_a[0][0]), len(factors_b[0][0])
     gram = np.zeros((m, n))
     b2 = beta * beta
-    for start in range(0, m, _CONTRACT_CHUNK_ROWS):
-        stop = start + _CONTRACT_CHUNK_ROWS
+    output_layer = len(factors_a) - 1
+    for start in range(0, m, linalg.CHUNK_ROWS):
+        stop = start + linalg.CHUNK_ROWS
         rows = slice(start, stop)
         cols = slice(start, n) if symmetric else slice(0, n)
         out = gram[rows, cols]
@@ -59,7 +57,8 @@ def _contract_factors(factors_a, factors_b, widths, beta):
             term = aa[rows] @ ab[cols].T
             term /= widths[l]
             term += b2
-            term *= da[rows] @ db[cols].T
+            if l < output_layer:
+                term *= da[rows] @ db[cols].T
             out += term
         if symmetric:
             gram[stop:, rows] = gram[rows, stop:].T
@@ -148,9 +147,13 @@ class KernelState:
         """Self-kernel values k(q_i, q_i), shape (len(q),)."""
         q = np.atleast_2d(np.asarray(q, dtype=np.float64))
         if self.kernel_fn is not None:
-            return np.array(
-                [self.kernel_fn(self.params, row[None, :], row[None, :])[0, 0] for row in q]
-            )
+            # One call per diagonal block of CHUNK_ROWS rows. infinite_ntk_fc
+            # gives coincident rows the diagonal recursion's value, so this
+            # equals one-row calls bitwise.
+            return np.concatenate([
+                np.diagonal(self.kernel_fn(self.params, chunk, chunk))
+                for chunk in np.split(q, range(linalg.CHUNK_ROWS, len(q), linalg.CHUNK_ROWS))
+            ])
         cfg = self.params.config
         factors = net.grad_factors(self.params, q)
         diag = 0.0

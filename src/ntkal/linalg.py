@@ -25,6 +25,10 @@ __all__ = [
 # Relative tolerance used when checking that an input is symmetric.
 SYMMETRY_RTOL = 1e-10
 
+# Rows of an (m, n) kernel-sized array processed at a time, so that a
+# pass over one needs only (CHUNK_ROWS, n) temporaries besides it.
+CHUNK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class JitterPolicy:

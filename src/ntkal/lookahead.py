@@ -17,9 +17,15 @@ where L is the labeled Cholesky factor and u_c = k(c,c) + jitter - |W_c|^2
 is the Schur complement of the augmented jittered Gram, which is exactly
 the pivot ``augment_state`` adds. ``lookahead_batch`` evaluates this for a
 whole candidate batch against a reference set with one triangular solve
-and one matrix product; ``augment_state`` uses the same block quantities
-to extend the Cholesky factor, so feeding true labels sequentially into
-the state costs one solve per point and is order independent.
+and one rank-L product. The numerator is minus the posterior covariance
+Sigma(r, c) = k(r, c) - W_r^T W_c, and Sigma is formed in place in the
+kernel block k(r, c) by BLAS (dsyrk, at half the flops, when the
+reference set is the candidate set; dgemm otherwise), so that block is
+the only (m, n) array of a scoring pass: the scorers in ``acquire``
+reduce it in row or column chunks. ``augment_state`` uses the same block
+quantities to extend the Cholesky factor, so feeding true labels
+sequentially into the state costs one solve per point and is order
+independent.
 
 Once a candidate x* is really labeled, ``condition`` updates a batch
 whose reference set is its candidate set in O(n^2), instead of a fresh
@@ -93,6 +99,39 @@ def _schur_rows(state, rows):
     return k_cl, self_k, w, schur, _degenerate(schur, self_k)
 
 
+def _transposed_operand(w):
+    """(a, trans) with op(a) = w^T, a Fortran-ordered view of w (BLAS copies no W)."""
+    return (w, 1) if w.flags.f_contiguous else (w.T, 0)
+
+
+def _covariance(block, w_r, w_c):
+    """Posterior covariance block - W_r^T W_c, formed in the (m, n) kernel block.
+
+    BLAS updates the block through its transpose, a Fortran-ordered view,
+    so the returned array is the block itself. When ``w_r is w_c`` (the
+    reference set is the candidate set) the symmetric rank-L update dsyrk
+    does half the flops of dgemm but fills one triangle only, including
+    the diagonal blocks' own triangles; the other triangle is mirrored in
+    row chunks, so the result is exactly symmetric.
+    """
+    a, trans = _transposed_operand(w_c)
+    if w_r is w_c:
+        # The upper triangle of the Fortran view is the lower one of the block.
+        sigma = blas.dsyrk(-1.0, a, beta=1.0, c=block.T, trans=trans, overwrite_c=1).T
+        n = len(sigma)
+        for start in range(0, n, linalg.CHUNK_ROWS):
+            stop = start + linalg.CHUNK_ROWS
+            rows = slice(start, stop)
+            sigma[rows, stop:] = sigma[stop:, rows].T
+            diag = sigma[rows, rows]
+            diag[...] = np.tril(diag) + np.tril(diag, -1).T
+        return sigma
+    b, trans_b = _transposed_operand(w_r)
+    return blas.dgemm(
+        -1.0, a, b, beta=1.0, c=block.T, trans_a=trans, trans_b=1 - trans_b, overwrite_c=1
+    ).T
+
+
 @dataclass(frozen=True)
 class LookaheadBatch:
     """Block look-ahead of a candidate batch against a reference set.
@@ -128,29 +167,27 @@ def lookahead_batch(state, candidates, reference=None):
     if len(ref) == 0:
         raise ContractError("reference set is empty")
 
+    # The kernel block becomes the gains, -(k(r,c) - W_r^T W_c) / u, in
+    # place: the only (m, n) array of the pass. It is evaluated first, so
+    # its factor passes and row chunks never coexist with the kernel rows.
+    gains = state.kernel_block(ref, cands)
     k_cl, self_k, w_c, schur, degenerate = _schur_rows(state, cands)
     jitter = state.factor.jitter_applied
     u = schur + jitter
+    outputs = np.atleast_2d(net.forward(state.params, cands))
+    shift_base = outputs + k_cl @ state.solved_residual
+    del k_cl
     if same_set:
-        k_rl, w_r = k_cl, w_c
+        w_r, ref_raw, ref_lin = w_c, outputs, shift_base
     else:
         k_rl = state.kernel_rows(ref)
         w_r = _forward_solve(state, k_rl)
-    # gains = -(k(r,c) - W_r^T W_c) / u, built in place in the kernel block:
-    # the block is the largest temporary, so it is computed before any
-    # other (m, n) array exists.
-    gains = state.kernel_block(ref, cands)
-    gains -= w_r.T @ w_c
-    gains /= -np.where(degenerate, 1.0, u)
-    gains[:, degenerate] = 0.0
-
-    outputs = np.atleast_2d(net.forward(state.params, cands))
-    shift_base = outputs + k_cl @ state.solved_residual
-    if same_set:
-        ref_raw, ref_lin = outputs, shift_base
-    else:
         ref_raw = np.atleast_2d(net.forward(state.params, ref))
         ref_lin = ref_raw + k_rl @ state.solved_residual
+        del k_rl
+    gains = _covariance(gains, w_r, w_c)
+    gains /= -np.where(degenerate, 1.0, u)
+    gains[:, degenerate] = 0.0
     return LookaheadBatch(
         outputs=outputs,
         degenerate=degenerate,

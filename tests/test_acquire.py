@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,89 @@ class TestEmoc:
         m = acquire.mlmoc(state, cands)
         e = acquire.emoc(state, cands)
         np.testing.assert_allclose(e.scores, m.scores, rtol=1e-9)
+
+
+def _reference_change_norms(ctx, labels_onehot, baseline, ord_):
+    """Change norms by whole-array formulas: |gains| and the (m, n, C) tensor at once."""
+    shift = ctx.shift_base - labels_onehot
+    if baseline == "linearized":
+        norm = np.linalg.norm(shift, axis=1) if ord_ == 2 else np.sum(np.abs(shift), axis=1)
+        return np.sum(np.abs(ctx.gains), axis=0) * norm
+    offset = ctx.ref_lin - ctx.ref_raw
+    changes = offset[:, None, :] + ctx.gains[:, :, None] * shift[None, :, :]
+    if ord_ == 2:
+        return np.sum(np.sqrt(np.sum(changes * changes, axis=2)), axis=0)
+    return np.sum(np.sum(np.abs(changes), axis=2), axis=0)
+
+
+class TestChunkedScoring:
+    """Scores from row-chunked |gains| sums and column-chunked raw tensors."""
+
+    @staticmethod
+    def _batch(same_set=True):
+        rng = np.random.default_rng(60)
+        params = net.init(net.MlpConfig((4, 24, 3), seed=60))
+        x = rng.standard_normal((20, 4))
+        y = data.one_hot_encode(rng.integers(0, 3, 20), 3)
+        state = kernel.build_state_xy(params, x, y)
+        cands = np.vstack([rng.standard_normal((600, 4)), x[:2]])
+        ref = None if same_set else rng.standard_normal((530, 4))
+        return lookahead.lookahead_batch(state, cands, ref)
+
+    @pytest.mark.parametrize("same_set", [True, False])
+    @pytest.mark.parametrize("distance", ["l2", "l1"])
+    def test_emoc_matches_whole_array_formula(self, monkeypatch, distance, same_set):
+        # A small byte budget splits the raw tensor into several chunks,
+        # the last one partial.
+        monkeypatch.setattr(acquire, "_RAW_CHUNK_BYTES", 8 * 530 * 3 * 70)
+        batch = self._batch(same_set)
+        assert batch.degenerate[-2:].all()
+        ord_ = 2 if distance == "l2" else 1
+        probs = acquire.softmax(batch.outputs)
+        for baseline in ("linearized", "raw"):
+            want = np.zeros(len(batch.outputs))
+            for cls in range(3):
+                label = np.zeros_like(batch.outputs)
+                label[:, cls] = 1.0
+                want += probs[:, cls] * _reference_change_norms(batch, label, baseline, ord_)
+            want[batch.degenerate] = 0.0
+            got = acquire.score_emoc(batch, distance, baseline).scores
+            if baseline == "raw":
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("baseline", ["linearized", "raw"])
+    def test_mlmoc_matches_whole_array_formula(self, monkeypatch, baseline):
+        monkeypatch.setattr(acquire, "_RAW_CHUNK_BYTES", 8 * 602 * 3 * 100)
+        batch = self._batch()
+        result = acquire.score_mlmoc(batch, baseline)
+        want = _reference_change_norms(batch, result.pseudo_labels, baseline, 2)
+        want[batch.degenerate] = 0.0
+        if baseline == "raw":
+            np.testing.assert_array_equal(result.scores, want)
+        else:
+            np.testing.assert_allclose(result.scores, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("same_set", [True, False])
+    def test_mlmoc_peak_memory_within_budget(self, same_set):
+        # Traced peak of one scoring pass, as a multiple of its gains matrix:
+        # the kernel block is the only (m, n) array.
+        rng = np.random.default_rng(61)
+        params = net.init(net.MlpConfig((32, 64, 3), seed=61))
+        x = rng.standard_normal((200, 32))
+        y = data.one_hot_encode(rng.integers(0, 3, 200), 3)
+        state = kernel.build_state_xy(params, x, y)
+        cands = rng.standard_normal((1500, 32))
+        ref = None if same_set else rng.standard_normal((1200, 32))
+        gains_bytes = 8 * len(cands) * (len(cands) if same_set else len(ref))
+        tracemalloc.start()
+        try:
+            acquire.mlmoc(state, cands, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * gains_bytes
 
 
 class TestEer:

@@ -67,7 +67,7 @@ class TestEmpiricalNtk:
         # each layer's products over the whole block, summed.
         params = net.init(net.MlpConfig((6, 32, 24, 3), seed=9))
         rng = np.random.default_rng(10)
-        a = rng.standard_normal((2 * kernel._CONTRACT_CHUNK_ROWS + 37, 6))
+        a = rng.standard_normal((2 * linalg.CHUNK_ROWS + 37, 6))
         b = a if symmetric else rng.standard_normal((50, 6))
         cfg = params.config
         fa, fb = net.grad_factors(params, a), net.grad_factors(params, b)
@@ -198,6 +198,29 @@ class TestInfiniteNtk:
         rows = state.kernel_rows(x[:16])
         np.testing.assert_allclose(np.diag(rows), diag[:16], rtol=1e-12, atol=0)
         np.testing.assert_allclose(np.diag(state.gram), diag[:16], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("nonlinearity", ["relu", "erf"])
+    def test_kernel_diag_one_call_per_chunk(self, nonlinearity):
+        # kernel_diag takes the diagonals of CHUNK_ROWS-row diagonal blocks;
+        # the values equal one-row evaluations bitwise, duplicates included.
+        cfg = net.MlpConfig((20, 16, 16, 3), nonlinearity=nonlinearity)
+        params = net.init(cfg)
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0.0, 1.0, (2 * linalg.CHUNK_ROWS + 37, 20))
+        x[300] = x[10]
+        calls = []
+
+        def kernel_fn(p, a, b):
+            calls.append(len(a))
+            return kernel.infinite_ntk_fc(p.config, a, b)
+
+        y = data.one_hot_encode(rng.integers(0, 3, 8), 3)
+        state = kernel.build_state_xy(params, x[:8], y, kernel_fn=kernel_fn)
+        calls.clear()
+        diag = state.kernel_diag(x)
+        assert calls == [linalg.CHUNK_ROWS, linalg.CHUNK_ROWS, 37]
+        per_row = [kernel.infinite_ntk_fc(cfg, row[None, :], row[None, :])[0, 0] for row in x]
+        np.testing.assert_array_equal(diag, per_row)
 
     def test_unsupported_activation(self):
         cfg = net.MlpConfig((3, 4, 2), nonlinearity="identity")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ntkal import data, kernel, lookahead, net
+from ntkal import data, kernel, linalg, lookahead, net
 from ntkal.errors import ContractError, DegenerateCandidateError
 
 
@@ -235,6 +235,107 @@ class TestLookaheadBatch:
             lookahead.lookahead_batch(state, np.zeros((0, 3)))
         with pytest.raises(ContractError):
             lookahead.lookahead_batch(state, np.ones((1, 3)), np.zeros((0, 3)))
+
+
+class TestCovarianceInPlace:
+    """The gains are -(K_rc - W_r^T W_c) / u, formed in the kernel block itself."""
+
+    @staticmethod
+    def _state(jittered):
+        rng = np.random.default_rng(50)
+        params = net.init(net.MlpConfig((4, 24, 2), seed=50))
+        x = rng.standard_normal((15, 4))
+        y = data.one_hot_encode(rng.integers(0, 2, 15), 2)
+        ladder = (1e-3,) if jittered else (0.0,)
+        state = kernel.build_state_xy(params, x, y, jitter_policy=linalg.JitterPolicy(ladder))
+        assert (state.factor.jitter_applied > 0.0) == jittered
+        return params, x, state, rng
+
+    @staticmethod
+    def _dense_gains(params, x, state, cands, ref):
+        w_c = np.linalg.solve(state.factor.lower, kernel.empirical_ntk(params, x, cands))
+        w_r = np.linalg.solve(state.factor.lower, kernel.empirical_ntk(params, x, ref))
+        sigma = kernel.empirical_ntk(params, ref, cands) - w_r.T @ w_c
+        u = state.kernel_diag(cands) - np.sum(w_c * w_c, axis=0) + state.factor.jitter_applied
+        return -sigma / u
+
+    @pytest.mark.parametrize("jittered", [False, True])
+    @pytest.mark.parametrize("same_set", [True, False])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_gains_match_dense_formula(self, n, same_set, jittered):
+        params, x, state, rng = self._state(jittered)
+        cands = rng.standard_normal((n, 4))
+        ref = cands if same_set else rng.standard_normal((300, 4))
+        batch = lookahead.lookahead_batch(state, cands, None if same_set else ref)
+        assert not np.any(batch.degenerate)
+        want = self._dense_gains(params, x, state, cands, ref)
+        np.testing.assert_allclose(batch.gains, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("same_set", [True, False])
+    def test_degenerate_columns_are_zero(self, same_set):
+        params, x, y, state = _problem(l_size=15, seed=51)
+        rng = np.random.default_rng(52)
+        cands = np.vstack([rng.standard_normal((300, 3)), x[:3]])
+        ref = None if same_set else rng.standard_normal((280, 3))
+        batch = lookahead.lookahead_batch(state, cands, ref)
+        assert np.flatnonzero(batch.degenerate).tolist() == [300, 301, 302]
+        assert not np.any(batch.gains[:, 300:])
+        assert np.all(np.any(batch.gains[:, :300], axis=0))
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("same_set", [True, False])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_covariance_is_formed_in_the_block(self, n, same_set, order):
+        # dsyrk fills one triangle, diagonal blocks included; the mirror must
+        # complete every block, exactly. W may come in either memory order.
+        params, x, state, rng = self._state(False)
+        cands = rng.standard_normal((n, 4))
+        ref = cands if same_set else rng.standard_normal((300, 4))
+        w_c, w_r = (
+            np.asarray(lookahead._forward_solve(state, state.kernel_rows(rows)), order=order)
+            for rows in (cands, ref)
+        )
+        if same_set:
+            w_r = w_c
+        block = state.kernel_block(ref, cands)
+        want = block - w_r.T @ w_c
+        sigma = lookahead._covariance(block, w_r, w_c)
+        assert np.shares_memory(sigma, block)
+        if same_set:
+            np.testing.assert_array_equal(sigma, sigma.T)
+        np.testing.assert_allclose(sigma, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("same_set", [True, False])
+    def test_gains_are_the_kernel_block(self, monkeypatch, same_set):
+        blocks = []
+        original = kernel.KernelState.kernel_block
+
+        def recording(self, a, b):
+            blocks.append(original(self, a, b))
+            return blocks[-1]
+
+        monkeypatch.setattr(kernel.KernelState, "kernel_block", recording)
+        _, _, state, rng = self._state(False)
+        cands = rng.standard_normal((300, 4))
+        batch = lookahead.lookahead_batch(
+            state, cands, None if same_set else rng.standard_normal((270, 4))
+        )
+        assert len(blocks) == 1
+        assert np.shares_memory(batch.gains, blocks[0])
+
+    def test_same_set_evaluates_each_kernel_quantity_once(self, monkeypatch):
+        calls = []
+        for name in ("kernel_rows", "kernel_diag", "kernel_block"):
+            original = getattr(kernel.KernelState, name)
+
+            def counting(self, *rows, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *rows)
+
+            monkeypatch.setattr(kernel.KernelState, name, counting)
+        _, _, state, rng = self._state(False)
+        lookahead.lookahead_batch(state, rng.standard_normal((40, 4)))
+        assert sorted(calls) == ["kernel_block", "kernel_diag", "kernel_rows"]
 
 
 class TestCondition:
