@@ -1,10 +1,8 @@
-"""Experiment runner, microbenchmarks, and report rendering.
+"""Experiment runner and report rendering.
 
 Subcommands:
 
     run    --config PATH [--seed N] [--out DIR] [--threads N]
-    bench  (block-vs-direct | kernel-vs-sgd) --l L --u U
-           [--width W] [--epochs E] [--reps R] [--out PATH]
     report --in CSV [CSV ...] --out SVG
 
 Configs are flat key=value text with [section] headers (see README.md for
@@ -12,9 +10,9 @@ the grammar). Each run writes one records CSV (one row per cycle per
 seed) and a JSON summary whose config echo is enough to reproduce the
 accuracy columns exactly; timing columns are machine-dependent.
 
-numpy and the model modules are imported lazily so that --threads (or
-the NTKAL_THREADS environment variable) can cap the BLAS thread pools
-before they initialize, which keeps benchmark timings reproducible.
+numpy and the model modules are imported lazily so that ``run --threads``
+(or the NTKAL_THREADS environment variable) can cap the BLAS thread pools
+before they initialize.
 """
 
 import argparse
@@ -22,13 +20,9 @@ import configparser
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
-__all__ = ["main", "cmd_run", "cmd_bench", "cmd_report", "load_run_spec"]
-
-_BENCH_MAX_L = 5000
-_BENCH_MAX_U = 20000
+__all__ = ["main", "cmd_run", "cmd_report", "load_run_spec"]
 
 
 def _apply_thread_cap(threads):
@@ -140,6 +134,8 @@ def load_run_spec(config_path):
             "test_size": _get(parser, "data", "test_size", int, default=10000),
         },
     }
+    if not spec["run"]["seeds"]:
+        raise ConfigError("[run] seeds is empty: list at least one seed")
     if spec["data"]["kind"] not in ("spirals", "two_gaussians", "mnist"):
         raise ConfigError(
             f"[data] kind = {spec['data']['kind']!r}: expected spirals, "
@@ -293,198 +289,6 @@ def write_records_csv(records, path):
             f.write(rec.csv_row() + "\n")
 
 
-# --- benchmarks -----------------------------------------------------------
-
-
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def _bench_problem(l_size, u_size, width, seed, dim=8):
-    """A trained-ish network and kernel state over synthetic data.
-
-    Inputs are standard normal in ``dim`` dimensions with a linear label
-    rule; enough input dimensions keep the labeled Gram well conditioned
-    even at benchmark sizes.
-    """
-    import numpy as np
-
-    from . import data as data_mod
-    from . import kernel, net
-
-    rng = np.random.default_rng(seed)
-    inputs = rng.standard_normal((l_size + u_size, dim))
-    labels = (inputs @ rng.standard_normal(dim) > 0).astype(int)
-    full = data_mod.make_dataset(inputs, labels, 2, name="bench")
-    labeled = full.subset(np.arange(l_size))
-    cand = full.inputs[l_size:]
-    mlp_cfg = net.MlpConfig((dim, width, 2), nonlinearity="relu", seed=seed)
-    params = net.init(mlp_cfg)
-    params = net.train_sgd(
-        params,
-        labeled,
-        net.TrainConfig(learning_rate=0.02, epochs=5, minibatch_size=32, shuffle_seed=seed),
-    )
-    return params, labeled, cand, kernel.build_state(params, labeled)
-
-
-def bench_block_vs_direct(l_size, u_size, width=64, reps=5, seed=0):
-    """Score U candidates with mlmoc via the block look-ahead engine vs.
-    per-candidate refactorization of the augmented Gram matrix.
-
-    Both timers include evaluating the kernel values they use. Agreement
-    is the largest relative score difference over the candidates the
-    engine does not flag degenerate (None when it flags them all). Returns
-    a dict with median seconds per path and the speedup ratio.
-    """
-    import numpy as np
-
-    from . import acquire, linalg, net
-    from .errors import ContractError
-
-    if reps < 1:
-        raise ContractError("repetition count must be >= 1")
-    if l_size > _BENCH_MAX_L or u_size > _BENCH_MAX_U:
-        raise ContractError(
-            f"sizes exceed benchmark budget ({_BENCH_MAX_L}, {_BENCH_MAX_U})"
-        )
-    params, labeled, cand, state = _bench_problem(l_size, u_size, width, seed)
-    jitter = state.factor.jitter_applied
-
-    block_times, direct_times = [], []
-    result = direct_scores = None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        result = acquire.mlmoc(state, cand)
-        block_times.append(time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        k_ul = state.kernel_rows(cand)  # (U, L)
-        k_uu_diag = state.kernel_diag(cand)
-        k_ru = state.kernel_block(cand, cand)  # reference = candidate subset
-        outputs = net.forward(params, cand)
-        base = outputs + k_ul @ state.solved_residual
-        labels = np.zeros_like(outputs)
-        labels[np.arange(u_size), np.argmax(outputs, axis=1)] = 1.0
-        direct_scores = np.zeros(u_size)
-        for i in range(u_size):
-            # The augmented system of augment_state: the jitter of the
-            # cached factor on every diagonal entry, the new one included.
-            gram_aug = np.zeros((state.labeled_count + 1, state.labeled_count + 1))
-            gram_aug[:-1, :-1] = state.gram
-            gram_aug[-1, :-1] = k_ul[i]
-            gram_aug[:-1, -1] = k_ul[i]
-            gram_aug[-1, -1] = k_uu_diag[i]
-            gram_aug[np.diag_indices_from(gram_aug)] += jitter
-            factor = linalg.cholesky(gram_aug)
-            residual_aug = np.vstack([state.residual, labels[i] - outputs[i]])
-            solved = linalg.chol_solve(factor, residual_aug)
-            preds = outputs + np.column_stack([k_ul, k_ru[:, i]]) @ solved
-            direct_scores[i] = np.sum(np.linalg.norm(preds - base, axis=1))
-        direct_times.append(time.perf_counter() - t0)
-
-    # Flagged candidates score 0 in the engine; the direct path only
-    # amplifies rounding noise for them.
-    healthy = ~result.degenerate_flags
-    agreement = None
-    if np.any(healthy):
-        agreement = float(
-            np.max(
-                np.abs(result.scores[healthy] - direct_scores[healthy])
-                / np.maximum(np.abs(direct_scores[healthy]), 1e-12)
-            )
-        )
-    return {
-        "mode": "block_vs_direct",
-        "l": l_size,
-        "u": u_size,
-        "width": width,
-        "reps": reps,
-        "block_median_seconds": _median(block_times),
-        "direct_median_seconds": _median(direct_times),
-        "speedup": _median(direct_times) / max(_median(block_times), 1e-12),
-        "max_score_rel_diff": agreement,
-    }
-
-
-def bench_kernel_vs_sgd(l_size, u_size, width=256, epochs=15, reps=5, seed=0):
-    """Full MLMOC query cost (kernel build + scoring) vs. naive scoring
-    that retrains with SGD for every candidate."""
-    from dataclasses import replace as _replace
-
-    from . import acquire, kernel, net
-    from .errors import ContractError
-
-    if reps < 1:
-        raise ContractError("repetition count must be >= 1")
-    if l_size > _BENCH_MAX_L or u_size > _BENCH_MAX_U:
-        raise ContractError(
-            f"sizes exceed benchmark budget ({_BENCH_MAX_L}, {_BENCH_MAX_U})"
-        )
-    params, labeled, cand, _ = _bench_problem(l_size, u_size, width, seed)
-    retrain_cfg = net.TrainConfig(
-        learning_rate=0.02,
-        epochs=epochs,
-        minibatch_size=32,
-        shuffle_seed=seed,
-        warm_start=True,
-    )
-    kernel_times, naive_times = [], []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        state = kernel.build_state(params, labeled)
-        acquire.mlmoc(state, cand)
-        kernel_times.append(time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        acquire.naive_change_scores(params, labeled, cand, retrain_cfg, cand)
-        naive_times.append(time.perf_counter() - t0)
-
-    return {
-        "mode": "kernel_vs_sgd",
-        "l": l_size,
-        "u": u_size,
-        "width": width,
-        "epochs": epochs,
-        "reps": reps,
-        "kernel_median_seconds": _median(kernel_times),
-        "naive_median_seconds": _median(naive_times),
-        "speedup": _median(naive_times) / max(_median(kernel_times), 1e-12),
-    }
-
-
-def cmd_bench(mode, l_size, u_size, width=None, epochs=15, reps=5, seed=0, out=None):
-    from .errors import ContractError
-
-    try:
-        if mode == "block-vs-direct":
-            report = bench_block_vs_direct(
-                l_size, u_size, width=width or 64, reps=reps, seed=seed
-            )
-        elif mode == "kernel-vs-sgd":
-            report = bench_kernel_vs_sgd(
-                l_size, u_size, width=width or 256, epochs=epochs, reps=reps, seed=seed
-            )
-        else:
-            print(
-                f"unknown bench mode {mode!r}; valid: block-vs-direct, kernel-vs-sgd",
-                file=sys.stderr,
-            )
-            return 2
-    except ContractError as exc:
-        print(f"bench error: {exc}", file=sys.stderr)
-        return 2
-    for key, value in report.items():
-        print(f"{key}: {value}")
-    if out:
-        Path(out).write_text(json.dumps(report, indent=2) + "\n")
-    return 0
-
-
 # --- report rendering -----------------------------------------------------
 
 
@@ -512,8 +316,8 @@ def read_records_csv(path):
         parts = line.split(",")
         if len(parts) != 8:
             raise FormatError(f"{path}:{ln}: expected 8 fields, got {len(parts)}")
-        records.append(
-            CycleRecord(
+        try:
+            record = CycleRecord(
                 cycle=int(parts[0]),
                 labeled_size=int(parts[1]),
                 test_accuracy=float(parts[2]),
@@ -523,7 +327,9 @@ def read_records_csv(path):
                 seed=int(parts[6]),
                 degenerate_skipped=int(parts[7]),
             )
-        )
+        except ValueError as exc:
+            raise FormatError(f"{path}:{ln}: {exc}") from None
+        records.append(record)
     if not records:
         raise FormatError(f"{path}: no data rows")
     return records
@@ -540,9 +346,15 @@ _PALETTE = (
 )
 
 
-def render_accuracy_svg(records, out_path, title="accuracy per cycle"):
+_SVG_TITLE = "accuracy per cycle"
+
+
+def render_accuracy_svg(records, out_path):
     """Standalone SVG: mean accuracy per cycle per strategy, with a
-    shaded 95%-confidence band across seeds where there are >= 2 seeds."""
+    shaded 95%-confidence band across seeds where there are >= 2 seeds.
+    Strategy names come from CSV text and are escaped for XML."""
+    from xml.sax.saxutils import escape
+
     import numpy as np
 
     groups = {}
@@ -573,7 +385,7 @@ def render_accuracy_svg(records, out_path, title="accuracy per cycle"):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{ml}" y="20" font-family="sans-serif" font-size="14">{title}</text>',
+        f'<text x="{ml}" y="20" font-family="sans-serif" font-size="14">{_SVG_TITLE}</text>',
         f'<line x1="{ml}" y1="{mt + plot_h}" x2="{ml + plot_w}" y2="{mt + plot_h}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + plot_h}" stroke="black"/>',
     ]
@@ -633,7 +445,7 @@ def render_accuracy_svg(records, out_path, title="accuracy per cycle"):
         )
         parts.append(
             f'<text x="{ml + plot_w - 118}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{strategy}</text>'
+            f'font-size="12">{escape(strategy)}</text>'
         )
     parts.append("</svg>")
     Path(out_path).write_text("\n".join(parts) + "\n")
@@ -670,19 +482,6 @@ def main(argv=None):
     p_run.add_argument("--out", default=".")
     p_run.add_argument("--threads", type=int, default=None)
 
-    p_bench = sub.add_parser("bench", help="microbenchmarks")
-    p_bench.add_argument("mode", choices=["block-vs-direct", "kernel-vs-sgd"])
-    p_bench.add_argument("--l", type=int, required=True, dest="l_size")
-    p_bench.add_argument("--u", type=int, required=True, dest="u_size")
-    p_bench.add_argument("--width", type=int, default=None)
-    p_bench.add_argument("--epochs", type=int, default=15)
-    p_bench.add_argument("--reps", type=int, default=5)
-    p_bench.add_argument("--seed", type=int, default=0)
-    # Benchmarks default to one thread: the problems are small enough that
-    # BLAS pool synchronization dominates, and medians stay reproducible.
-    p_bench.add_argument("--threads", type=int, default=1)
-    p_bench.add_argument("--out", default=None)
-
     p_report = sub.add_parser("report", help="render accuracy curves as SVG")
     p_report.add_argument("--in", dest="inputs", nargs="+", required=True)
     p_report.add_argument("--out", required=True)
@@ -690,18 +489,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "run":
         return cmd_run(args.config, seed=args.seed, out_dir=args.out, threads=args.threads)
-    if args.command == "bench":
-        _apply_thread_cap(args.threads)
-        return cmd_bench(
-            args.mode,
-            args.l_size,
-            args.u_size,
-            width=args.width,
-            epochs=args.epochs,
-            reps=args.reps,
-            seed=args.seed,
-            out=args.out,
-        )
     return cmd_report(args.inputs, args.out)
 
 

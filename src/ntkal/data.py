@@ -1,9 +1,9 @@
 """Dataset ingestion and synthesis.
 
-Provides the MNIST-style IDX binary loader (plus a writer so tests can
-round-trip files), seeded 2-D synthetic generators for desk-scale
-experiments, and one-hot encoding. Datasets are immutable
-value objects; every generator is a pure function of its arguments.
+Provides the MNIST-style IDX binary loader, seeded 2-D synthetic
+generators for desk-scale experiments, and one-hot encoding. Datasets
+are immutable value objects; every generator is a pure function of its
+arguments.
 """
 
 import struct
@@ -17,8 +17,6 @@ __all__ = [
     "Dataset",
     "one_hot_encode",
     "load_mnist_idx",
-    "write_idx_images",
-    "write_idx_labels",
     "gen_two_gaussians",
     "gen_spirals",
 ]
@@ -143,23 +141,6 @@ def load_mnist_idx(images_path, labels_path):
         raise FormatError(f"image/label count mismatch: {n} images, {n_labels} labels")
     labels = np.frombuffer(label_payload[:n_labels], dtype=np.uint8).astype(np.int64)
     return make_dataset(images, labels, class_count=10, name="mnist")
-
-
-def write_idx_images(path, images_u8):
-    """Write a (N, rows, cols) uint8 array as an IDX image file."""
-    images_u8 = np.asarray(images_u8, dtype=np.uint8)
-    n, rows, cols = images_u8.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(images_u8.tobytes())
-
-
-def write_idx_labels(path, labels_u8):
-    """Write a (N,) uint8 array as an IDX label file."""
-    labels_u8 = np.asarray(labels_u8, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, len(labels_u8)))
-        f.write(labels_u8.tobytes())
 
 
 # --- synthetic 2-D generators ------------------------------------------

@@ -65,14 +65,10 @@ def _contract_factors(factors_a, factors_b, widths, beta):
     return gram
 
 
-def empirical_ntk(params, a, b=None, method="factors"):
+def empirical_ntk(params, a, b=None):
     """Gram matrix of first-logit gradients, shape (len(a), len(b)).
 
-    ``b=None`` or ``b is a`` reuses ``a`` (symmetric case).
-    ``method="factors"`` is the fast layerwise contraction, with one factor
-    pass in the symmetric case; ``method="features"`` materializes the
-    flat per-example gradient vectors and dots them, which is what the
-    factorized path must reproduce (used as a cross-check in tests).
+    ``b=None`` or ``b is a`` reuses ``a`` (symmetric case, one factor pass).
     """
     symmetric = b is None or b is a
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
@@ -87,16 +83,6 @@ def empirical_ntk(params, a, b=None, method="factors"):
             f"kernel inputs have dim {b_arr.shape[1]}, network expects "
             f"{params.config.input_dim}"
         )
-    if method == "features":
-        fa = np.stack([net.grad_first_logit(params, row) for row in a])
-        fb = fa if symmetric else np.stack(
-            [net.grad_first_logit(params, row) for row in b_arr]
-        )
-        return np.array(
-            [[float(np.dot(fa[i], fb[j])) for j in range(len(fb))] for i in range(len(fa))]
-        )
-    if method != "factors":
-        raise ContractError(f"unknown kernel method {method!r}")
     factors_a = net.grad_factors(params, a)
     factors_b = factors_a if symmetric else net.grad_factors(params, b_arr)
     return _contract_factors(

@@ -9,8 +9,9 @@ pass, so pre-activations stay O(1) at any width:
 with the nonlinearity applied between layers and never at the output.
 Forward, backward, and SGD are written directly in numpy so that
 per-example gradients of the first output logit (the features behind the
-empirical tangent kernel) are available both as flat vectors and in the
-factorized activation/delta form used for fast Gram computation.
+empirical tangent kernel) are available in the factorized
+activation/delta form used for fast Gram computation; the flat vectors
+are never formed.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ __all__ = [
     "TrainConfig",
     "init",
     "forward",
-    "grad_first_logit",
     "grad_factors",
     "train_sgd",
 ]
@@ -106,14 +106,6 @@ class MlpParams:
     def param_count(self):
         return self.config.param_count
 
-    def flat(self):
-        """Parameters flattened in the fixed order W0, b0, W1, b1, ..."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
-
 
 def init(config):
     """Fresh parameters, every entry i.i.d. standard normal from the seed."""
@@ -122,23 +114,6 @@ def init(config):
     for l in range(config.n_layers):
         weights.append(rng.standard_normal((config.widths[l], config.widths[l + 1])))
         biases.append(rng.standard_normal(config.widths[l + 1]))
-    return MlpParams(config=config, weights=tuple(weights), biases=tuple(biases))
-
-
-def params_from_flat(config, flat):
-    """Inverse of MlpParams.flat()."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != (config.param_count,):
-        raise ShapeError(
-            f"expected {config.param_count} parameters, got {flat.shape}"
-        )
-    weights, biases, pos = [], [], 0
-    for l in range(config.n_layers):
-        n_in, n_out = config.widths[l], config.widths[l + 1]
-        weights.append(flat[pos : pos + n_in * n_out].reshape(n_in, n_out))
-        pos += n_in * n_out
-        biases.append(flat[pos : pos + n_out])
-        pos += n_out
     return MlpParams(config=config, weights=tuple(weights), biases=tuple(biases))
 
 
@@ -219,23 +194,6 @@ def grad_factors(params, x):
             g = (g @ params.weights[l].T) / np.sqrt(cfg.widths[l])
             g = g * _act_deriv(cfg.nonlinearity, preacts[l - 1])
     return [(acts[l], deltas[l]) for l in range(cfg.n_layers)]
-
-
-def grad_first_logit(params, x):
-    """Exact gradient of output neuron 1 w.r.t. all parameters, flattened.
-
-    Flat order matches MlpParams.flat(): W0, b0, W1, b1, ...
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        x = x.reshape(-1)
-    factors = grad_factors(params, x.reshape(1, -1))
-    cfg = params.config
-    parts = []
-    for l, (a, d) in enumerate(factors):
-        parts.append(np.outer(a[0], d[0]).ravel() / np.sqrt(cfg.widths[l]))
-        parts.append(cfg.beta * d[0])
-    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,94 @@
+"""Slow, obviously-correct reference implementations used by the tests.
+
+None of these is on a path the package runs: each one spells out a
+quantity the package computes another way, so tests can cross-check it.
+
+- ``flat`` / ``params_from_flat``: parameters as one vector in the fixed
+  order W0, b0, W1, b1, ... (finite differences, zero networks).
+- ``grad_first_logit``: the flat per-example gradient of logit 1, built
+  from ``net.grad_factors``.
+- ``empirical_ntk_features``: the kernel as literal dots of those flat
+  gradients, which ``kernel.empirical_ntk``'s layerwise contraction must
+  reproduce.
+- ``write_idx_images`` / ``write_idx_labels``: IDX writers, so the MNIST
+  loader can be tested on round-tripped files.
+"""
+
+import struct
+
+import numpy as np
+
+from ntkal import data, net
+from ntkal.errors import ShapeError
+
+
+def flat(params):
+    """Parameters flattened in the fixed order W0, b0, W1, b1, ..."""
+    parts = []
+    for w, b in zip(params.weights, params.biases):
+        parts.append(w.ravel())
+        parts.append(b)
+    return np.concatenate(parts)
+
+
+def params_from_flat(config, flat):
+    """Inverse of ``flat``."""
+    flat = np.asarray(flat, dtype=np.float64)
+    if flat.shape != (config.param_count,):
+        raise ShapeError(
+            f"expected {config.param_count} parameters, got {flat.shape}"
+        )
+    weights, biases, pos = [], [], 0
+    for l in range(config.n_layers):
+        n_in, n_out = config.widths[l], config.widths[l + 1]
+        weights.append(flat[pos : pos + n_in * n_out].reshape(n_in, n_out))
+        pos += n_in * n_out
+        biases.append(flat[pos : pos + n_out])
+        pos += n_out
+    return net.MlpParams(config=config, weights=tuple(weights), biases=tuple(biases))
+
+
+def grad_first_logit(params, x):
+    """Exact gradient of output neuron 1 w.r.t. all parameters, flattened.
+
+    Flat order matches ``flat``: W0, b0, W1, b1, ...
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        x = x.reshape(-1)
+    factors = net.grad_factors(params, x.reshape(1, -1))
+    cfg = params.config
+    parts = []
+    for l, (a, d) in enumerate(factors):
+        parts.append(np.outer(a[0], d[0]).ravel() / np.sqrt(cfg.widths[l]))
+        parts.append(cfg.beta * d[0])
+    return np.concatenate(parts)
+
+
+def empirical_ntk_features(params, a, b=None):
+    """Gram matrix of first-logit gradients from materialized flat vectors."""
+    symmetric = b is None or b is a
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b_arr = a if symmetric else np.atleast_2d(np.asarray(b, dtype=np.float64))
+    fa = np.stack([grad_first_logit(params, row) for row in a])
+    fb = fa if symmetric else np.stack([grad_first_logit(params, row) for row in b_arr])
+    return np.array(
+        [[float(np.dot(fa[i], fb[j])) for j in range(len(fb))] for i in range(len(fa))]
+    )
+
+
+def write_idx_images(path, images_u8):
+    """Write a (N, rows, cols) uint8 array as an IDX image file."""
+    images_u8 = np.asarray(images_u8, dtype=np.uint8)
+    n, rows, cols = images_u8.shape
+    with open(path, "wb") as f:
+        f.write(struct.pack(">IIII", data.IDX_IMAGE_MAGIC, n, rows, cols))
+        f.write(images_u8.tobytes())
+
+
+def write_idx_labels(path, labels_u8):
+    """Write a (N,) uint8 array as an IDX label file."""
+    labels_u8 = np.asarray(labels_u8, dtype=np.uint8)
+    with open(path, "wb") as f:
+        f.write(struct.pack(">II", data.IDX_LABEL_MAGIC, len(labels_u8)))
+        f.write(labels_u8.tobytes())

@@ -6,6 +6,8 @@ import pytest
 from ntkal import acquire, data, kernel, linalg, lookahead, net
 from ntkal.errors import ContractError, DegenerateCandidateError
 
+import oracles
+
 LN2 = float(np.log(2.0))
 
 
@@ -341,7 +343,7 @@ class TestEer:
             )
 
         cfg = net.MlpConfig((1, 2), nonlinearity="identity", beta=0.0)
-        params = net.params_from_flat(cfg, np.zeros(cfg.param_count))
+        params = oracles.params_from_flat(cfg, np.zeros(cfg.param_count))
         state = kernel.build_state_xy(
             params, np.array([[0.0]]), np.array([[0.0, 0.0]]), kernel_fn=kernel_fn
         )

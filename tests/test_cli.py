@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ntkal import cli
-from ntkal.errors import ContractError
 
 MINIMAL_CONFIG = """
 [run]
@@ -70,6 +69,13 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="initial_labeled"):
             cli.load_run_spec(path)
 
+    def test_empty_seed_list(self, tmp_path):
+        path = _write_config(tmp_path, seeds="")
+        with pytest.raises(cli.ConfigError, match="seeds"):
+            cli.load_run_spec(path)
+        assert cli.cmd_run(path, out_dir=tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+
     def test_bad_data_kind(self, tmp_path):
         path = _write_config(tmp_path)
         path.write_text(path.read_text().replace("two_gaussians", "imagenet"))
@@ -122,55 +128,12 @@ class TestCmdRun:
         assert code == 0
 
 
-class TestBench:
-    def test_block_vs_direct_reports_speedup(self):
-        report = cli.bench_block_vs_direct(40, 25, width=16, reps=2, seed=0)
-        assert report["speedup"] > 0
-        assert report["max_score_rel_diff"] < 1e-6
-        assert report["block_median_seconds"] > 0
-        assert report["direct_median_seconds"] > 0
-
-    def test_block_vs_direct_agrees_with_jittered_direct_path(self):
-        report = cli.bench_block_vs_direct(100, 50, width=16, reps=1, seed=0)
-        assert report["max_score_rel_diff"] < 1e-8
-
-    def test_block_vs_direct_without_healthy_candidates(self):
-        # 200 labels: width 12 (134 parameters) leaves every candidate
-        # within 1.5e-9 of the labeled span, and the engine flags 43 of 100;
-        # width 4 (46 parameters) puts all of them inside it.
-        assert cli.bench_block_vs_direct(200, 100, width=12, reps=1)["speedup"] > 0
-        report = cli.bench_block_vs_direct(200, 50, width=4, reps=1)
-        assert report["max_score_rel_diff"] is None
-
-    def test_reps_must_be_positive(self):
-        with pytest.raises(ContractError):
-            cli.bench_block_vs_direct(10, 5, reps=0)
-        with pytest.raises(ContractError):
-            cli.bench_kernel_vs_sgd(10, 5, reps=0)
-
-    def test_size_budget(self):
-        with pytest.raises(ContractError):
-            cli.bench_block_vs_direct(100_000, 5)
-
-    def test_kernel_vs_sgd_smoke(self):
-        report = cli.bench_kernel_vs_sgd(12, 4, width=16, epochs=1, reps=1, seed=0)
-        assert report["kernel_median_seconds"] > 0
-        assert report["naive_median_seconds"] > 0
-
-    def test_cli_entry(self, tmp_path):
-        out = tmp_path / "bench.json"
-        code = cli.main(
-            [
-                "bench", "block-vs-direct", "--l", "30", "--u", "10",
-                "--width", "8", "--reps", "1", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        assert json.loads(out.read_text())["mode"] == "block_vs_direct"
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(SystemExit):
-            cli.main(["bench", "sideways", "--l", "5", "--u", "5"])
+class TestRemovedCommands:
+    def test_bench_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "block-vs-direct", "--l", "30", "--u", "10"])
+        assert exc.value.code == 2
+        assert "bench" in capsys.readouterr().err
 
 
 class TestReport:
@@ -243,3 +206,27 @@ class TestReport:
         csv.write_text("cycle,labeled_size,accuracy\n0,5,0.5\n")
         assert cli.cmd_report([str(csv)], tmp_path / "x.svg") == 2
         assert "accuracy" in capsys.readouterr().err
+
+    def test_non_numeric_field_is_a_format_error(self, tmp_path, capsys):
+        csv = tmp_path / "r.csv"
+        cli.write_records_csv(self._fake_records(["mlmoc"], [0]), csv)
+        lines = csv.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[2] = "abc"
+        lines[2] = ",".join(parts)
+        csv.write_text("\n".join(lines) + "\n")
+        assert cli.cmd_report([str(csv)], tmp_path / "x.svg") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("report error:")
+        assert f"{csv}:3:" in err
+
+    def test_markup_in_strategy_names_is_escaped(self, tmp_path):
+        from xml.dom import minidom
+
+        csv = tmp_path / "r.csv"
+        cli.write_records_csv(self._fake_records(["a<b", "c&d"], [0]), csv)
+        out = tmp_path / "plot.svg"
+        assert cli.cmd_report([str(csv)], out) == 0
+        texts = minidom.parse(str(out)).getElementsByTagName("text")
+        labels = {t.firstChild.data for t in texts}
+        assert {"a<b", "c&d"} <= labels

@@ -4,6 +4,8 @@ import pytest
 from ntkal import data
 from ntkal.errors import ContractError, FormatError
 
+import oracles
+
 
 def _linear_probe_accuracy(train, test):
     """Least-squares linear classifier as an independent separability oracle."""
@@ -20,8 +22,8 @@ class TestIdx:
         images = rng.integers(0, 256, size=(7, 5, 4), dtype=np.uint8)
         labels = rng.integers(0, 10, size=7, dtype=np.uint8)
         ip, lp = tmp_path / "img", tmp_path / "lab"
-        data.write_idx_images(ip, images)
-        data.write_idx_labels(lp, labels)
+        oracles.write_idx_images(ip, images)
+        oracles.write_idx_labels(lp, labels)
         ds = data.load_mnist_idx(ip, lp)
         assert len(ds) == 7
         assert ds.input_dim == 20
@@ -34,13 +36,13 @@ class TestIdx:
         ip = tmp_path / "img"
         ip.write_bytes(b"\x00\x00\x08\x99" + b"\x00" * 12)
         lp = tmp_path / "lab"
-        data.write_idx_labels(lp, np.zeros(1, dtype=np.uint8))
+        oracles.write_idx_labels(lp, np.zeros(1, dtype=np.uint8))
         with pytest.raises(FormatError, match="0x00000899"):
             data.load_mnist_idx(ip, lp)
 
     def test_bad_label_magic(self, tmp_path):
         ip = tmp_path / "img"
-        data.write_idx_images(ip, np.zeros((1, 2, 2), dtype=np.uint8))
+        oracles.write_idx_images(ip, np.zeros((1, 2, 2), dtype=np.uint8))
         lp = tmp_path / "lab"
         lp.write_bytes(b"\xff\xff\xff\xff\x00\x00\x00\x01\x00")
         with pytest.raises(FormatError, match="label magic"):
@@ -52,14 +54,14 @@ class TestIdx:
         ip = tmp_path / "img"
         ip.write_bytes(struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 3, 2, 2) + b"\x00" * 5)
         lp = tmp_path / "lab"
-        data.write_idx_labels(lp, np.zeros(3, dtype=np.uint8))
+        oracles.write_idx_labels(lp, np.zeros(3, dtype=np.uint8))
         with pytest.raises(FormatError, match="truncated"):
             data.load_mnist_idx(ip, lp)
 
     def test_count_mismatch(self, tmp_path):
         ip, lp = tmp_path / "img", tmp_path / "lab"
-        data.write_idx_images(ip, np.zeros((3, 2, 2), dtype=np.uint8))
-        data.write_idx_labels(lp, np.zeros(4, dtype=np.uint8))
+        oracles.write_idx_images(ip, np.zeros((3, 2, 2), dtype=np.uint8))
+        oracles.write_idx_labels(lp, np.zeros(4, dtype=np.uint8))
         with pytest.raises(FormatError, match="mismatch"):
             data.load_mnist_idx(ip, lp)
 
