@@ -11,6 +11,17 @@ and scores the batch it builds with ``score_mlmoc``, ``score_emoc`` or
 ``score_eer_lin``; sequential querying calls those directly on a batch
 kept up to date with ``lookahead.condition``.
 
+emoc and eer_lin sum over all C hypothetical labels. Labeling candidate
+i with l moves reference r to a - gains[r, i] * e_l, where
+a = ref_lin[r] + gains[r, i] * shift_base[i] is shared by every label,
+so each label differs from a in one entry. The raw-baseline change
+norms and the softmax entropies of all C labels therefore come from
+O(C) sums over a plus one corrected entry per label: an (n, C) table
+at O(m n C) cost, built over chunks of candidate columns small enough
+to stay in cache. mlmoc reads only its pseudo-label. With the
+linearized baseline the change norm factorizes into the column sums of
+|gains| times the norm of the label shift.
+
 Myopic baselines (entropy, margin, random) and a naive oracle that
 really retrains with SGD round out the comparison suite.
 """
@@ -73,9 +84,10 @@ def entropy(probs):
     return -np.sum(probs * np.log(p), axis=-1)
 
 
-# Bytes of one (m, k, C) change tensor of the raw baseline; candidates
-# are scored k columns at a time.
-_RAW_CHUNK_BYTES = 32 << 20
+# Bytes of one (C, k, m) temporary of the per-label tables: candidates
+# are scored k columns at a time, sized so that each chunk's arithmetic
+# runs in cache.
+_TABLE_CHUNK_BYTES = 128 << 10
 
 
 def _abs_column_sums(gains):
@@ -94,40 +106,130 @@ def _abs_column_sums(gains):
     return buf[0].copy()
 
 
-def _change_norms(ctx, labels_onehot, baseline, ord_, abs_sums=None):
-    """Sum over the reference set of per-point change norms, per candidate.
+def _leave_one_out(v):
+    """sum(v, axis=0) - v for nonnegative v, without cancellation.
+
+    The sum leaving out the largest entry is taken directly; every other
+    label's sum includes that entry, which bounds the rounding of the
+    subtraction by a few ulps of the result.
+    """
+    vmax = np.max(v, axis=0)
+    top = v == vmax
+    count = np.sum(top, axis=0)
+    rest = np.sum(np.where(top, 0.0, v), axis=0)
+    return np.where(top, (count - 1) * vmax + rest, count * vmax + (rest - v))
+
+
+def _entropies(a, corr):
+    """Softmax entropy along axis 0 of a with entry l replaced by corr[l], per l.
+
+    With A = sum exp(x_j - M) and B = sum exp(x_j - M) (x_j - M) over the
+    entries x of one label's logits, for any shift M, the entropy is
+    log A - B / A. For label l the sums over the other entries are taken
+    relative to their own maximum (the runner-up when l holds the maximum,
+    the maximum otherwise), so they never underflow to zero, and are then
+    combined with the corrected entry under M = max(that maximum, corr[l]).
+    """
+    top1 = np.max(a, axis=0)
+    top = a == top1
+    count = np.sum(top, axis=0)
+    rest = np.where(top, -np.inf, a)
+    top2 = np.max(rest, axis=0)  # largest entry below the maximum
+    np.copyto(top2, top1, where=count > 1)  # a tied maximum is its own runner-up
+    rest -= top2
+    x = np.exp(rest)  # exp(a_j - top2), zero at the maxima
+    np.copyto(rest, 0.0, where=top)
+    xd = x * rest
+    sx = np.sum(x, axis=0)
+    sxd = np.sum(xd, axis=0)
+    delta = top1 - top2
+    ratio = np.exp(-delta)
+    # Sums over the entries other than l, relative to their maximum.
+    below = sx - x  # over the entries below the maximum, other than l
+    others = np.where(top, (count - 1) + sx, count + ratio * below)
+    others_d = np.where(top, sxd, ratio * ((sxd - xd) - delta * below))
+    gap = corr - np.where(top, top2, top1)
+    above = gap > 0  # the corrected entry is the new maximum
+    w = np.exp(-np.abs(gap))
+    scale = np.where(above, w, 1.0)  # exp(old maximum - new maximum)
+    own = np.where(above, 1.0, w)  # exp(corrected entry - new maximum)
+    total = scale * others + own
+    total_d = scale * (others_d - np.where(above, gap, 0.0) * others)
+    total_d += own * np.minimum(gap, 0.0)
+    return np.log(total) - total_d / total
+
+
+def _label_table(ctx, kind, labels=None):
+    """Reference sums of a look-ahead quantity per candidate and label, (n, C).
+
+    Labeling candidate i with l moves reference r to
+    base[r] + gains[r, i] * (shift_base[i] - e_l): the vector
+    a = base[r] + gains[r, i] * shift_base[i], shared by every label, with
+    entry l replaced by base[r, l] + gains[r, i] * (shift_base[i, l] - 1).
+    ``kind`` "l2" or "l1" sums the norm of the raw-baseline change (base =
+    ref_lin - ref_raw), "entropy" the softmax entropy of the look-ahead
+    logits (base = ref_lin). Each chunk of k candidate columns is held as
+    (C, k, m) arrays of at most _TABLE_CHUNK_BYTES, and all its labels come
+    from shared sums over a. With ``labels`` (one class per candidate, norms
+    only) each candidate is scored at its label alone, as the norm of a
+    with that entry replaced, shape (n,).
+    """
+    n, c = ctx.outputs.shape
+    sums = np.zeros(n if labels is not None else (n, c))
+    if kind == "entropy" and c == 1:
+        return sums  # the softmax of a single logit is one-hot
+    base = ctx.ref_lin if kind == "entropy" else ctx.ref_lin - ctx.ref_raw
+    base = np.ascontiguousarray(base.T)[:, None, :]
+    step = max(1, _TABLE_CHUNK_BYTES // (8 * len(ctx.gains) * c))
+    power = np.square if kind == "l2" else np.abs
+    for start in range(0, n, step):
+        cols = slice(start, start + step)
+        g = np.ascontiguousarray(ctx.gains[:, cols].T)
+        s = ctx.shift_base[cols].T[:, :, None]
+        a, corr = base + g * s, base + g * (s - 1.0)
+        if kind == "entropy":
+            values = _entropies(a, corr)
+        else:
+            v, own = power(a, out=a), power(corr, out=corr)
+            if labels is None:
+                total = _leave_one_out(v) + own
+            else:
+                idx = np.broadcast_to(labels[None, cols, None], (1,) + v.shape[1:])
+                np.put_along_axis(v, idx, np.take_along_axis(own, idx, axis=0), axis=0)
+                total = np.sum(v, axis=0)
+            values = np.sqrt(total) if kind == "l2" else total
+        sums[cols] = np.sum(values, axis=-1).T
+    return sums
+
+
+def _change_table(ctx, baseline, distance, labels=None):
+    """Reference-summed change norms, (n, C) over all labels or (n,) at ``labels``.
 
     With the linearized baseline the change at reference point r is exactly
     gains[r] * shift, so the sum factorizes into the column sums of |gains|
-    (``abs_sums``, computed here when not given) times the shift norm; the
-    raw baseline adds the constant offset between linearized and raw
-    current predictions.
+    times the shift norm; the raw baseline adds the constant offset between
+    linearized and raw current predictions.
     """
-    shift = ctx.shift_base - labels_onehot  # (n, C)
-    if baseline == "linearized":
-        if ord_ == 2:
-            shift_norm = np.linalg.norm(shift, axis=1)
-        else:
-            shift_norm = np.sum(np.abs(shift), axis=1)
-        if abs_sums is None:
-            abs_sums = _abs_column_sums(ctx.gains)
-        return abs_sums * shift_norm
-    if baseline != "raw":
+    if baseline == "raw":
+        return _label_table(ctx, distance, labels)
+    if baseline != "linearized":
         raise ContractError(f"unknown baseline {baseline!r}")
-    offset = ctx.ref_lin - ctx.ref_raw  # (m, C)
-    m, n = ctx.gains.shape
-    step = max(1, _RAW_CHUNK_BYTES // (8 * m * shift.shape[1]))
-    sums = np.empty(n)
-    for start in range(0, n, step):
-        cols = slice(start, start + step)
-        # changes[m, k, c] = offset[m, c] + gains[m, k] * shift[k, c]
-        changes = offset[:, None, :] + ctx.gains[:, cols, None] * shift[None, cols, :]
-        if ord_ == 2:
-            norms = np.sqrt(np.sum(changes * changes, axis=2))
-        else:
-            norms = np.sum(np.abs(changes), axis=2)
-        sums[cols] = np.sum(norms, axis=0)
-    return sums
+    eye = np.eye(ctx.shift_base.shape[1])
+    if labels is None:
+        shift = ctx.shift_base[:, None, :] - eye  # (n, C, C)
+    else:
+        shift = ctx.shift_base - eye[labels]
+    if distance == "l2":
+        shift_norms = np.linalg.norm(shift, axis=-1)
+    else:
+        shift_norms = np.sum(np.abs(shift), axis=-1)
+    abs_sums = _abs_column_sums(ctx.gains)
+    return (abs_sums if labels is not None else abs_sums[:, None]) * shift_norms
+
+
+def _expectation(probs, table):
+    """sum_l probs[:, l] * table[:, l], added label by label."""
+    return np.sum(np.ascontiguousarray((probs * table).T), axis=0)
 
 
 def _pseudo_labels(ctx):
@@ -153,7 +255,7 @@ def mlmoc(state, candidates, reference_set=None, baseline="linearized"):
 def score_mlmoc(ctx, baseline="linearized"):
     """mlmoc scores of a LookaheadBatch."""
     labels = _pseudo_labels(ctx)
-    scores = _change_norms(ctx, labels, baseline, ord_=2)
+    scores = _change_table(ctx, baseline, "l2", np.argmax(ctx.outputs, axis=1))
     scores = np.where(ctx.degenerate, 0.0, scores)
     return AcquisitionResult.from_scores(scores, labels, ctx.degenerate)
 
@@ -163,7 +265,7 @@ def emoc(state, candidates, reference_set=None, distance="l2", baseline="lineari
 
     The expectation weights each class label by the softmax of the current
     network output at the candidate; per-label changes are evaluated with
-    the same block correction as mlmoc. Costs one mlmoc per class.
+    the same block correction as mlmoc, all labels at once.
     """
     return score_emoc(
         lookahead.lookahead_batch(state, candidates, reference_set), distance, baseline
@@ -174,16 +276,8 @@ def score_emoc(ctx, distance="l2", baseline="linearized"):
     """emoc scores of a LookaheadBatch."""
     if distance not in ("l2", "l1"):
         raise ContractError(f"unknown distance {distance!r}")
-    ord_ = 2 if distance == "l2" else 1
-    n, c = ctx.outputs.shape
-    probs = softmax(ctx.outputs)
-    abs_sums = _abs_column_sums(ctx.gains) if baseline == "linearized" else None
-    scores = np.zeros(n)
-    for cls in range(c):
-        label = np.zeros((n, c))
-        label[:, cls] = 1.0
-        scores += probs[:, cls] * _change_norms(ctx, label, baseline, ord_, abs_sums)
-    scores = np.where(ctx.degenerate, 0.0, scores)
+    table = _change_table(ctx, baseline, distance)
+    scores = np.where(ctx.degenerate, 0.0, _expectation(softmax(ctx.outputs), table))
     return AcquisitionResult.from_scores(scores, _pseudo_labels(ctx), ctx.degenerate)
 
 
@@ -201,19 +295,9 @@ def eer_lin(state, candidates, reference_set=None):
 
 def score_eer_lin(ctx):
     """eer_lin scores of a LookaheadBatch."""
-    n, c = ctx.outputs.shape
-    probs = softmax(ctx.outputs)
     current_entropy = float(np.sum(entropy(softmax(ctx.ref_lin))))
-    scores = np.zeros(n)
-    for i in range(n):
-        if ctx.degenerate[i]:
-            scores[i] = -current_entropy
-            continue
-        shift = ctx.shift_base[i][None, :] - np.eye(c)  # (C, C), rows per label
-        # predictions[label, ref, class]
-        preds = ctx.ref_lin[None, :, :] + ctx.gains[:, i][None, :, None] * shift[:, None, :]
-        ent = np.sum(entropy(softmax(preds)), axis=1)  # (C,)
-        scores[i] = -float(probs[i] @ ent)
+    expected = _expectation(softmax(ctx.outputs), _label_table(ctx, "entropy"))
+    scores = np.where(ctx.degenerate, -current_entropy, -expected)
     return AcquisitionResult.from_scores(scores, _pseudo_labels(ctx), ctx.degenerate)
 
 

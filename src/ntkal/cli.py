@@ -18,6 +18,7 @@ before they initialize.
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -329,6 +330,9 @@ def read_records_csv(path):
             )
         except ValueError as exc:
             raise FormatError(f"{path}:{ln}: {exc}") from None
+        for name in ("test_accuracy", "query_seconds", "train_seconds"):
+            if not math.isfinite(getattr(record, name)):
+                raise FormatError(f"{path}:{ln}: {name} is {getattr(record, name)!r}, not finite")
         records.append(record)
     if not records:
         raise FormatError(f"{path}: no data rows")

@@ -56,6 +56,11 @@ STRATEGIES = (
 _KERNEL_STRATEGIES = ("mlmoc", "emoc", "eer", "mlmoc-inf")
 
 
+def _index_array(indices):
+    """A tuple of dataset indices as an integer array."""
+    return np.fromiter(indices, dtype=np.intp, count=len(indices))
+
+
 @dataclass(frozen=True)
 class Pool:
     """Disjoint labeled/unlabeled index sets over a backing dataset."""
@@ -65,9 +70,17 @@ class Pool:
     unlabeled_indices: tuple
 
     def __post_init__(self):
-        overlap = set(self.labeled_indices) & set(self.unlabeled_indices)
-        if overlap:
-            raise ContractError(f"labeled/unlabeled overlap: {sorted(overlap)[:5]}")
+        both = np.concatenate(
+            [_index_array(self.labeled_indices), _index_array(self.unlabeled_indices)]
+        )
+        n = len(self.dataset)
+        if both.size and not 0 <= both.min() <= both.max() < n:
+            raise ContractError(f"indices must lie in [0, {n})")
+        repeated = np.flatnonzero(np.bincount(both, minlength=n) > 1)
+        if repeated.size:
+            raise ContractError(
+                f"indices listed twice or both labeled and unlabeled: {repeated[:5].tolist()}"
+            )
 
     @classmethod
     def initial(cls, dataset, initial_labeled, seed):
@@ -77,19 +90,23 @@ class Pool:
             raise ContractError("initial_labeled must be in [1, pool size]")
         rng = np.random.default_rng(seed)
         labeled = np.sort(rng.choice(n, size=initial_labeled, replace=False))
-        unlabeled = np.setdiff1d(np.arange(n), labeled)
-        return cls(dataset, tuple(int(i) for i in labeled), tuple(int(i) for i in unlabeled))
+        unlabeled = np.ones(n, dtype=bool)
+        unlabeled[labeled] = False
+        return cls(dataset, tuple(labeled.tolist()), tuple(np.flatnonzero(unlabeled).tolist()))
 
     def acquire(self, indices):
         """Move dataset indices from the unlabeled to the labeled set."""
-        moving = [int(i) for i in indices]
-        unlabeled = set(self.unlabeled_indices)
-        for i in moving:
-            if i not in unlabeled:
-                raise ContractError(f"index {i} is not unlabeled")
-        moving_set = set(moving)
-        remaining = tuple(i for i in self.unlabeled_indices if i not in moving_set)
-        return Pool(self.dataset, self.labeled_indices + tuple(moving), remaining)
+        moving = np.asarray(indices, dtype=np.intp).reshape(-1)
+        unlabeled = _index_array(self.unlabeled_indices)
+        missing = moving[~np.isin(moving, unlabeled)]
+        if missing.size:
+            raise ContractError(f"index {missing[0]} is not unlabeled")
+        remaining = unlabeled[~np.isin(unlabeled, moving)]
+        return Pool(
+            self.dataset,
+            self.labeled_indices + tuple(moving.tolist()),
+            tuple(remaining.tolist()),
+        )
 
     def labeled_dataset(self):
         return self.dataset.subset(list(self.labeled_indices))

@@ -10,6 +10,12 @@ quantity the package computes another way, so tests can cross-check it.
 - ``empirical_ntk_features``: the kernel as literal dots of those flat
   gradients, which ``kernel.empirical_ntk``'s layerwise contraction must
   reproduce.
+- ``change_norms``: reference-summed change norms of a look-ahead batch
+  from the whole (m, n, C) change tensor, for one label per candidate.
+- ``emoc_scores`` / ``eer_lin_scores``: the look-ahead expectations over
+  every hypothetical label, one label (emoc) or one candidate (eer_lin)
+  at a time, with a full C-vector of look-ahead logits per label. The
+  package derives all labels from shared sums instead.
 - ``write_idx_images`` / ``write_idx_labels``: IDX writers, so the MNIST
   loader can be tested on round-tripped files.
 """
@@ -18,7 +24,7 @@ import struct
 
 import numpy as np
 
-from ntkal import data, net
+from ntkal import acquire, data, net
 from ntkal.errors import ShapeError
 
 
@@ -75,6 +81,50 @@ def empirical_ntk_features(params, a, b=None):
     return np.array(
         [[float(np.dot(fa[i], fb[j])) for j in range(len(fb))] for i in range(len(fa))]
     )
+
+
+def change_norms(batch, labels_onehot, baseline, ord_):
+    """Per-candidate change norms summed over the reference set, (n,)."""
+    shift = batch.shift_base - labels_onehot
+    if baseline == "linearized":
+        norm = np.linalg.norm(shift, axis=1) if ord_ == 2 else np.sum(np.abs(shift), axis=1)
+        return np.sum(np.abs(batch.gains), axis=0) * norm
+    offset = batch.ref_lin - batch.ref_raw
+    changes = offset[:, None, :] + batch.gains[:, :, None] * shift[None, :, :]
+    if ord_ == 2:
+        return np.sum(np.sqrt(np.sum(changes * changes, axis=2)), axis=0)
+    return np.sum(np.sum(np.abs(changes), axis=2), axis=0)
+
+
+def emoc_scores(batch, distance, baseline):
+    """Softmax-weighted change norms, one hypothetical label at a time."""
+    ord_ = 2 if distance == "l2" else 1
+    n, c = batch.outputs.shape
+    probs = acquire.softmax(batch.outputs)
+    scores = np.zeros(n)
+    for cls in range(c):
+        label = np.zeros((n, c))
+        label[:, cls] = 1.0
+        scores += probs[:, cls] * change_norms(batch, label, baseline, ord_)
+    return np.where(batch.degenerate, 0.0, scores)
+
+
+def eer_lin_scores(batch):
+    """Minus the expected look-ahead entropy sum, one candidate at a time."""
+    n, c = batch.outputs.shape
+    probs = acquire.softmax(batch.outputs)
+    current = float(np.sum(acquire.entropy(acquire.softmax(batch.ref_lin))))
+    scores = np.zeros(n)
+    for i in range(n):
+        if batch.degenerate[i]:
+            scores[i] = -current
+            continue
+        shift = batch.shift_base[i][None, :] - np.eye(c)  # (C, C), rows per label
+        # predictions[label, ref, class]
+        preds = batch.ref_lin[None, :, :] + batch.gains[:, i][None, :, None] * shift[:, None, :]
+        ent = np.sum(acquire.entropy(acquire.softmax(preds)), axis=1)  # (C,)
+        scores[i] = -float(probs[i] @ ent)
+    return scores
 
 
 def write_idx_images(path, images_u8):

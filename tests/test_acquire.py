@@ -1,4 +1,6 @@
 import tracemalloc
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -242,21 +244,14 @@ class TestEmoc:
         np.testing.assert_allclose(e.scores, m.scores, rtol=1e-9)
 
 
-def _reference_change_norms(ctx, labels_onehot, baseline, ord_):
-    """Change norms by whole-array formulas: |gains| and the (m, n, C) tensor at once."""
-    shift = ctx.shift_base - labels_onehot
-    if baseline == "linearized":
-        norm = np.linalg.norm(shift, axis=1) if ord_ == 2 else np.sum(np.abs(shift), axis=1)
-        return np.sum(np.abs(ctx.gains), axis=0) * norm
-    offset = ctx.ref_lin - ctx.ref_raw
-    changes = offset[:, None, :] + ctx.gains[:, :, None] * shift[None, :, :]
-    if ord_ == 2:
-        return np.sum(np.sqrt(np.sum(changes * changes, axis=2)), axis=0)
-    return np.sum(np.sum(np.abs(changes), axis=2), axis=0)
-
-
 class TestChunkedScoring:
-    """Scores from row-chunked |gains| sums and column-chunked raw tensors."""
+    """Scores from row-chunked |gains| sums and column-chunked per-label tables.
+
+    The linearized branch reduces |gains| in the order of one whole-array
+    reduction, so it matches bitwise up to the product with the shift norm;
+    the raw branch derives every label from shared sums, so it matches the
+    whole-tensor formula up to rounding.
+    """
 
     @staticmethod
     def _batch(same_set=True):
@@ -272,35 +267,28 @@ class TestChunkedScoring:
     @pytest.mark.parametrize("same_set", [True, False])
     @pytest.mark.parametrize("distance", ["l2", "l1"])
     def test_emoc_matches_whole_array_formula(self, monkeypatch, distance, same_set):
-        # A small byte budget splits the raw tensor into several chunks,
+        # A small byte budget splits the raw table into several chunks,
         # the last one partial.
-        monkeypatch.setattr(acquire, "_RAW_CHUNK_BYTES", 8 * 530 * 3 * 70)
+        monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 8 * 530 * 3 * 70)
         batch = self._batch(same_set)
         assert batch.degenerate[-2:].all()
-        ord_ = 2 if distance == "l2" else 1
-        probs = acquire.softmax(batch.outputs)
         for baseline in ("linearized", "raw"):
-            want = np.zeros(len(batch.outputs))
-            for cls in range(3):
-                label = np.zeros_like(batch.outputs)
-                label[:, cls] = 1.0
-                want += probs[:, cls] * _reference_change_norms(batch, label, baseline, ord_)
-            want[batch.degenerate] = 0.0
+            want = oracles.emoc_scores(batch, distance, baseline)
             got = acquire.score_emoc(batch, distance, baseline).scores
             if baseline == "raw":
-                np.testing.assert_array_equal(got, want)
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("baseline", ["linearized", "raw"])
     def test_mlmoc_matches_whole_array_formula(self, monkeypatch, baseline):
-        monkeypatch.setattr(acquire, "_RAW_CHUNK_BYTES", 8 * 602 * 3 * 100)
+        monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 8 * 602 * 3 * 100)
         batch = self._batch()
         result = acquire.score_mlmoc(batch, baseline)
-        want = _reference_change_norms(batch, result.pseudo_labels, baseline, 2)
+        want = oracles.change_norms(batch, result.pseudo_labels, baseline, 2)
         want[batch.degenerate] = 0.0
         if baseline == "raw":
-            np.testing.assert_array_equal(result.scores, want)
+            np.testing.assert_allclose(result.scores, want, rtol=1e-14, atol=0.0)
         else:
             np.testing.assert_allclose(result.scores, want, rtol=1e-15, atol=0.0)
 
@@ -323,6 +311,144 @@ class TestChunkedScoring:
         finally:
             tracemalloc.stop()
         assert peak < 1.8 * gains_bytes
+
+    @pytest.mark.parametrize("same_set", [True, False])
+    @pytest.mark.parametrize("scorer", ["eer_lin", "emoc-raw"])
+    def test_table_scorers_peak_memory_within_budget(self, scorer, same_set):
+        # The whole call stays within the mlmoc budget; scoring the built
+        # batch holds only a bounded number of chunk-sized temporaries,
+        # never a (C, m, n) tensor of the whole batch.
+        rng = np.random.default_rng(62)
+        params = net.init(net.MlpConfig((32, 64, 3), seed=62))
+        x = rng.standard_normal((200, 32))
+        y = data.one_hot_encode(rng.integers(0, 3, 200), 3)
+        state = kernel.build_state_xy(params, x, y)
+        cands = rng.standard_normal((1500, 32))
+        ref = None if same_set else rng.standard_normal((1200, 32))
+        gains_bytes = 8 * len(cands) * (len(cands) if same_set else len(ref))
+        if scorer == "eer_lin":
+            call, score = acquire.eer_lin, acquire.score_eer_lin
+        else:
+            call = partial(acquire.emoc, baseline="raw")
+            score = partial(acquire.score_emoc, baseline="raw")
+        tracemalloc.start()
+        try:
+            call(state, cands, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+            batch = lookahead.lookahead_batch(state, cands, ref)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            score(batch)
+            scoring_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * gains_bytes
+        assert scoring_peak < 32 * acquire._TABLE_CHUNK_BYTES
+
+
+class TestPerLabelTables:
+    """eer_lin and raw emoc/mlmoc against the per-candidate formulas of ``oracles``.
+
+    Every hypothetical label's look-ahead differs from one shared vector in
+    a single entry, and the scorers derive all labels from shared sums;
+    the oracles build the full look-ahead vector of each label.
+    """
+
+    @staticmethod
+    def _batch(c=3, same_set=True):
+        rng = np.random.default_rng(70)
+        params = net.init(net.MlpConfig((4, 24, c), seed=70))
+        x = rng.standard_normal((20, 4))
+        y = data.one_hot_encode(rng.integers(0, c, 20), c)
+        state = kernel.build_state_xy(params, x, y)
+        cands = np.vstack([x[:2], rng.standard_normal((90, 4))])
+        ref = None if same_set else rng.standard_normal((75, 4))
+        return lookahead.lookahead_batch(state, cands, ref)
+
+    @staticmethod
+    def _assert_agree(batch):
+        got = acquire.score_eer_lin(batch).scores
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, oracles.eer_lin_scores(batch), rtol=1e-12, atol=0.0)
+        for distance in ("l2", "l1"):
+            got = acquire.score_emoc(batch, distance, "raw").scores
+            want = oracles.emoc_scores(batch, distance, "raw")
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        result = acquire.score_mlmoc(batch, "raw")
+        want = oracles.change_norms(batch, result.pseudo_labels, "raw", 2)
+        np.testing.assert_allclose(
+            result.scores, np.where(batch.degenerate, 0.0, want), rtol=1e-12, atol=0.0
+        )
+
+    @pytest.mark.parametrize("same_set", [True, False])
+    def test_matches_per_label_formulas(self, same_set):
+        self._assert_agree(self._batch(same_set=same_set))
+
+    @pytest.mark.parametrize("scale", [1e2, -1e2, 1e3, -1e3, 1e4, -1e4])
+    def test_large_gains(self, scale):
+        # Corrected entries thousands of logits below (or above) the rest:
+        # per-label shifts keep every exp-sum finite and nonzero.
+        batch = self._batch()
+        self._assert_agree(replace(batch, gains=batch.gains * scale))
+
+    def test_confident_candidates_with_large_gains(self):
+        # Predictions near the one-hot of each candidate's own class, which
+        # also carries nearly all the label weight: under that label the
+        # shared entry is ~1e4 while the corrected entry and every other
+        # entry stay small, so the other entries' sum must not be taken by
+        # subtracting the dominant entry from the total.
+        batch = self._batch()
+        rng = np.random.default_rng(71)
+        confident = np.eye(3)[np.argmax(batch.shift_base, axis=1)]
+        confident += 1e-3 * rng.standard_normal(confident.shape)
+        self._assert_agree(
+            replace(batch, shift_base=confident, outputs=40.0 * confident, gains=1e4 * batch.gains)
+        )
+
+    def test_near_one_hot_logits(self):
+        batch = self._batch()
+        fields = ("outputs", "shift_base", "ref_lin", "ref_raw")
+        batch = replace(batch, **{f: 40.0 * getattr(batch, f) for f in fields})
+        assert np.median(1.0 - acquire.softmax(batch.ref_lin).max(axis=1)) < 1e-8
+        self._assert_agree(batch)
+
+    def test_tied_maxima(self):
+        # Classes 1 and 2 carry equal logits everywhere, so wherever one
+        # holds the maximum the other ties with it.
+        batch = self._batch()
+        fields = ("outputs", "shift_base", "ref_lin", "ref_raw")
+        batch = replace(
+            batch, **{f: getattr(batch, f)[:, [0, 1, 1]].copy() for f in fields}
+        )
+        a = batch.ref_lin[:, None, :] + batch.gains[:, :, None] * batch.shift_base[None]
+        assert np.any(np.argmax(a, axis=2) == 1)
+        self._assert_agree(batch)
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_few_classes(self, c):
+        batch = self._batch(c=c)
+        self._assert_agree(batch)
+        if c == 1:
+            assert np.all(acquire.score_eer_lin(batch).scores == 0.0)
+
+    def test_degenerate_columns(self):
+        batch = self._batch()
+        assert batch.degenerate[:2].all() and not batch.degenerate[2:].any()
+        current = float(np.sum(acquire.entropy(acquire.softmax(batch.ref_lin))))
+        assert np.all(acquire.score_eer_lin(batch).scores[:2] == -current)
+        assert np.all(acquire.score_emoc(batch, baseline="raw").scores[:2] == 0.0)
+        self._assert_agree(batch)
+
+    @pytest.mark.parametrize("same_set", [True, False])
+    def test_several_chunks(self, monkeypatch, same_set):
+        # Seven candidate columns per chunk: 92 candidates leave a partial
+        # last chunk of one column.
+        batch = self._batch(same_set=same_set)
+        m, n = batch.gains.shape
+        monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 8 * m * 3 * 7)
+        assert n % 7 == 1
+        self._assert_agree(batch)
 
 
 class TestEer:

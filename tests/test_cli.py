@@ -220,6 +220,21 @@ class TestReport:
         assert err.startswith("report error:")
         assert f"{csv}:3:" in err
 
+    @pytest.mark.parametrize("column", [2, 3, 4])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field_is_a_format_error(self, tmp_path, capsys, column, value):
+        csv = tmp_path / "r.csv"
+        cli.write_records_csv(self._fake_records(["mlmoc"], [0]), csv)
+        lines = csv.read_text().splitlines()
+        parts = lines[3].split(",")
+        parts[column] = value
+        lines[3] = ",".join(parts)
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.svg"
+        assert cli.cmd_report([str(csv)], out) == 2
+        assert f"{csv}:4:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_markup_in_strategy_names_is_escaped(self, tmp_path):
         from xml.dom import minidom
 

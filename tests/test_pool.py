@@ -64,6 +64,35 @@ class TestPool:
         with pytest.raises(ContractError):
             p.acquire([p.labeled_indices[0]])
 
+    def test_acquire_rejects_repeated_index(self):
+        ds, _ = _toy_data()
+        p = pool.Pool.initial(ds, 5, seed=0)
+        i = p.unlabeled_indices[2]
+        with pytest.raises(ContractError, match="twice"):
+            p.acquire([i, p.unlabeled_indices[0], i])
+
+    def test_overlap_rejected_with_sorted_indices(self):
+        ds, _ = _toy_data()
+        with pytest.raises(ContractError, match=r"unlabeled: \[2, 7\]"):
+            pool.Pool(ds, (7, 1, 2), (0, 2, 3, 7))
+
+    @pytest.mark.parametrize(
+        "labeled, unlabeled",
+        [((0, 0), (1, 2)), ((0, 1), (2, 2)), ((0, -1), (2,)), ((0,), (10**6,))],
+    )
+    def test_repeated_or_outside_indices_rejected(self, labeled, unlabeled):
+        ds, _ = _toy_data()
+        with pytest.raises(ContractError):
+            pool.Pool(ds, labeled, unlabeled)
+
+    def test_fields_are_python_int_tuples(self):
+        ds, _ = _toy_data()
+        p = pool.Pool.initial(ds, 5, seed=0)
+        q = p.acquire(np.array(p.unlabeled_indices[4:6]))
+        for indices in (p.labeled_indices, q.labeled_indices, q.unlabeled_indices):
+            assert type(indices) is tuple
+            assert all(type(i) is int for i in indices)
+
 
 class TestSampleSubset:
     def test_saturation_returns_all(self):
