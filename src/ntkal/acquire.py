@@ -2,8 +2,9 @@
 
 The look-ahead family (mlmoc, emoc, eer_lin) scores each unlabeled
 candidate by the effect that hypothetically labeling it would have on
-predictions over a reference set, using the block-structured linearized
-look-ahead of ``lookahead.lookahead_batch`` instead of retraining.
+the predictions at every candidate of the batch (the reference set),
+using the block-structured linearized look-ahead of
+``lookahead.lookahead_batch`` instead of retraining.
 Because the per-candidate prediction change is rank one (per-query gain
 times a per-label shift), whole candidate batches are scored with a
 handful of matrix products. Each takes a kernel state and candidate rows
@@ -13,7 +14,7 @@ kept up to date with ``lookahead.condition``.
 
 emoc and eer_lin sum over all C hypothetical labels. Labeling candidate
 i with l moves reference r to a - gains[r, i] * e_l, where
-a = ref_lin[r] + gains[r, i] * shift_base[i] is shared by every label,
+a = shift_base[r] + gains[r, i] * shift_base[i] is shared by every label,
 so each label differs from a in one entry. The raw-baseline change
 norms and the softmax entropies of all C labels therefore come from
 O(C) sums over a plus one corrected entry per label: an (n, C) table
@@ -84,7 +85,10 @@ def entropy(probs):
     return -np.sum(probs * np.log(p), axis=-1)
 
 
-# Bytes of one (C, k, m) temporary of the per-label tables: candidates
+# What the look-ahead change norms are measured against.
+BASELINES = ("linearized", "raw")
+
+# Bytes of one (C, k, n) temporary of the per-label tables: candidates
 # are scored k columns at a time, sized so that each chunk's arithmetic
 # runs in cache.
 _TABLE_CHUNK_BYTES = 128 << 10
@@ -166,10 +170,10 @@ def _label_table(ctx, kind, labels=None):
     base[r] + gains[r, i] * (shift_base[i] - e_l): the vector
     a = base[r] + gains[r, i] * shift_base[i], shared by every label, with
     entry l replaced by base[r, l] + gains[r, i] * (shift_base[i, l] - 1).
-    ``kind`` "l2" or "l1" sums the norm of the raw-baseline change (base =
-    ref_lin - ref_raw), "entropy" the softmax entropy of the look-ahead
-    logits (base = ref_lin). Each chunk of k candidate columns is held as
-    (C, k, m) arrays of at most _TABLE_CHUNK_BYTES, and all its labels come
+    ``kind`` "l2" sums the l2 norm of the raw-baseline change (base =
+    shift_base - outputs), "entropy" the softmax entropy of the look-ahead
+    logits (base = shift_base). Each chunk of k candidate columns is held as
+    (C, k, n) arrays of at most _TABLE_CHUNK_BYTES, and all its labels come
     from shared sums over a. With ``labels`` (one class per candidate, norms
     only) each candidate is scored at its label alone, as the norm of a
     with that entry replaced, shape (n,).
@@ -178,10 +182,9 @@ def _label_table(ctx, kind, labels=None):
     sums = np.zeros(n if labels is not None else (n, c))
     if kind == "entropy" and c == 1:
         return sums  # the softmax of a single logit is one-hot
-    base = ctx.ref_lin if kind == "entropy" else ctx.ref_lin - ctx.ref_raw
+    base = ctx.shift_base if kind == "entropy" else ctx.shift_base - ctx.outputs
     base = np.ascontiguousarray(base.T)[:, None, :]
     step = max(1, _TABLE_CHUNK_BYTES // (8 * len(ctx.gains) * c))
-    power = np.square if kind == "l2" else np.abs
     for start in range(0, n, step):
         cols = slice(start, start + step)
         g = np.ascontiguousarray(ctx.gains[:, cols].T)
@@ -190,20 +193,20 @@ def _label_table(ctx, kind, labels=None):
         if kind == "entropy":
             values = _entropies(a, corr)
         else:
-            v, own = power(a, out=a), power(corr, out=corr)
+            v, own = np.square(a, out=a), np.square(corr, out=corr)
             if labels is None:
                 total = _leave_one_out(v) + own
             else:
                 idx = np.broadcast_to(labels[None, cols, None], (1,) + v.shape[1:])
                 np.put_along_axis(v, idx, np.take_along_axis(own, idx, axis=0), axis=0)
                 total = np.sum(v, axis=0)
-            values = np.sqrt(total) if kind == "l2" else total
+            values = np.sqrt(total)
         sums[cols] = np.sum(values, axis=-1).T
     return sums
 
 
-def _change_table(ctx, baseline, distance, labels=None):
-    """Reference-summed change norms, (n, C) over all labels or (n,) at ``labels``.
+def _change_table(ctx, baseline, labels=None):
+    """Reference-summed l2 change norms, (n, C) over all labels or (n,) at ``labels``.
 
     With the linearized baseline the change at reference point r is exactly
     gains[r] * shift, so the sum factorizes into the column sums of |gains|
@@ -211,7 +214,7 @@ def _change_table(ctx, baseline, distance, labels=None):
     linearized and raw current predictions.
     """
     if baseline == "raw":
-        return _label_table(ctx, distance, labels)
+        return _label_table(ctx, "l2", labels)
     if baseline != "linearized":
         raise ContractError(f"unknown baseline {baseline!r}")
     eye = np.eye(ctx.shift_base.shape[1])
@@ -219,10 +222,7 @@ def _change_table(ctx, baseline, distance, labels=None):
         shift = ctx.shift_base[:, None, :] - eye  # (n, C, C)
     else:
         shift = ctx.shift_base - eye[labels]
-    if distance == "l2":
-        shift_norms = np.linalg.norm(shift, axis=-1)
-    else:
-        shift_norms = np.sum(np.abs(shift), axis=-1)
+    shift_norms = np.linalg.norm(shift, axis=-1)
     abs_sums = _abs_column_sums(ctx.gains)
     return (abs_sums if labels is not None else abs_sums[:, None]) * shift_norms
 
@@ -239,50 +239,46 @@ def _pseudo_labels(ctx):
     return labels
 
 
-def mlmoc(state, candidates, reference_set=None, baseline="linearized"):
+def mlmoc(state, candidates, baseline="linearized"):
     """Most-likely model output change.
 
     Each candidate is scored with its most likely pseudo-label (argmax of
     the current network output): the summed l2 prediction change over the
-    reference set if that label were added. The reference set defaults to
-    the candidate batch itself. ``baseline`` picks what the change is
-    measured against: the current linearized predictions (default, so a
-    no-op augmentation scores exactly zero) or the raw network outputs.
+    candidate batch if that label were added. ``baseline`` picks what the
+    change is measured against: the current linearized predictions
+    (default, so a no-op augmentation scores exactly zero) or the raw
+    network outputs.
     """
-    return score_mlmoc(lookahead.lookahead_batch(state, candidates, reference_set), baseline)
+    return score_mlmoc(lookahead.lookahead_batch(state, candidates), baseline)
 
 
 def score_mlmoc(ctx, baseline="linearized"):
     """mlmoc scores of a LookaheadBatch."""
     labels = _pseudo_labels(ctx)
-    scores = _change_table(ctx, baseline, "l2", np.argmax(ctx.outputs, axis=1))
+    scores = _change_table(ctx, baseline, np.argmax(ctx.outputs, axis=1))
     scores = np.where(ctx.degenerate, 0.0, scores)
     return AcquisitionResult.from_scores(scores, labels, ctx.degenerate)
 
 
-def emoc(state, candidates, reference_set=None, distance="l2", baseline="linearized"):
+def emoc(state, candidates, baseline="linearized"):
     """Expected model output change over all hypothetical labels.
 
     The expectation weights each class label by the softmax of the current
     network output at the candidate; per-label changes are evaluated with
     the same block correction as mlmoc, all labels at once.
     """
-    return score_emoc(
-        lookahead.lookahead_batch(state, candidates, reference_set), distance, baseline
-    )
+    return score_emoc(lookahead.lookahead_batch(state, candidates), baseline)
 
 
-def score_emoc(ctx, distance="l2", baseline="linearized"):
+def score_emoc(ctx, baseline="linearized"):
     """emoc scores of a LookaheadBatch."""
-    if distance not in ("l2", "l1"):
-        raise ContractError(f"unknown distance {distance!r}")
-    table = _change_table(ctx, baseline, distance)
+    table = _change_table(ctx, baseline)
     scores = np.where(ctx.degenerate, 0.0, _expectation(softmax(ctx.outputs), table))
     return AcquisitionResult.from_scores(scores, _pseudo_labels(ctx), ctx.degenerate)
 
 
-def eer_lin(state, candidates, reference_set=None):
-    """Negative expected post-acquisition entropy over the reference set.
+def eer_lin(state, candidates):
+    """Negative expected post-acquisition entropy over the candidate batch.
 
     Look-ahead predictions are mapped to probabilities with a softmax at
     temperature 1; the score is minus the expected (over the candidate's
@@ -290,12 +286,12 @@ def eer_lin(state, candidates, reference_set=None):
     candidates leave the model unchanged, so they score the current
     entropy sum, negated.
     """
-    return score_eer_lin(lookahead.lookahead_batch(state, candidates, reference_set))
+    return score_eer_lin(lookahead.lookahead_batch(state, candidates))
 
 
 def score_eer_lin(ctx):
     """eer_lin scores of a LookaheadBatch."""
-    current_entropy = float(np.sum(entropy(softmax(ctx.ref_lin))))
+    current_entropy = float(np.sum(entropy(softmax(ctx.shift_base))))
     expected = _expectation(softmax(ctx.outputs), _label_table(ctx, "entropy"))
     scores = np.where(ctx.degenerate, -current_entropy, -expected)
     return AcquisitionResult.from_scores(scores, _pseudo_labels(ctx), ctx.degenerate)
@@ -359,27 +355,23 @@ def naive_sgd_oracle(params, labeled, candidate, retrain_cfg, reference_set):
     return np.atleast_2d(net.forward(retrained, reference_set))
 
 
-def naive_change_scores(params, labeled, candidates, retrain_cfg, reference_set):
+def naive_change_scores(params, labeled, candidates, retrain_cfg):
     """Most-likely-label change scores computed by actual SGD retraining.
 
     The retraining analogue of mlmoc: for each candidate, pseudo-label it
     with the network argmax, retrain a copy, and sum the l2 output change
-    over the reference set. With one epoch and a full-size minibatch this
-    is the single-gradient-step look-ahead baseline.
+    over the candidate batch. With one epoch and a full-size minibatch
+    this is the single-gradient-step look-ahead baseline.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
     if len(candidates) == 0:
         raise ContractError("candidate set is empty")
-    reference_set = np.atleast_2d(np.asarray(reference_set, dtype=np.float64))
-    base = np.atleast_2d(net.forward(params, reference_set))
     outputs = np.atleast_2d(net.forward(params, candidates))
     c = outputs.shape[1]
     labels = np.zeros((len(candidates), c))
     labels[np.arange(len(candidates)), np.argmax(outputs, axis=1)] = 1.0
     scores = np.zeros(len(candidates))
     for i, x_cand in enumerate(candidates):
-        after = naive_sgd_oracle(
-            params, labeled, (x_cand, labels[i]), retrain_cfg, reference_set
-        )
-        scores[i] = float(np.sum(np.linalg.norm(after - base, axis=1)))
+        after = naive_sgd_oracle(params, labeled, (x_cand, labels[i]), retrain_cfg, candidates)
+        scores[i] = float(np.sum(np.linalg.norm(after - outputs, axis=1)))
     return AcquisitionResult.from_scores(scores, labels)

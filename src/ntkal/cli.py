@@ -11,8 +11,7 @@ seed) and a JSON summary whose config echo is enough to reproduce the
 accuracy columns exactly; timing columns are machine-dependent.
 
 numpy and the model modules are imported lazily so that ``run --threads``
-(or the NTKAL_THREADS environment variable) can cap the BLAS thread pools
-before they initialize.
+can cap the BLAS thread pools before they initialize.
 """
 
 import argparse
@@ -28,8 +27,6 @@ __all__ = ["main", "cmd_run", "cmd_report", "load_run_spec"]
 
 def _apply_thread_cap(threads):
     if threads is None:
-        threads = os.environ.get("NTKAL_THREADS")
-    if threads in (None, ""):
         return
     threads = str(int(threads))
     for var in (

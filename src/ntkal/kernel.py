@@ -102,22 +102,16 @@ class KernelState:
     params: net.MlpParams
     inputs: np.ndarray  # (L, n_0)
     targets: np.ndarray  # (L, C) one-hot
-    net_outputs: np.ndarray  # (L, C) raw network outputs, frozen at build
-    residual: np.ndarray  # (L, C) targets - net_outputs
+    residual: np.ndarray  # (L, C) targets minus the network outputs at build
     gram: np.ndarray  # (L, L)
     factor: linalg.CholeskyFactor
     solved_residual: np.ndarray  # (L, C)
     kernel_fn: object = None  # None means the empirical kernel of params
     factor_cache: tuple = None  # factorized labeled-set gradients (empirical kernel only)
-    jitter_policy: linalg.JitterPolicy = linalg.DEFAULT_JITTER
 
     @property
     def labeled_count(self):
         return self.inputs.shape[0]
-
-    @property
-    def class_count(self):
-        return self.targets.shape[1]
 
     def kernel_rows(self, q):
         """Cross-kernel k(q, X), shape (len(q), L)."""
@@ -182,21 +176,18 @@ def build_state_xy(
     # Contracting G G^T can leave the Gram asymmetric at machine precision.
     gram = 0.5 * (gram + gram.T)
     factor = linalg.cholesky(gram, jitter_policy)
-    outputs = np.atleast_2d(net.forward(params, x))
-    residual = y - outputs
+    residual = y - np.atleast_2d(net.forward(params, x))
     solved = linalg.chol_solve(factor, residual)
     return KernelState(
         params=params,
         inputs=x,
         targets=y,
-        net_outputs=outputs,
         residual=residual,
         gram=gram,
         factor=factor,
         solved_residual=solved,
         kernel_fn=kernel_fn,
         factor_cache=cache,
-        jitter_policy=jitter_policy,
     )
 
 
@@ -239,6 +230,11 @@ def _erf_dual_diag(k):
     return ew, (4.0 / np.pi) / np.sqrt(1.0 + 4.0 * k)
 
 
+# Nonlinearities with closed-form Gaussian expectations: (dual, diagonal dual).
+_DUALS = {"relu": (_relu_dual, _relu_dual_diag), "erf": (_erf_dual, _erf_dual_diag)}
+INFINITE_NTK_NONLINEARITIES = tuple(_DUALS)
+
+
 def _coincident(a, b):
     """Index arrays (rows, cols) of the pairs where a[i] and b[j] are bitwise equal."""
     index = {}
@@ -255,20 +251,18 @@ def infinite_ntk_fc(config, a, b):
     starting from S1(x,y) = <x,y>/n_0 + beta^2, each layer maps S through
     the nonlinearity's Gaussian expectation E[s(u)s(v)] (plus beta^2) while
     the tangent kernel accumulates T_{l+1} = S_{l+1} + T_l * E[s'(u)s'(v)].
-    Only relu and erf have the closed-form expectations used here.
+    Only INFINITE_NTK_NONLINEARITIES have the closed-form expectations
+    used here.
 
     Identical rows of a and b take the values of the diagonal recursion,
     so k(x, x) does not depend on the batch it is evaluated in (the general
     recursion would recover it from a rounded angle).
     """
-    if config.nonlinearity == "relu":
-        dual, dual_diag = _relu_dual, _relu_dual_diag
-    elif config.nonlinearity == "erf":
-        dual, dual_diag = _erf_dual, _erf_dual_diag
-    else:
+    if config.nonlinearity not in INFINITE_NTK_NONLINEARITIES:
         raise UnsupportedActivationError(
             f"no closed-form wide-limit kernel for {config.nonlinearity!r}"
         )
+    dual, dual_diag = _DUALS[config.nonlinearity]
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] != config.input_dim or b.shape[1] != config.input_dim:

@@ -16,22 +16,20 @@ augmented prediction as the current one plus a rank-one correction:
 where L is the labeled Cholesky factor and u_c = k(c,c) + jitter - |W_c|^2
 is the Schur complement of the augmented jittered Gram, which is exactly
 the pivot ``augment_state`` adds. ``lookahead_batch`` evaluates this for a
-whole candidate batch against a reference set with one triangular solve
-and one rank-L product. The numerator is minus the posterior covariance
-Sigma(r, c) = k(r, c) - W_r^T W_c, and Sigma is formed in place in the
-kernel block k(r, c) by BLAS (dsyrk, at half the flops, when the
-reference set is the candidate set; dgemm otherwise), so that block is
-the only (m, n) array of a scoring pass: the scorers in ``acquire``
-reduce it in row or column chunks. ``augment_state`` uses the same block
-quantities to extend the Cholesky factor, so feeding true labels
-sequentially into the state costs one solve per point and is order
-independent.
+whole candidate batch, the candidates also being the reference points r,
+with one triangular solve and one symmetric rank-L product. The numerator
+is minus the posterior covariance Sigma(r, c) = k(r, c) - W_r^T W_c, formed
+in place in the (n, n) kernel block by BLAS dsyrk, so that block is the
+only (n, n) array of a scoring pass: the scorers in ``acquire`` reduce it
+in row or column chunks. ``augment_state`` uses the same block quantities
+to extend the Cholesky factor, so feeding true labels sequentially into
+the state costs one solve per point and is order independent.
 
-Once a candidate x* is really labeled, ``condition`` updates a batch
-whose reference set is its candidate set in O(n^2), instead of a fresh
-``lookahead_batch`` on the augmented state. With the unjittered cross term
-S(r, c) = k(r, c) - W_r^T W_c (so gain(r, c) = -S(r, c) / u_c) and
-s = S(., x*), the augmented system is a rank-one covariance downdate:
+Once a candidate x* is really labeled, ``condition`` updates the batch
+in O(n^2) instead of a fresh ``lookahead_batch`` on the augmented state.
+With the unjittered cross term S(r, c) = k(r, c) - W_r^T W_c (so
+gain(r, c) = -S(r, c) / u_c) and s = S(., x*), the augmented system is a
+rank-one covariance downdate:
 
     S'(r, c)       = S(r, c) - s_r s_c / u*
     schur'_c       = schur_c - s_c^2 / u*          (u'_c = schur'_c + jitter)
@@ -99,93 +97,66 @@ def _schur_rows(state, rows):
     return k_cl, self_k, w, schur, _degenerate(schur, self_k)
 
 
-def _transposed_operand(w):
-    """(a, trans) with op(a) = w^T, a Fortran-ordered view of w (BLAS copies no W)."""
-    return (w, 1) if w.flags.f_contiguous else (w.T, 0)
-
-
-def _covariance(block, w_r, w_c):
-    """Posterior covariance block - W_r^T W_c, formed in the (m, n) kernel block.
+def _covariance(block, w):
+    """Posterior covariance block - W^T W, formed in the (n, n) kernel block.
 
     BLAS updates the block through its transpose, a Fortran-ordered view,
-    so the returned array is the block itself. When ``w_r is w_c`` (the
-    reference set is the candidate set) the symmetric rank-L update dsyrk
-    does half the flops of dgemm but fills one triangle only, including
-    the diagonal blocks' own triangles; the other triangle is mirrored in
-    row chunks, so the result is exactly symmetric.
+    so the returned array is the block itself. The symmetric rank-L update
+    dsyrk fills one triangle only, including the diagonal blocks' own
+    triangles; the other triangle is mirrored in row chunks, so the result
+    is exactly symmetric.
     """
-    a, trans = _transposed_operand(w_c)
-    if w_r is w_c:
-        # The upper triangle of the Fortran view is the lower one of the block.
-        sigma = blas.dsyrk(-1.0, a, beta=1.0, c=block.T, trans=trans, overwrite_c=1).T
-        n = len(sigma)
-        for start in range(0, n, linalg.CHUNK_ROWS):
-            stop = start + linalg.CHUNK_ROWS
-            rows = slice(start, stop)
-            sigma[rows, stop:] = sigma[stop:, rows].T
-            diag = sigma[rows, rows]
-            diag[...] = np.tril(diag) + np.tril(diag, -1).T
-        return sigma
-    b, trans_b = _transposed_operand(w_r)
-    return blas.dgemm(
-        -1.0, a, b, beta=1.0, c=block.T, trans_a=trans, trans_b=1 - trans_b, overwrite_c=1
-    ).T
+    # op(a) = w^T from a Fortran-ordered view of w, so BLAS copies no W.
+    a, trans = (w, 1) if w.flags.f_contiguous else (w.T, 0)
+    # The upper triangle of the Fortran view is the lower one of the block.
+    sigma = blas.dsyrk(-1.0, a, beta=1.0, c=block.T, trans=trans, overwrite_c=1).T
+    n = len(sigma)
+    for start in range(0, n, linalg.CHUNK_ROWS):
+        stop = start + linalg.CHUNK_ROWS
+        rows = slice(start, stop)
+        sigma[rows, stop:] = sigma[stop:, rows].T
+        diag = sigma[rows, rows]
+        diag[...] = np.tril(diag) + np.tril(diag, -1).T
+    return sigma
 
 
 @dataclass(frozen=True)
 class LookaheadBatch:
-    """Block look-ahead of a candidate batch against a reference set.
+    """Block look-ahead of a candidate batch against itself.
 
-    Labeling candidate i with y changes the linearized predictions on the
-    reference set by ``outer(gains[:, i], shift_base[i] - y)``. Degenerate
+    Labeling candidate i with y changes the linearized predictions at the
+    candidates by ``outer(gains[:, i], shift_base[i] - y)``. Degenerate
     candidates have all-zero gain columns.
     """
 
     outputs: np.ndarray  # (n, C) raw network outputs at the candidates
     degenerate: np.ndarray  # (n,) bool
-    gains: np.ndarray  # (m, n) per-reference gains (W_r^T W_c - k(r,c)) / u_c
+    gains: np.ndarray  # (n, n) gains (W_r^T W_c - k(r,c)) / u_c, row r, column c
     shift_base: np.ndarray  # (n, C) current linearized predictions at the candidates
-    ref_lin: np.ndarray  # (m, C) current linearized predictions on the reference
-    ref_raw: np.ndarray  # (m, C) raw network outputs on the reference
     schur: np.ndarray  # (n,) unjittered Schur complements k(c,c) - |W_c|^2
     self_k: np.ndarray  # (n,) self-kernel values k(c, c)
     jitter: float  # the state's jitter; u = schur + jitter
-    same_set: bool  # whether the reference set is the candidate set
 
 
-def lookahead_batch(state, candidates, reference=None):
+def lookahead_batch(state, candidates):
     """Closed-form look-ahead for every candidate row; see LookaheadBatch.
 
-    ``reference`` defaults to the candidates themselves. Empty or
-    non-finite candidate and reference sets raise ContractError.
+    Empty or non-finite candidate sets raise ContractError.
     """
     cands = linalg.as_matrix(candidates)
     if len(cands) == 0:
         raise ContractError("candidate set is empty")
-    same_set = reference is None
-    ref = cands if same_set else linalg.as_matrix(reference)
-    if len(ref) == 0:
-        raise ContractError("reference set is empty")
-
     # The kernel block becomes the gains, -(k(r,c) - W_r^T W_c) / u, in
-    # place: the only (m, n) array of the pass. It is evaluated first, so
+    # place: the only (n, n) array of the pass. It is evaluated first, so
     # its factor passes and row chunks never coexist with the kernel rows.
-    gains = state.kernel_block(ref, cands)
-    k_cl, self_k, w_c, schur, degenerate = _schur_rows(state, cands)
+    gains = state.kernel_block(cands, cands)
+    k_cl, self_k, w, schur, degenerate = _schur_rows(state, cands)
     jitter = state.factor.jitter_applied
     u = schur + jitter
     outputs = np.atleast_2d(net.forward(state.params, cands))
     shift_base = outputs + k_cl @ state.solved_residual
     del k_cl
-    if same_set:
-        w_r, ref_raw, ref_lin = w_c, outputs, shift_base
-    else:
-        k_rl = state.kernel_rows(ref)
-        w_r = _forward_solve(state, k_rl)
-        ref_raw = np.atleast_2d(net.forward(state.params, ref))
-        ref_lin = ref_raw + k_rl @ state.solved_residual
-        del k_rl
-    gains = _covariance(gains, w_r, w_c)
+    gains = _covariance(gains, w)
     gains /= -np.where(degenerate, 1.0, u)
     gains[:, degenerate] = 0.0
     return LookaheadBatch(
@@ -193,12 +164,9 @@ def lookahead_batch(state, candidates, reference=None):
         degenerate=degenerate,
         gains=gains,
         shift_base=shift_base,
-        ref_lin=ref_lin,
-        ref_raw=ref_raw,
         schur=schur,
         self_k=self_k,
         jitter=jitter,
-        same_set=same_set,
     )
 
 
@@ -209,12 +177,9 @@ def condition(batch, i, y):
     ``augment_state(state, candidates[i], y)`` over the remaining candidates
     (see the module docstring), at O(n^2) cost and without evaluating the
     kernel. A degenerate pick leaves the state unchanged, so only its row
-    and column are dropped. Needs a batch whose reference set is its
-    candidate set and at least two candidates; raises ContractError
-    otherwise.
+    and column are dropped. Needs at least two candidates; raises
+    ContractError otherwise.
     """
-    if not batch.same_set:
-        raise ContractError("conditioning needs the candidates as reference set")
     n = len(batch.outputs)
     if not 0 <= i < n:
         raise ContractError(f"candidate index {i} out of range for {n} candidates")
@@ -239,15 +204,12 @@ def condition(batch, i, y):
         gains = blas.dger(1.0 / u[i], s / u_new, s, a=gains.T, overwrite_a=True).T
         gains[:, degenerate] = 0.0
         shift_base = shift_base + np.outer(column, batch.shift_base[i] - y)
-    outputs = batch.outputs[keep]
     return replace(
         batch,
-        outputs=outputs,
+        outputs=batch.outputs[keep],
         degenerate=degenerate,
         gains=gains,
         shift_base=shift_base,
-        ref_lin=shift_base,
-        ref_raw=outputs,
         schur=schur,
         self_k=batch.self_k[keep],
     )
@@ -293,7 +255,6 @@ def augment_state(state, x, y, f_val=None):
 
     inputs = np.vstack([state.inputs, x[None, :]])
     targets = np.vstack([state.targets, y[None, :]])
-    outputs = np.vstack([state.net_outputs, f_val[None, :]])
     # Extended like the Gram and the factor, not recomputed from targets.
     residual = np.vstack([state.residual, (y - f_val)[None, :]])
     solved = linalg.chol_solve(factor, residual)
@@ -310,12 +271,10 @@ def augment_state(state, x, y, f_val=None):
         params=state.params,
         inputs=inputs,
         targets=targets,
-        net_outputs=outputs,
         residual=residual,
         gram=gram,
         factor=factor,
         solved_residual=solved,
         kernel_fn=state.kernel_fn,
         factor_cache=cache,
-        jitter_policy=state.jitter_policy,
     )

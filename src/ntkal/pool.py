@@ -162,6 +162,19 @@ class RunConfig:
             raise ContractError("need subset_size >= query_batch_size >= 1")
         if self.cycles < 1:
             raise ContractError("cycles must be >= 1")
+        if self.naive_epochs < 0:
+            raise ContractError("naive_epochs must be >= 0")
+        if self.score_baseline not in acquire.BASELINES:
+            raise ContractError(
+                f"unknown score_baseline {self.score_baseline!r}; "
+                f"valid: {', '.join(acquire.BASELINES)}"
+            )
+        closed_form = kernel.INFINITE_NTK_NONLINEARITIES
+        if self.strategy == "mlmoc-inf" and self.mlp.nonlinearity not in closed_form:
+            raise ContractError(
+                f"mlmoc-inf needs nonlinearity {' or '.join(closed_form)}, "
+                f"got {self.mlp.nonlinearity!r}"
+            )
 
 
 def _mix(*parts):
@@ -226,16 +239,12 @@ def _score_candidates(strategy, state, params, labeled_ds, cand_inputs, cfg, cyc
         return acquire.random_score(_mix(cfg.seed, 2, cycle), len(cand_inputs))
     if strategy == "mlmoc-naive":
         retrain = replace(cfg.train, epochs=cfg.naive_epochs, warm_start=True)
-        return acquire.naive_change_scores(
-            params, labeled_ds, cand_inputs, retrain, cand_inputs
-        )
+        return acquire.naive_change_scores(params, labeled_ds, cand_inputs, retrain)
     if strategy == "mlmoc-1step":
         retrain = replace(
             cfg.train, epochs=1, minibatch_size=len(labeled_ds) + 1, warm_start=True
         )
-        return acquire.naive_change_scores(
-            params, labeled_ds, cand_inputs, retrain, cand_inputs
-        )
+        return acquire.naive_change_scores(params, labeled_ds, cand_inputs, retrain)
     raise ContractError(f"unknown strategy {strategy!r}")
 
 

@@ -22,12 +22,16 @@ def _problem(l_size=8, c=2, dim=2, seed=0, width=24):
 
 
 def _lookahead_after(state, xc, yc, q):
-    """Predictions at q after hypothetically labeling xc with yc (engine at n=1)."""
-    batch = lookahead.lookahead_batch(state, np.atleast_2d(xc), q)
-    return batch.ref_lin + np.outer(batch.gains[:, 0], batch.shift_base[0] - yc)
+    """Predictions at q after hypothetically labeling xc with yc.
+
+    The engine scores xc and the rows of q as one candidate batch, and
+    the rows of q are read from xc's gain column.
+    """
+    batch = lookahead.lookahead_batch(state, np.vstack([xc, q]))
+    return batch.shift_base[1:] + np.outer(batch.gains[1:, 0], batch.shift_base[0] - yc)
 
 
-def _brute_change_score(params, x, y, cand, label, reference, ord_=2):
+def _brute_change_score(params, x, y, cand, label, reference):
     """Direct augmented dense solve of the look-ahead change, per candidate."""
     gram = kernel.empirical_ntk(params, x, x)
     cross = kernel.empirical_ntk(params, reference, x)
@@ -39,9 +43,7 @@ def _brute_change_score(params, x, y, cand, label, reference, ord_=2):
     cross_aug = kernel.empirical_ntk(params, reference, x_aug)
     res_aug = y_aug - net.forward(params, x_aug)
     after = net.forward(params, reference) + cross_aug @ np.linalg.inv(gram_aug) @ res_aug
-    if ord_ == 2:
-        return float(np.sum(np.linalg.norm(after - base, axis=1)))
-    return float(np.sum(np.abs(after - base)))
+    return float(np.sum(np.linalg.norm(after - base, axis=1)))
 
 
 class TestMlmoc:
@@ -54,7 +56,7 @@ class TestMlmoc:
         x = np.array([[0.3, 0.8], [-0.5, 0.2]])
         state = kernel.build_state_xy(params, x, net.forward(params, x))
         cand = np.array([[1.0, 0.0]])  # f(cand) == (1, 0) == its pseudo-label
-        result = acquire.mlmoc(state, cand, reference_set=x)
+        result = acquire.mlmoc(state, cand)
         assert result.scores[0] == 0.0
 
     def test_matches_brute_force_toy(self):
@@ -65,14 +67,13 @@ class TestMlmoc:
         params = net.init(net.MlpConfig((2, 32, 2), seed=7))
         state = kernel.build_state_xy(params, x, y)
         cands = rng.standard_normal((3, 2))
-        ref = rng.standard_normal((6, 2))
-        result = acquire.mlmoc(state, cands, reference_set=ref)
+        result = acquire.mlmoc(state, cands)
         outs = net.forward(params, cands)
         brute = []
         for i in range(3):
             label = np.zeros(2)
             label[np.argmax(outs[i])] = 1.0
-            brute.append(_brute_change_score(params, x, y, cands[i], label, ref))
+            brute.append(_brute_change_score(params, x, y, cands[i], label, cands))
         brute = np.array(brute)
         np.testing.assert_allclose(result.scores, brute, rtol=1e-8)
         assert result.argmax_index == int(np.argmax(brute))
@@ -88,16 +89,14 @@ class TestMlmoc:
     def test_raw_baseline_measures_against_network_outputs(self):
         params, x, y, state = _problem(seed=5)
         rng = np.random.default_rng(6)
-        cands = rng.standard_normal((2, 2))
-        ref = rng.standard_normal((4, 2))
-        result = acquire.mlmoc(state, cands, reference_set=ref, baseline="raw")
+        cands = rng.standard_normal((4, 2))
+        result = acquire.mlmoc(state, cands, baseline="raw")
         outs = net.forward(params, cands)
-        raw_ref = net.forward(params, ref)
-        for i in range(2):
+        for i in range(4):
             label = np.zeros(2)
             label[np.argmax(outs[i])] = 1.0
-            after = _lookahead_after(state, cands[i], label, ref)
-            expected = float(np.sum(np.linalg.norm(after - raw_ref, axis=1)))
+            after = _lookahead_after(state, cands[i], label, cands)
+            expected = float(np.sum(np.linalg.norm(after - outs, axis=1)))
             assert abs(result.scores[i] - expected) < 1e-9 * max(expected, 1.0)
 
     def test_empty_candidates_rejected(self):
@@ -174,47 +173,29 @@ class TestEmoc:
         x = rng.standard_normal((6, 2))
         y = data.one_hot_encode(rng.integers(0, 2, 6), 2)
         state = kernel.build_state_xy(params, x, y)
-        cands = rng.standard_normal((3, 2))
-        ref = rng.standard_normal((5, 2))
-        result = acquire.emoc(state, cands, reference_set=ref)
-        for i in range(3):
+        cands = rng.standard_normal((5, 2))
+        result = acquire.emoc(state, cands)
+        for i in range(5):
             per_label = []
             for cls in range(2):
                 label = np.eye(2)[cls]
-                after = _lookahead_after(state, cands[i], label, ref)
-                base = lookahead.predict_lin(state, ref)
+                after = _lookahead_after(state, cands[i], label, cands)
+                base = lookahead.predict_lin(state, cands)
                 per_label.append(float(np.sum(np.linalg.norm(after - base, axis=1))))
             assert abs(result.scores[i] - np.mean(per_label)) < 1e-9
 
     def test_matches_brute_force_expectation(self):
         params, x, y, state = _problem(l_size=6, c=3, seed=12, width=20)
         rng = np.random.default_rng(13)
-        cands = rng.standard_normal((2, 2))
-        ref = rng.standard_normal((4, 2))
-        result = acquire.emoc(state, cands, reference_set=ref)
+        cands = rng.standard_normal((4, 2))
+        result = acquire.emoc(state, cands)
         outs = net.forward(params, cands)
         probs = acquire.softmax(outs)
-        for i in range(2):
+        for i in range(4):
             expected = 0.0
             for cls in range(3):
                 expected += probs[i, cls] * _brute_change_score(
-                    params, x, y, cands[i], np.eye(3)[cls], ref
-                )
-            assert abs(result.scores[i] - expected) < 1e-8 * max(expected, 1.0)
-
-    def test_l1_distance(self):
-        params, x, y, state = _problem(seed=14)
-        rng = np.random.default_rng(15)
-        cands = rng.standard_normal((2, 2))
-        ref = rng.standard_normal((3, 2))
-        result = acquire.emoc(state, cands, reference_set=ref, distance="l1")
-        outs = net.forward(params, cands)
-        probs = acquire.softmax(outs)
-        for i in range(2):
-            expected = 0.0
-            for cls in range(2):
-                expected += probs[i, cls] * _brute_change_score(
-                    params, x, y, cands[i], np.eye(2)[cls], ref, ord_=1
+                    params, x, y, cands[i], np.eye(3)[cls], cands
                 )
             assert abs(result.scores[i] - expected) < 1e-8 * max(expected, 1.0)
 
@@ -254,27 +235,24 @@ class TestChunkedScoring:
     """
 
     @staticmethod
-    def _batch(same_set=True):
+    def _batch():
         rng = np.random.default_rng(60)
         params = net.init(net.MlpConfig((4, 24, 3), seed=60))
         x = rng.standard_normal((20, 4))
         y = data.one_hot_encode(rng.integers(0, 3, 20), 3)
         state = kernel.build_state_xy(params, x, y)
         cands = np.vstack([rng.standard_normal((600, 4)), x[:2]])
-        ref = None if same_set else rng.standard_normal((530, 4))
-        return lookahead.lookahead_batch(state, cands, ref)
+        return lookahead.lookahead_batch(state, cands)
 
-    @pytest.mark.parametrize("same_set", [True, False])
-    @pytest.mark.parametrize("distance", ["l2", "l1"])
-    def test_emoc_matches_whole_array_formula(self, monkeypatch, distance, same_set):
+    def test_emoc_matches_whole_array_formula(self, monkeypatch):
         # A small byte budget splits the raw table into several chunks,
         # the last one partial.
-        monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 8 * 530 * 3 * 70)
-        batch = self._batch(same_set)
+        monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 8 * 602 * 3 * 70)
+        batch = self._batch()
         assert batch.degenerate[-2:].all()
         for baseline in ("linearized", "raw"):
-            want = oracles.emoc_scores(batch, distance, baseline)
-            got = acquire.score_emoc(batch, distance, baseline).scores
+            want = oracles.emoc_scores(batch, baseline)
+            got = acquire.score_emoc(batch, baseline).scores
             if baseline == "raw":
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
             else:
@@ -285,47 +263,46 @@ class TestChunkedScoring:
         monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 8 * 602 * 3 * 100)
         batch = self._batch()
         result = acquire.score_mlmoc(batch, baseline)
-        want = oracles.change_norms(batch, result.pseudo_labels, baseline, 2)
+        want = oracles.change_norms(batch, result.pseudo_labels, baseline)
         want[batch.degenerate] = 0.0
         if baseline == "raw":
             np.testing.assert_allclose(result.scores, want, rtol=1e-14, atol=0.0)
         else:
             np.testing.assert_allclose(result.scores, want, rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("same_set", [True, False])
-    def test_mlmoc_peak_memory_within_budget(self, same_set):
-        # Traced peak of one scoring pass, as a multiple of its gains matrix:
-        # the kernel block is the only (m, n) array.
-        rng = np.random.default_rng(61)
-        params = net.init(net.MlpConfig((32, 64, 3), seed=61))
+    @staticmethod
+    def _memory_problem(seed, candidates_only):
+        # 1,500 candidates, or 1,800 with 300 more stacked onto them.
+        rng = np.random.default_rng(seed)
+        params = net.init(net.MlpConfig((32, 64, 3), seed=seed))
         x = rng.standard_normal((200, 32))
         y = data.one_hot_encode(rng.integers(0, 3, 200), 3)
         state = kernel.build_state_xy(params, x, y)
         cands = rng.standard_normal((1500, 32))
-        ref = None if same_set else rng.standard_normal((1200, 32))
-        gains_bytes = 8 * len(cands) * (len(cands) if same_set else len(ref))
+        if not candidates_only:
+            cands = np.vstack([cands, rng.standard_normal((300, 32))])
+        return state, cands, 8 * len(cands) ** 2
+
+    @pytest.mark.parametrize("candidates_only", [True, False])
+    def test_mlmoc_peak_memory_within_budget(self, candidates_only):
+        # Traced peak of one scoring pass, as a multiple of its gains matrix:
+        # the kernel block is the only (n, n) array.
+        state, cands, gains_bytes = self._memory_problem(61, candidates_only)
         tracemalloc.start()
         try:
-            acquire.mlmoc(state, cands, ref)
+            acquire.mlmoc(state, cands)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.8 * gains_bytes
 
-    @pytest.mark.parametrize("same_set", [True, False])
+    @pytest.mark.parametrize("candidates_only", [True, False])
     @pytest.mark.parametrize("scorer", ["eer_lin", "emoc-raw"])
-    def test_table_scorers_peak_memory_within_budget(self, scorer, same_set):
+    def test_table_scorers_peak_memory_within_budget(self, scorer, candidates_only):
         # The whole call stays within the mlmoc budget; scoring the built
         # batch holds only a bounded number of chunk-sized temporaries,
-        # never a (C, m, n) tensor of the whole batch.
-        rng = np.random.default_rng(62)
-        params = net.init(net.MlpConfig((32, 64, 3), seed=62))
-        x = rng.standard_normal((200, 32))
-        y = data.one_hot_encode(rng.integers(0, 3, 200), 3)
-        state = kernel.build_state_xy(params, x, y)
-        cands = rng.standard_normal((1500, 32))
-        ref = None if same_set else rng.standard_normal((1200, 32))
-        gains_bytes = 8 * len(cands) * (len(cands) if same_set else len(ref))
+        # never a (C, n, n) tensor of the whole batch.
+        state, cands, gains_bytes = self._memory_problem(62, candidates_only)
         if scorer == "eer_lin":
             call, score = acquire.eer_lin, acquire.score_eer_lin
         else:
@@ -333,9 +310,9 @@ class TestChunkedScoring:
             score = partial(acquire.score_emoc, baseline="raw")
         tracemalloc.start()
         try:
-            call(state, cands, ref)
+            call(state, cands)
             peak = tracemalloc.get_traced_memory()[1]
-            batch = lookahead.lookahead_batch(state, cands, ref)
+            batch = lookahead.lookahead_batch(state, cands)
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             score(batch)
@@ -355,35 +332,35 @@ class TestPerLabelTables:
     """
 
     @staticmethod
-    def _batch(c=3, same_set=True):
+    def _batch(c=3, candidates_only=True):
+        # 92 candidates, or 169 with 77 more stacked onto them.
         rng = np.random.default_rng(70)
         params = net.init(net.MlpConfig((4, 24, c), seed=70))
         x = rng.standard_normal((20, 4))
         y = data.one_hot_encode(rng.integers(0, c, 20), c)
         state = kernel.build_state_xy(params, x, y)
         cands = np.vstack([x[:2], rng.standard_normal((90, 4))])
-        ref = None if same_set else rng.standard_normal((75, 4))
-        return lookahead.lookahead_batch(state, cands, ref)
+        if not candidates_only:
+            cands = np.vstack([cands, rng.standard_normal((77, 4))])
+        return lookahead.lookahead_batch(state, cands)
 
     @staticmethod
     def _assert_agree(batch):
         got = acquire.score_eer_lin(batch).scores
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, oracles.eer_lin_scores(batch), rtol=1e-12, atol=0.0)
-        for distance in ("l2", "l1"):
-            got = acquire.score_emoc(batch, distance, "raw").scores
-            want = oracles.emoc_scores(batch, distance, "raw")
-            assert np.all(np.isfinite(got))
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        got = acquire.score_emoc(batch, "raw").scores
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, oracles.emoc_scores(batch, "raw"), rtol=1e-12, atol=0.0)
         result = acquire.score_mlmoc(batch, "raw")
-        want = oracles.change_norms(batch, result.pseudo_labels, "raw", 2)
+        want = oracles.change_norms(batch, result.pseudo_labels, "raw")
         np.testing.assert_allclose(
             result.scores, np.where(batch.degenerate, 0.0, want), rtol=1e-12, atol=0.0
         )
 
-    @pytest.mark.parametrize("same_set", [True, False])
-    def test_matches_per_label_formulas(self, same_set):
-        self._assert_agree(self._batch(same_set=same_set))
+    @pytest.mark.parametrize("candidates_only", [True, False])
+    def test_matches_per_label_formulas(self, candidates_only):
+        self._assert_agree(self._batch(candidates_only=candidates_only))
 
     @pytest.mark.parametrize("scale", [1e2, -1e2, 1e3, -1e3, 1e4, -1e4])
     def test_large_gains(self, scale):
@@ -408,20 +385,20 @@ class TestPerLabelTables:
 
     def test_near_one_hot_logits(self):
         batch = self._batch()
-        fields = ("outputs", "shift_base", "ref_lin", "ref_raw")
-        batch = replace(batch, **{f: 40.0 * getattr(batch, f) for f in fields})
-        assert np.median(1.0 - acquire.softmax(batch.ref_lin).max(axis=1)) < 1e-8
+        batch = replace(batch, outputs=40.0 * batch.outputs, shift_base=40.0 * batch.shift_base)
+        assert np.median(1.0 - acquire.softmax(batch.shift_base).max(axis=1)) < 1e-8
         self._assert_agree(batch)
 
     def test_tied_maxima(self):
         # Classes 1 and 2 carry equal logits everywhere, so wherever one
         # holds the maximum the other ties with it.
         batch = self._batch()
-        fields = ("outputs", "shift_base", "ref_lin", "ref_raw")
         batch = replace(
-            batch, **{f: getattr(batch, f)[:, [0, 1, 1]].copy() for f in fields}
+            batch,
+            outputs=batch.outputs[:, [0, 1, 1]].copy(),
+            shift_base=batch.shift_base[:, [0, 1, 1]].copy(),
         )
-        a = batch.ref_lin[:, None, :] + batch.gains[:, :, None] * batch.shift_base[None]
+        a = batch.shift_base[:, None, :] + batch.gains[:, :, None] * batch.shift_base[None]
         assert np.any(np.argmax(a, axis=2) == 1)
         self._assert_agree(batch)
 
@@ -435,16 +412,16 @@ class TestPerLabelTables:
     def test_degenerate_columns(self):
         batch = self._batch()
         assert batch.degenerate[:2].all() and not batch.degenerate[2:].any()
-        current = float(np.sum(acquire.entropy(acquire.softmax(batch.ref_lin))))
+        current = float(np.sum(acquire.entropy(acquire.softmax(batch.shift_base))))
         assert np.all(acquire.score_eer_lin(batch).scores[:2] == -current)
         assert np.all(acquire.score_emoc(batch, baseline="raw").scores[:2] == 0.0)
         self._assert_agree(batch)
 
-    @pytest.mark.parametrize("same_set", [True, False])
-    def test_several_chunks(self, monkeypatch, same_set):
-        # Seven candidate columns per chunk: 92 candidates leave a partial
-        # last chunk of one column.
-        batch = self._batch(same_set=same_set)
+    @pytest.mark.parametrize("candidates_only", [True, False])
+    def test_several_chunks(self, monkeypatch, candidates_only):
+        # Seven candidate columns per chunk: 92 or 169 candidates leave a
+        # partial last chunk of one column.
+        batch = self._batch(candidates_only=candidates_only)
         m, n = batch.gains.shape
         monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 8 * m * 3 * 7)
         assert n % 7 == 1
@@ -453,8 +430,8 @@ class TestPerLabelTables:
 
 class TestEer:
     def _three_point_kernel_state(self):
-        # Hand kernel over ids 0 (labeled), 1 (candidate), 2 (reference)
-        # chosen so the reference gain is exactly zero: k(r,x') = k(r,X) v.
+        # Hand kernel over ids 0 (labeled) and 1, 2 (candidates) chosen so
+        # neither candidate moves the other: k(2,1) = k(2,0) k(0,0)^-1 k(0,1).
         table = {
             (0, 0): 2.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 3.0,
             (0, 2): 1.0, (2, 0): 1.0, (1, 2): 0.5, (2, 1): 0.5, (2, 2): 2.0,
@@ -476,42 +453,39 @@ class TestEer:
         return state
 
     def test_unmoved_uniform_probabilities_give_ln2(self):
-        # Outputs stay (0, 0) on the reference under every hypothetical
-        # label, so the entropy sum is ln 2 and the score is its negative.
+        # Labeling either candidate moves only its own prediction, from
+        # (0, 0) onto the label; the other one stays at (0, 0) and adds
+        # ln 2 to the entropy sum under every hypothetical label.
         state = self._three_point_kernel_state()
-        result = acquire.eer_lin(
-            state, np.array([[1.0]]), reference_set=np.array([[2.0]])
-        )
-        assert abs(result.scores[0] - (-LN2)) < 1e-12
+        result = acquire.eer_lin(state, np.array([[1.0], [2.0]]))
+        own = float(acquire.entropy(acquire.softmax(np.array([1.0, 0.0]))))
+        np.testing.assert_allclose(result.scores, -(LN2 + own), rtol=0.0, atol=1e-12)
 
     def test_degenerate_scores_current_entropy(self):
         params, x, y, state = _problem(seed=18)
-        ref = np.random.default_rng(19).standard_normal((5, 2))
-        result = acquire.eer_lin(state, x[:1], reference_set=ref)
+        cands = np.vstack([x[:1], np.random.default_rng(19).standard_normal((5, 2))])
+        result = acquire.eer_lin(state, cands)
         assert result.degenerate_flags[0]
-        current = lookahead.predict_lin(state, ref)
+        current = lookahead.predict_lin(state, cands)
         expected = -float(np.sum(acquire.entropy(acquire.softmax(current))))
         assert abs(result.scores[0] - expected) < 1e-12
 
     def test_matches_brute_force(self):
         params, x, y, state = _problem(l_size=6, c=2, seed=20)
         rng = np.random.default_rng(21)
-        cands = rng.standard_normal((3, 2))
-        ref = rng.standard_normal((4, 2))
-        result = acquire.eer_lin(state, cands, reference_set=ref)
+        cands = rng.standard_normal((4, 2))
+        result = acquire.eer_lin(state, cands)
         outs = net.forward(params, cands)
         probs = acquire.softmax(outs)
-        gram = kernel.empirical_ntk(params, x, x)
-        residual = y - net.forward(params, x)
-        for i in range(3):
+        for i in range(4):
             expected = 0.0
             for cls in range(2):
                 x_aug = np.vstack([x, cands[i]])
                 y_aug = np.vstack([y, np.eye(2)[cls]])
                 gram_aug = kernel.empirical_ntk(params, x_aug, x_aug)
-                cross_aug = kernel.empirical_ntk(params, ref, x_aug)
+                cross_aug = kernel.empirical_ntk(params, cands, x_aug)
                 res_aug = y_aug - net.forward(params, x_aug)
-                after = net.forward(params, ref) + cross_aug @ np.linalg.solve(
+                after = outs + cross_aug @ np.linalg.solve(
                     gram_aug, res_aug
                 )
                 ent = float(np.sum(acquire.entropy(acquire.softmax(after))))
@@ -610,8 +584,8 @@ class TestNaiveOracle:
         labeled = data.make_dataset(x, np.argmax(y, axis=1), 2)
         cands = np.random.default_rng(28).standard_normal((3, 2))
         cfg = net.TrainConfig(learning_rate=0.01, epochs=2, minibatch_size=4, shuffle_seed=1)
-        a = acquire.naive_change_scores(params, labeled, cands, cfg, cands)
-        b = acquire.naive_change_scores(params, labeled, cands, cfg, cands)
+        a = acquire.naive_change_scores(params, labeled, cands, cfg)
+        b = acquire.naive_change_scores(params, labeled, cands, cfg)
         assert a.scores.shape == (3,)
         assert np.array_equal(a.scores, b.scores)
         assert np.all(a.scores >= 0.0)
@@ -647,11 +621,7 @@ class TestConditionedBatch:
     @staticmethod
     def _all_scores(batch):
         results = [acquire.score_mlmoc(batch), acquire.score_mlmoc(batch, baseline="raw")]
-        results += [
-            acquire.score_emoc(batch, distance, baseline)
-            for distance in ("l2", "l1")
-            for baseline in ("linearized", "raw")
-        ]
+        results += [acquire.score_emoc(batch, baseline) for baseline in acquire.BASELINES]
         results.append(acquire.score_eer_lin(batch))
         return results
 

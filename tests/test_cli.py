@@ -1,9 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ntkal import cli
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL_CONFIG = """
 [run]
@@ -83,6 +87,43 @@ class TestConfigParsing:
             cli.load_run_spec(path)
 
 
+def _readme_tables():
+    """{section: {key: required}} from the README's config key tables."""
+    text = README.read_text()
+    tables = {}
+    for section, body in re.findall(r"^### `\[(\w+)\]`\n(.*?)(?=^#|\Z)", text, re.M | re.S):
+        rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| ([^|]+) \|", body, re.M)
+        tables[section] = {key: default.strip() == "*required*" for key, default in rows}
+    return tables
+
+
+class TestReadmeGrammar:
+    def test_tables_list_the_keys_the_loader_reads(self, tmp_path):
+        tables = _readme_tables()
+        assert sorted(tables) == ["data", "mlp", "run", "train"]
+        values = {"strategy": "mlmoc", "kind": "spirals"}
+
+        def write(skip=None):
+            lines = []
+            for section, keys in tables.items():
+                lines.append(f"[{section}]")
+                lines += [
+                    f"{key} = {values.get(key, 1)}"
+                    for key, required in keys.items()
+                    if required and (section, key) != skip
+                ]
+            path = tmp_path / "required.cfg"
+            path.write_text("\n".join(lines) + "\n")
+            return path
+
+        spec = cli.load_run_spec(write())  # optional keys may all be left out
+        assert {s: sorted(spec[s]) for s in spec} == {s: sorted(k) for s, k in tables.items()}
+        for section, keys in tables.items():
+            for key in (k for k, required in keys.items() if required):
+                with pytest.raises(cli.ConfigError, match=f"missing required key '{key}'"):
+                    cli.load_run_spec(write(skip=(section, key)))
+
+
 class TestCmdRun:
     def test_minimal_run_row_count(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -105,6 +146,23 @@ class TestCmdRun:
         assert cli.cmd_run(cfg, out_dir=tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert "mlmoc" in err and "entropy" in err and "random" in err
+
+    @pytest.mark.parametrize(
+        "strategy, old, new",
+        [
+            ("mlmoc", "seeds = 0", "seeds = 0\nscore_baseline = rwa"),
+            ("eer", "seeds = 0", "seeds = 0\nscore_baseline = rwa"),
+            ("mlmoc-naive", "seeds = 0", "seeds = 0\nnaive_epochs = -1"),
+            ("mlmoc-inf", "nonlinearity = relu", "nonlinearity = identity"),
+        ],
+        ids=["unknown-baseline", "eer-unknown-baseline", "negative-naive-epochs", "inf-identity"],
+    )
+    def test_invalid_run_values_exit_2_and_write_nothing(self, tmp_path, capsys, strategy, old, new):
+        cfg = _write_config(tmp_path, strategy=strategy)
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert cli.cmd_run(cfg, out_dir=tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+        assert "config error" in capsys.readouterr().err
 
     def test_rerun_is_identical_modulo_timing(self, tmp_path):
         cfg = _write_config(tmp_path, strategy="mlmoc", seeds="0 1")

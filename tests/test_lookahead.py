@@ -80,9 +80,13 @@ def _hand_kernel_state():
 
 
 def _lookahead_after(state, xc, yc, q):
-    """Predictions at q after hypothetically labeling xc with yc (engine at n=1)."""
-    batch = lookahead.lookahead_batch(state, xc[None, :], q)
-    return batch.ref_lin + np.outer(batch.gains[:, 0], batch.shift_base[0] - yc)
+    """Predictions at q after hypothetically labeling xc with yc.
+
+    The engine scores xc and the rows of q as one candidate batch, and
+    the rows of q are read from xc's gain column.
+    """
+    batch = lookahead.lookahead_batch(state, np.vstack([xc, q]))
+    return batch.shift_base[1:] + np.outer(batch.gains[1:, 0], batch.shift_base[0] - yc)
 
 
 class TestPrepareCandidate:
@@ -92,17 +96,17 @@ class TestPrepareCandidate:
         # 2x2 block inverse by hand: v = 1/2, u = 3 - 1*(1/2)*1 = 2.5, so the
         # gains (k(q,a) v - k(q,b)) / u at q = a, b, r are 0, -1 and -0.6,
         # and the shift base is the current prediction k(b,a) K^{-1} y_a = 1/2.
+        # Candidate a is the labeled point itself, so it is degenerate.
         state = _hand_kernel_state()
-        ref = np.array([[0.0], [1.0], [2.0]])
-        batch = lookahead.lookahead_batch(state, np.array([[1.0]]), ref)
-        np.testing.assert_allclose(batch.gains[:, 0], [0.0, -1.0, -0.6], atol=1e-12)
-        np.testing.assert_allclose(batch.shift_base, [[0.5]], atol=1e-12)
-        assert not batch.degenerate[0]
+        batch = lookahead.lookahead_batch(state, np.array([[0.0], [1.0], [2.0]]))
+        np.testing.assert_allclose(batch.gains[:, 1], [0.0, -1.0, -0.6], atol=1e-12)
+        np.testing.assert_allclose(batch.shift_base[1], [0.5], atol=1e-12)
+        assert batch.degenerate.tolist() == [True, False, False]
         # Cross-checked against a direct inversion oracle of the augmented Gram.
         aug = np.array([[2.0, 1.0], [1.0, 3.0]])
         k_ref = np.array([[2.0, 1.0], [1.0, 3.0], [1.0, 2.0]])
         oracle = k_ref @ np.linalg.solve(aug, np.array([[1.0], [1.0]]))
-        after = batch.ref_lin + np.outer(batch.gains[:, 0], batch.shift_base[0] - 1.0)
+        after = batch.shift_base + np.outer(batch.gains[:, 1], batch.shift_base[1] - 1.0)
         np.testing.assert_allclose(after, oracle, atol=1e-12)
 
     def test_duplicate_labeled_point_degenerate(self):
@@ -128,11 +132,9 @@ class TestPrepareCandidate:
         state = kernel.build_state_xy(
             params, np.array([[0.0]]), np.array([[1.0]]), kernel_fn=kernel_fn
         )
-        batch = lookahead.lookahead_batch(
-            state, np.array([[1.0]]), np.array([[0.0], [1.0]])
-        )
-        np.testing.assert_allclose(batch.gains[:, 0], [0.0, -1.0], atol=1e-12)
-        np.testing.assert_allclose(batch.shift_base, [[0.0]], atol=1e-12)
+        batch = lookahead.lookahead_batch(state, np.array([[0.0], [1.0]]))
+        np.testing.assert_allclose(batch.gains[:, 1], [0.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(batch.shift_base[1], [0.0], atol=1e-12)
 
     def test_schur_identity(self):
         # Gains equal (k(q,X) K^{-1} k(X,c) - k(q,c)) / (k(c,c) - k(c,X) K^{-1} k(X,c)).
@@ -140,8 +142,8 @@ class TestPrepareCandidate:
         assert state.factor.jitter_applied == 0.0
         rng = np.random.default_rng(11)
         xc = rng.standard_normal((1, 3))
-        q = rng.standard_normal((5, 3))
-        batch = lookahead.lookahead_batch(state, xc, q)
+        q = np.vstack([xc, rng.standard_normal((5, 3))])
+        batch = lookahead.lookahead_batch(state, q)
         gram = kernel.empirical_ntk(params, x)
         col = kernel.empirical_ntk(params, x, xc)[:, 0]
         v = np.linalg.solve(gram, col)
@@ -157,10 +159,11 @@ class TestLookaheadPredict:
         y = np.atleast_2d(net.forward(params, x))
         state = kernel.build_state_xy(params, x, y)
         xc = np.random.default_rng(13).standard_normal(3)
-        yc = np.atleast_2d(net.forward(params, xc[None, :]))[0]  # zero residual too
         q = np.random.default_rng(14).standard_normal((5, 3))
-        pred = _lookahead_after(state, xc, yc, q)
-        assert np.array_equal(pred, lookahead.predict_lin(state, q))
+        batch = lookahead.lookahead_batch(state, np.vstack([xc, q]))
+        yc = batch.outputs[0]  # zero residual too
+        pred = batch.shift_base + np.outer(batch.gains[:, 0], batch.shift_base[0] - yc)
+        assert np.array_equal(pred, batch.outputs)
 
     def test_matches_direct_augmented_solve(self):
         params, x, y, state = _problem(l_size=30, c=3, seed=15)
@@ -187,7 +190,7 @@ class TestLookaheadPredict:
         # A degenerate candidate is flagged, its look-ahead change is exactly
         # zero, and augment_state refuses it.
         params, x, y, state = _problem(seed=19)
-        batch = lookahead.lookahead_batch(state, x[:1], x)
+        batch = lookahead.lookahead_batch(state, x)
         assert batch.degenerate[0]
         assert not np.any(batch.gains)
         with pytest.raises(DegenerateCandidateError):
@@ -196,47 +199,35 @@ class TestLookaheadPredict:
 
 class TestLookaheadBatch:
     def test_columns_match_single_candidate_runs(self):
+        # Column i of a batch, on the rows it shares with a batch of
+        # candidate i and the same six other points.
         params, x, y, state = _problem(l_size=20, c=3, seed=36)
         rng = np.random.default_rng(37)
         cands = np.vstack([rng.standard_normal((4, 3)), x[:1]])
-        ref = rng.standard_normal((6, 3))
-        batch = lookahead.lookahead_batch(state, cands, ref)
+        others = rng.standard_normal((6, 3))
+        batch = lookahead.lookahead_batch(state, np.vstack([cands, others]))
         for i in range(len(cands)):
-            one = lookahead.lookahead_batch(state, cands[i : i + 1], ref)
+            one = lookahead.lookahead_batch(state, np.vstack([cands[i], others]))
+            shared = [i, *range(len(cands), len(batch.gains))]
             np.testing.assert_allclose(
-                one.gains[:, 0], batch.gains[:, i], rtol=1e-12, atol=1e-14
+                one.gains[:, 0], batch.gains[shared, i], rtol=1e-12, atol=1e-14
             )
             np.testing.assert_allclose(
                 one.shift_base[0], batch.shift_base[i], rtol=1e-12, atol=1e-12
             )
             assert one.degenerate[0] == batch.degenerate[i]
 
-    def test_reference_defaults_to_candidates(self):
-        params, x, y, state = _problem(seed=38)
-        cands = np.random.default_rng(39).standard_normal((4, 3))
-        own = lookahead.lookahead_batch(state, cands)
-        explicit = lookahead.lookahead_batch(state, cands, cands.copy())
-        np.testing.assert_allclose(own.gains, explicit.gains, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(own.ref_lin, explicit.ref_lin, rtol=1e-12)
-
-    @pytest.mark.parametrize("where", ["candidates", "reference"])
-    def test_non_finite_rows_rejected(self, where):
+    def test_non_finite_rows_rejected(self):
         _, _, _, state = _problem(seed=40)
-        good = np.random.default_rng(41).standard_normal((3, 3))
-        bad = good.copy()
+        bad = np.random.default_rng(41).standard_normal((3, 3))
         bad[1, 2] = np.nan
         with pytest.raises(ContractError):
-            if where == "candidates":
-                lookahead.lookahead_batch(state, bad, good)
-            else:
-                lookahead.lookahead_batch(state, good, bad)
+            lookahead.lookahead_batch(state, bad)
 
     def test_empty_sets_rejected(self):
         _, _, _, state = _problem()
         with pytest.raises(ContractError):
             lookahead.lookahead_batch(state, np.zeros((0, 3)))
-        with pytest.raises(ContractError):
-            lookahead.lookahead_batch(state, np.ones((1, 3)), np.zeros((0, 3)))
 
 
 class TestCovarianceInPlace:
@@ -254,61 +245,61 @@ class TestCovarianceInPlace:
         return params, x, state, rng
 
     @staticmethod
-    def _dense_gains(params, x, state, cands, ref):
-        w_c = np.linalg.solve(state.factor.lower, kernel.empirical_ntk(params, x, cands))
-        w_r = np.linalg.solve(state.factor.lower, kernel.empirical_ntk(params, x, ref))
-        sigma = kernel.empirical_ntk(params, ref, cands) - w_r.T @ w_c
-        u = state.kernel_diag(cands) - np.sum(w_c * w_c, axis=0) + state.factor.jitter_applied
+    def _dense_gains(params, x, state, cands):
+        w = np.linalg.solve(state.factor.lower, kernel.empirical_ntk(params, x, cands))
+        sigma = kernel.empirical_ntk(params, cands, cands) - w.T @ w
+        u = state.kernel_diag(cands) - np.sum(w * w, axis=0) + state.factor.jitter_applied
         return -sigma / u
 
-    @pytest.mark.parametrize("jittered", [False, True])
-    @pytest.mark.parametrize("same_set", [True, False])
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
-    def test_gains_match_dense_formula(self, n, same_set, jittered):
-        params, x, state, rng = self._state(jittered)
+    @staticmethod
+    def _candidates(rng, n, candidates_only, extra=300):
+        """n candidate rows, or n + extra with more rows stacked onto them."""
         cands = rng.standard_normal((n, 4))
-        ref = cands if same_set else rng.standard_normal((300, 4))
-        batch = lookahead.lookahead_batch(state, cands, None if same_set else ref)
+        return cands if candidates_only else np.vstack([cands, rng.standard_normal((extra, 4))])
+
+    @pytest.mark.parametrize("jittered", [False, True])
+    @pytest.mark.parametrize("candidates_only", [True, False])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_gains_match_dense_formula(self, n, candidates_only, jittered):
+        params, x, state, rng = self._state(jittered)
+        cands = self._candidates(rng, n, candidates_only)
+        batch = lookahead.lookahead_batch(state, cands)
         assert not np.any(batch.degenerate)
-        want = self._dense_gains(params, x, state, cands, ref)
+        want = self._dense_gains(params, x, state, cands)
         np.testing.assert_allclose(batch.gains, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("same_set", [True, False])
-    def test_degenerate_columns_are_zero(self, same_set):
+    @pytest.mark.parametrize("candidates_only", [True, False])
+    def test_degenerate_columns_are_zero(self, candidates_only):
         params, x, y, state = _problem(l_size=15, seed=51)
         rng = np.random.default_rng(52)
-        cands = np.vstack([rng.standard_normal((300, 3)), x[:3]])
-        ref = None if same_set else rng.standard_normal((280, 3))
-        batch = lookahead.lookahead_batch(state, cands, ref)
-        assert np.flatnonzero(batch.degenerate).tolist() == [300, 301, 302]
-        assert not np.any(batch.gains[:, 300:])
-        assert np.all(np.any(batch.gains[:, :300], axis=0))
+        rows = [rng.standard_normal((300, 3))]
+        if not candidates_only:
+            rows.append(rng.standard_normal((280, 3)))
+        cands = np.vstack(rows + [x[:3]])
+        batch = lookahead.lookahead_batch(state, cands)
+        n = len(cands) - 3
+        assert np.flatnonzero(batch.degenerate).tolist() == [n, n + 1, n + 2]
+        assert not np.any(batch.gains[:, n:])
+        assert np.all(np.any(batch.gains[:, :n], axis=0))
 
     @pytest.mark.parametrize("order", ["F", "C"])
-    @pytest.mark.parametrize("same_set", [True, False])
+    @pytest.mark.parametrize("candidates_only", [True, False])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
-    def test_covariance_is_formed_in_the_block(self, n, same_set, order):
+    def test_covariance_is_formed_in_the_block(self, n, candidates_only, order):
         # dsyrk fills one triangle, diagonal blocks included; the mirror must
         # complete every block, exactly. W may come in either memory order.
         params, x, state, rng = self._state(False)
-        cands = rng.standard_normal((n, 4))
-        ref = cands if same_set else rng.standard_normal((300, 4))
-        w_c, w_r = (
-            np.asarray(lookahead._forward_solve(state, state.kernel_rows(rows)), order=order)
-            for rows in (cands, ref)
-        )
-        if same_set:
-            w_r = w_c
-        block = state.kernel_block(ref, cands)
-        want = block - w_r.T @ w_c
-        sigma = lookahead._covariance(block, w_r, w_c)
+        cands = self._candidates(rng, n, candidates_only)
+        w = np.asarray(lookahead._forward_solve(state, state.kernel_rows(cands)), order=order)
+        block = state.kernel_block(cands, cands)
+        want = block - w.T @ w
+        sigma = lookahead._covariance(block, w)
         assert np.shares_memory(sigma, block)
-        if same_set:
-            np.testing.assert_array_equal(sigma, sigma.T)
+        np.testing.assert_array_equal(sigma, sigma.T)
         np.testing.assert_allclose(sigma, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("same_set", [True, False])
-    def test_gains_are_the_kernel_block(self, monkeypatch, same_set):
+    @pytest.mark.parametrize("candidates_only", [True, False])
+    def test_gains_are_the_kernel_block(self, monkeypatch, candidates_only):
         blocks = []
         original = kernel.KernelState.kernel_block
 
@@ -318,10 +309,7 @@ class TestCovarianceInPlace:
 
         monkeypatch.setattr(kernel.KernelState, "kernel_block", recording)
         _, _, state, rng = self._state(False)
-        cands = rng.standard_normal((300, 4))
-        batch = lookahead.lookahead_batch(
-            state, cands, None if same_set else rng.standard_normal((270, 4))
-        )
+        batch = lookahead.lookahead_batch(state, self._candidates(rng, 300, candidates_only, 270))
         assert len(blocks) == 1
         assert np.shares_memory(batch.gains, blocks[0])
 
@@ -341,15 +329,6 @@ class TestCovarianceInPlace:
 
 
 class TestCondition:
-    def test_separate_reference_rejected(self):
-        _, _, _, state = _problem(seed=42)
-        rng = np.random.default_rng(43)
-        batch = lookahead.lookahead_batch(
-            state, rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
-        )
-        with pytest.raises(ContractError):
-            lookahead.condition(batch, 0, np.array([1.0, 0.0]))
-
     def test_index_out_of_range_rejected(self):
         _, _, _, state = _problem(seed=44)
         batch = lookahead.lookahead_batch(state, np.random.default_rng(45).standard_normal((3, 3)))
@@ -367,8 +346,6 @@ class TestCondition:
         np.testing.assert_array_equal(after.gains, batch.gains[np.ix_(keep, keep)])
         for name in ("outputs", "degenerate", "shift_base", "schur", "self_k"):
             np.testing.assert_array_equal(getattr(after, name), getattr(batch, name)[keep])
-        np.testing.assert_array_equal(after.ref_lin, after.shift_base)
-        np.testing.assert_array_equal(after.ref_raw, after.outputs)
 
     def test_conditions_down_to_the_last_candidate(self):
         params, x, y, state = _problem(seed=48)
