@@ -21,7 +21,7 @@ O(C) sums over a plus one corrected entry per label: an (n, C) table
 at O(m n C) cost, built over chunks of candidate columns small enough
 to stay in cache. mlmoc reads only its pseudo-label. With the
 linearized baseline the change norm factorizes into the column sums of
-|gains| times the norm of the label shift.
+|gains|, streamed without an n x n array, times the label shift's norm.
 
 Myopic baselines (entropy, margin, random) and a naive oracle that
 really retrains with SGD round out the comparison suite.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
-from . import linalg, lookahead, net
+from . import lookahead, net
 from .errors import ContractError
 
 __all__ = [
@@ -94,22 +94,6 @@ BASELINES = ("linearized", "raw")
 _TABLE_CHUNK_BYTES = 128 << 10
 
 
-def _abs_column_sums(gains):
-    """sum(|gains|, axis=0), one row chunk of |gains| at a time.
-
-    Each chunk is reduced together with the running sum as its first row,
-    so the rows are added in the same order as by one reduction over the
-    whole array and the result is bitwise the same.
-    """
-    m, n = gains.shape
-    buf = np.zeros((min(m, linalg.CHUNK_ROWS) + 1, n))
-    for start in range(0, m, linalg.CHUNK_ROWS):
-        chunk = gains[start : start + linalg.CHUNK_ROWS]
-        np.abs(chunk, out=buf[1 : len(chunk) + 1])
-        buf[0] = np.sum(buf[: len(chunk) + 1], axis=0)
-    return buf[0].copy()
-
-
 def _leave_one_out(v):
     """sum(v, axis=0) - v for nonnegative v, without cancellation.
 
@@ -128,11 +112,14 @@ def _entropies(a, corr):
     """Softmax entropy along axis 0 of a with entry l replaced by corr[l], per l.
 
     With A = sum exp(x_j - M) and B = sum exp(x_j - M) (x_j - M) over the
-    entries x of one label's logits, for any shift M, the entropy is
-    log A - B / A. For label l the sums over the other entries are taken
-    relative to their own maximum (the runner-up when l holds the maximum,
-    the maximum otherwise), so they never underflow to zero, and are then
-    combined with the corrected entry under M = max(that maximum, corr[l]).
+    entries x of one label's logits and M their maximum, the entropy is
+    log A - B / A. A = 1 + R with R the terms other than the maximum's, so
+    log1p(R) - B / A adds two nonnegative terms and stays accurate when a
+    saturated softmax puts R far below one ulp of 1. For label l the sums
+    over the other entries are taken relative to their own maximum (the
+    runner-up when l holds the maximum, the maximum otherwise), so they
+    never underflow to zero, and are then combined with the corrected
+    entry under M = max(that maximum, corr[l]).
     """
     top1 = np.max(a, axis=0)
     top = a == top1
@@ -144,23 +131,25 @@ def _entropies(a, corr):
     x = np.exp(rest)  # exp(a_j - top2), zero at the maxima
     np.copyto(rest, 0.0, where=top)
     xd = x * rest
-    sx = np.sum(x, axis=0)
+    ones = x == 1.0  # the runners-up
+    n_ones = np.sum(ones, axis=0)
+    small = np.sum(np.where(ones, 0.0, x), axis=0)  # the other terms below the maximum
     sxd = np.sum(xd, axis=0)
     delta = top1 - top2
     ratio = np.exp(-delta)
-    # Sums over the entries other than l, relative to their maximum.
-    below = sx - x  # over the entries below the maximum, other than l
-    others = np.where(top, (count - 1) + sx, count + ratio * below)
+    # The sum over the entries other than l, relative to their maximum,
+    # less that maximum's term 1; runners-up enter as counts, exactly.
+    below = np.where(ones, (n_ones - 1) + small, n_ones + (small - x))
+    excess = np.where(top, (count - 2 + n_ones) + small, (count - 1) + ratio * below)
     others_d = np.where(top, sxd, ratio * ((sxd - xd) - delta * below))
     gap = corr - np.where(top, top2, top1)
     above = gap > 0  # the corrected entry is the new maximum
     w = np.exp(-np.abs(gap))
-    scale = np.where(above, w, 1.0)  # exp(old maximum - new maximum)
-    own = np.where(above, 1.0, w)  # exp(corrected entry - new maximum)
-    total = scale * others + own
-    total_d = scale * (others_d - np.where(above, gap, 0.0) * others)
-    total_d += own * np.minimum(gap, 0.0)
-    return np.log(total) - total_d / total
+    # R: with the corrected entry the new maximum, exp(old maximum - new
+    # maximum) times all the others' terms; else excess plus its own term.
+    r = np.where(above, w * (excess + 1.0), excess + w)
+    total_d = np.where(above, w * (others_d - gap * (excess + 1.0)), others_d + w * gap)
+    return np.log1p(r) - total_d / (1.0 + r)
 
 
 def _label_table(ctx, kind, labels=None):
@@ -223,7 +212,7 @@ def _change_table(ctx, baseline, labels=None):
     else:
         shift = ctx.shift_base - eye[labels]
     shift_norms = np.linalg.norm(shift, axis=-1)
-    abs_sums = _abs_column_sums(ctx.gains)
+    abs_sums = ctx.abs_gain_sums()
     return (abs_sums if labels is not None else abs_sums[:, None]) * shift_norms
 
 
@@ -232,10 +221,10 @@ def _expectation(probs, table):
     return np.sum(np.ascontiguousarray((probs * table).T), axis=0)
 
 
-def _pseudo_labels(ctx):
-    n, c = ctx.outputs.shape
-    labels = np.zeros((n, c))
-    labels[np.arange(n), np.argmax(ctx.outputs, axis=1)] = 1.0
+def _argmax_labels(outputs):
+    """One-hot rows of each output row's argmax."""
+    labels = np.zeros_like(outputs)
+    labels[np.arange(len(outputs)), np.argmax(outputs, axis=1)] = 1.0
     return labels
 
 
@@ -254,7 +243,7 @@ def mlmoc(state, candidates, baseline="linearized"):
 
 def score_mlmoc(ctx, baseline="linearized"):
     """mlmoc scores of a LookaheadBatch."""
-    labels = _pseudo_labels(ctx)
+    labels = _argmax_labels(ctx.outputs)
     scores = _change_table(ctx, baseline, np.argmax(ctx.outputs, axis=1))
     scores = np.where(ctx.degenerate, 0.0, scores)
     return AcquisitionResult.from_scores(scores, labels, ctx.degenerate)
@@ -274,7 +263,7 @@ def score_emoc(ctx, baseline="linearized"):
     """emoc scores of a LookaheadBatch."""
     table = _change_table(ctx, baseline)
     scores = np.where(ctx.degenerate, 0.0, _expectation(softmax(ctx.outputs), table))
-    return AcquisitionResult.from_scores(scores, _pseudo_labels(ctx), ctx.degenerate)
+    return AcquisitionResult.from_scores(scores, _argmax_labels(ctx.outputs), ctx.degenerate)
 
 
 def eer_lin(state, candidates):
@@ -294,7 +283,7 @@ def score_eer_lin(ctx):
     current_entropy = float(np.sum(entropy(softmax(ctx.shift_base))))
     expected = _expectation(softmax(ctx.outputs), _label_table(ctx, "entropy"))
     scores = np.where(ctx.degenerate, -current_entropy, -expected)
-    return AcquisitionResult.from_scores(scores, _pseudo_labels(ctx), ctx.degenerate)
+    return AcquisitionResult.from_scores(scores, _argmax_labels(ctx.outputs), ctx.degenerate)
 
 
 def entropy_score(outputs):
@@ -302,9 +291,7 @@ def entropy_score(outputs):
     outputs = np.atleast_2d(np.asarray(outputs, dtype=np.float64))
     if len(outputs) == 0:
         raise ContractError("candidate set is empty")
-    labels = np.zeros_like(outputs)
-    labels[np.arange(len(outputs)), np.argmax(outputs, axis=1)] = 1.0
-    return AcquisitionResult.from_scores(entropy(softmax(outputs)), labels)
+    return AcquisitionResult.from_scores(entropy(softmax(outputs)), _argmax_labels(outputs))
 
 
 def margin_score(outputs):
@@ -314,9 +301,7 @@ def margin_score(outputs):
         raise ContractError("candidate set is empty")
     probs = np.sort(softmax(outputs), axis=1)
     gap = probs[:, -1] - probs[:, -2] if probs.shape[1] > 1 else probs[:, -1]
-    labels = np.zeros_like(outputs)
-    labels[np.arange(len(outputs)), np.argmax(outputs, axis=1)] = 1.0
-    return AcquisitionResult.from_scores(-gap, labels)
+    return AcquisitionResult.from_scores(-gap, _argmax_labels(outputs))
 
 
 def random_score(seed, count):
@@ -328,31 +313,23 @@ def random_score(seed, count):
     )
 
 
-def naive_sgd_oracle(params, labeled, candidate, retrain_cfg, reference_set):
-    """Outputs on the reference set after really retraining with SGD.
+def naive_sgd_oracle(params, labeled, candidate, retrain_cfg):
+    """Parameters after really retraining with SGD on one more labeled point.
 
-    Copies the parameters, warm-starts on the labeled set plus the
-    hypothetically labeled candidate for the configured epochs, and
-    evaluates the reference set. Zero epochs short-circuits to the
-    current outputs.
+    ``candidate`` is (x, one-hot label). Copies the parameters and
+    warm-starts on the labeled set plus that point for the configured
+    epochs. Zero epochs returns ``params`` itself.
     """
-    reference_set = np.atleast_2d(np.asarray(reference_set, dtype=np.float64))
     if retrain_cfg.epochs == 0:
-        return np.atleast_2d(net.forward(params, reference_set))
+        return params
     x_cand, y_cand = candidate
-    x_cand = np.asarray(x_cand, dtype=np.float64).reshape(1, -1)
-    y_cand = np.asarray(y_cand, dtype=np.float64).reshape(1, -1)
-    inputs = np.vstack([labeled.inputs, x_cand])
-    one_hot = np.vstack([labeled.one_hot, y_cand])
-    aug = data_mod.Dataset(
-        inputs=inputs,
-        labels=np.argmax(one_hot, axis=1),
-        one_hot=one_hot,
-        class_count=labeled.class_count,
-        name=labeled.name,
+    aug = data_mod.make_dataset(
+        np.vstack([labeled.inputs, np.reshape(x_cand, (1, -1))]),
+        np.append(labeled.labels, np.argmax(y_cand)),
+        labeled.class_count,
+        labeled.name,
     )
-    retrained = net.train_sgd(params, aug, retrain_cfg)
-    return np.atleast_2d(net.forward(retrained, reference_set))
+    return net.train_sgd(params, aug, retrain_cfg)
 
 
 def naive_change_scores(params, labeled, candidates, retrain_cfg):
@@ -367,11 +344,10 @@ def naive_change_scores(params, labeled, candidates, retrain_cfg):
     if len(candidates) == 0:
         raise ContractError("candidate set is empty")
     outputs = np.atleast_2d(net.forward(params, candidates))
-    c = outputs.shape[1]
-    labels = np.zeros((len(candidates), c))
-    labels[np.arange(len(candidates)), np.argmax(outputs, axis=1)] = 1.0
+    labels = _argmax_labels(outputs)
     scores = np.zeros(len(candidates))
     for i, x_cand in enumerate(candidates):
-        after = naive_sgd_oracle(params, labeled, (x_cand, labels[i]), retrain_cfg, candidates)
+        retrained = naive_sgd_oracle(params, labeled, (x_cand, labels[i]), retrain_cfg)
+        after = np.atleast_2d(net.forward(retrained, candidates))
         scores[i] = float(np.sum(np.linalg.norm(after - outputs, axis=1)))
     return AcquisitionResult.from_scores(scores, labels)

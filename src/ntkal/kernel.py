@@ -27,6 +27,7 @@ from .errors import ContractError, ShapeError, UnsupportedActivationError
 
 __all__ = [
     "KernelState",
+    "FeatureBatch",
     "empirical_ntk",
     "build_state",
     "build_state_xy",
@@ -34,32 +35,39 @@ __all__ = [
 ]
 
 
-def _contract_factors(factors_a, factors_b, widths, beta):
+def _contract(factors_a, factors_b, rows, cols, config, out):
+    """Add the Gram block of factor rows a[rows] and b[cols] to out.
+
+    The output layer's deltas are the first-logit unit rows e_1, so their
+    Gram is exactly 1.0 and is not formed.
+    """
+    b2 = config.beta * config.beta
+    output_layer = len(factors_a) - 1
+    for l, ((aa, da), (ab, db)) in enumerate(zip(factors_a, factors_b)):
+        term = aa[rows] @ ab[cols].T
+        term /= config.widths[l]
+        term += b2
+        if l < output_layer:
+            term *= da[rows] @ db[cols].T
+        out += term
+    return out
+
+
+def _contract_factors(factors_a, factors_b, config):
     """Gram block from two factorized gradient stacks.
 
     Row chunks are accumulated in place into the preallocated output.
     When both stacks are the same object the block is symmetric: each
-    chunk is contracted from its diagonal onwards and mirrored. The
-    output layer's deltas are the first-logit unit rows e_1, so their
-    Gram is exactly 1.0 and is not formed.
+    chunk is contracted from its diagonal onwards and mirrored.
     """
     symmetric = factors_a is factors_b
     m, n = len(factors_a[0][0]), len(factors_b[0][0])
     gram = np.zeros((m, n))
-    b2 = beta * beta
-    output_layer = len(factors_a) - 1
     for start in range(0, m, linalg.CHUNK_ROWS):
         stop = start + linalg.CHUNK_ROWS
         rows = slice(start, stop)
         cols = slice(start, n) if symmetric else slice(0, n)
-        out = gram[rows, cols]
-        for l, ((aa, da), (ab, db)) in enumerate(zip(factors_a, factors_b)):
-            term = aa[rows] @ ab[cols].T
-            term /= widths[l]
-            term += b2
-            if l < output_layer:
-                term *= da[rows] @ db[cols].T
-            out += term
+        _contract(factors_a, factors_b, rows, cols, config, gram[rows, cols])
         if symmetric:
             gram[stop:, rows] = gram[rows, stop:].T
     return gram
@@ -70,24 +78,9 @@ def empirical_ntk(params, a, b=None):
 
     ``b=None`` or ``b is a`` reuses ``a`` (symmetric case, one factor pass).
     """
-    symmetric = b is None or b is a
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    if a.shape[1] != params.config.input_dim:
-        raise ShapeError(
-            f"kernel inputs have dim {a.shape[1]}, network expects "
-            f"{params.config.input_dim}"
-        )
-    b_arr = a if symmetric else np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if b_arr.shape[1] != params.config.input_dim:
-        raise ShapeError(
-            f"kernel inputs have dim {b_arr.shape[1]}, network expects "
-            f"{params.config.input_dim}"
-        )
-    factors_a = net.grad_factors(params, a)
-    factors_b = factors_a if symmetric else net.grad_factors(params, b_arr)
-    return _contract_factors(
-        factors_a, factors_b, params.config.widths, params.config.beta
-    )
+    factors_a = net.grad_factors(params, np.atleast_2d(a))
+    factors_b = factors_a if b is None or b is a else net.grad_factors(params, np.atleast_2d(b))
+    return _contract_factors(factors_a, factors_b, params.config)
 
 
 @dataclass(frozen=True)
@@ -113,42 +106,66 @@ class KernelState:
     def labeled_count(self):
         return self.inputs.shape[0]
 
+    def features(self, q):
+        """One gradient-factor pass over query rows q; see FeatureBatch."""
+        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
+        factors = None if self.kernel_fn is not None else tuple(net.grad_factors(self.params, q))
+        return FeatureBatch(self, q, factors)
+
     def kernel_rows(self, q):
         """Cross-kernel k(q, X), shape (len(q), L)."""
-        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-        if self.kernel_fn is not None:
-            return self.kernel_fn(self.params, q, self.inputs)
-        cfg = self.params.config
-        return _contract_factors(
-            net.grad_factors(self.params, q), self.factor_cache, cfg.widths, cfg.beta
-        )
+        return self.features(q).cross()
 
     def kernel_diag(self, q):
         """Self-kernel values k(q_i, q_i), shape (len(q),)."""
-        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-        if self.kernel_fn is not None:
+        return self.features(q).diag()
+
+
+@dataclass(frozen=True)
+class FeatureBatch:
+    """Query rows q of a KernelState and what one gradient-factor pass gives:
+    k(q, X), k(q, q), any block k(q_i, q_j) and the network outputs. A
+    ``kernel_fn`` state has no factors; it calls kernel_fn and ``forward``.
+    """
+
+    state: KernelState
+    rows: np.ndarray  # (n, n_0)
+    factors: tuple  # per-layer (activation, delta) of the rows, or None
+
+    def outputs(self):
+        """Network outputs at the rows, bitwise equal to ``net.forward``."""
+        if self.factors is None:
+            return np.atleast_2d(net.forward(self.state.params, self.rows))
+        return net.factor_outputs(self.state.params, self.factors)
+
+    def cross(self):
+        """k(q, X), shape (n, L)."""
+        st = self.state
+        if self.factors is None:
+            return st.kernel_fn(st.params, self.rows, st.inputs)
+        return _contract_factors(self.factors, st.factor_cache, st.params.config)
+
+    def diag(self):
+        """k(q_i, q_i), shape (n,)."""
+        st, cfg, q = self.state, self.state.params.config, self.rows
+        if self.factors is None:
             # One call per diagonal block of CHUNK_ROWS rows. infinite_ntk_fc
             # gives coincident rows the diagonal recursion's value, so this
             # equals one-row calls bitwise.
-            return np.concatenate([
-                np.diagonal(self.kernel_fn(self.params, chunk, chunk))
-                for chunk in np.split(q, range(linalg.CHUNK_ROWS, len(q), linalg.CHUNK_ROWS))
-            ])
-        cfg = self.params.config
-        factors = net.grad_factors(self.params, q)
-        diag = 0.0
-        b2 = cfg.beta * cfg.beta
-        for l, (a, d) in enumerate(factors):
-            diag = diag + (np.sum(a * a, axis=1) / cfg.widths[l] + b2) * np.sum(
-                d * d, axis=1
-            )
+            chunks = np.split(q, range(linalg.CHUNK_ROWS, len(q), linalg.CHUNK_ROWS))
+            return np.concatenate([np.diagonal(st.kernel_fn(st.params, c, c)) for c in chunks])
+        diag, b2 = 0.0, cfg.beta * cfg.beta
+        for l, (a, d) in enumerate(self.factors):
+            diag = diag + (np.sum(a * a, axis=1) / cfg.widths[l] + b2) * np.sum(d * d, axis=1)
         return diag
 
-    def kernel_block(self, a, b):
-        """Kernel values between two arbitrary row sets, shape (len(a), len(b))."""
-        if self.kernel_fn is not None:
-            return self.kernel_fn(self.params, a, b)
-        return empirical_ntk(self.params, a, b)
+    def add_block(self, rows, cols, out):
+        """Add k(q[rows], q[cols]), for two slices of the rows, to out."""
+        st = self.state
+        if self.factors is None:
+            out += st.kernel_fn(st.params, self.rows[rows], self.rows[cols])
+            return out
+        return _contract(self.factors, self.factors, rows, cols, st.params.config, out)
 
 
 def build_state_xy(
@@ -169,14 +186,14 @@ def build_state_xy(
     cache = None
     if kernel_fn is None:
         cache = tuple(net.grad_factors(params, x))
-        cfg = params.config
-        gram = _contract_factors(cache, cache, cfg.widths, cfg.beta)
+        gram = _contract_factors(cache, cache, params.config)
     else:
         gram = kernel_fn(params, x, x)
     # Contracting G G^T can leave the Gram asymmetric at machine precision.
     gram = 0.5 * (gram + gram.T)
     factor = linalg.cholesky(gram, jitter_policy)
-    residual = y - np.atleast_2d(net.forward(params, x))
+    outputs = net.forward(params, x) if cache is None else net.factor_outputs(params, cache)
+    residual = y - np.atleast_2d(outputs)
     solved = linalg.chol_solve(factor, residual)
     return KernelState(
         params=params,

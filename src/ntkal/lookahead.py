@@ -17,13 +17,16 @@ where L is the labeled Cholesky factor and u_c = k(c,c) + jitter - |W_c|^2
 is the Schur complement of the augmented jittered Gram, which is exactly
 the pivot ``augment_state`` adds. ``lookahead_batch`` evaluates this for a
 whole candidate batch, the candidates also being the reference points r,
-with one triangular solve and one symmetric rank-L product. The numerator
-is minus the posterior covariance Sigma(r, c) = k(r, c) - W_r^T W_c, formed
-in place in the (n, n) kernel block by BLAS dsyrk, so that block is the
-only (n, n) array of a scoring pass: the scorers in ``acquire`` reduce it
-in row or column chunks. ``augment_state`` uses the same block quantities
-to extend the Cholesky factor, so feeding true labels sequentially into
-the state costs one solve per point and is order independent.
+from one gradient-factor pass over them and one triangular solve. The
+numerator is minus the posterior covariance Sigma(r, c) = k(r, c) -
+W_r^T W_c. One loop contracts Sigma in row chunks of its upper triangle
+into one of two sinks: the reduce sink sums |Sigma| per column, which is
+all that linearized mlmoc and emoc read, so their pass holds no (n, n)
+array; the dense sink forms the (n, n) gains, on first read, for
+``condition``, eer_lin and the raw baseline. ``augment_state`` uses the
+same block quantities to extend the Cholesky factor, so feeding true
+labels sequentially into the state costs one solve per point and is order
+independent.
 
 Once a candidate x* is really labeled, ``condition`` updates the batch
 in O(n^2) instead of a fresh ``lookahead_batch`` on the augmented state.
@@ -47,8 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import blas, solve_triangular
 
-from . import kernel as kernel_mod
-from . import linalg, net
+from . import linalg
 from .errors import ContractError, DegenerateCandidateError
 
 __all__ = [
@@ -67,14 +69,8 @@ DEGENERATE_U_SCALE = 1e-10
 
 def predict_lin(state, q):
     """Converged linearized prediction at query rows q, shape (len(q), C)."""
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    outputs = np.atleast_2d(net.forward(state.params, q))
-    return outputs + state.kernel_rows(q) @ state.solved_residual
-
-
-def _forward_solve(state, k_rows):
-    """W = L^{-1} k(X, rows) for kernel rows k(rows, X), shape (L, len(rows))."""
-    return solve_triangular(state.factor.lower, k_rows.T, lower=True, check_finite=False)
+    features = state.features(q)
+    return features.outputs() + features.cross() @ state.solved_residual
 
 
 def _degenerate(schur, self_k):
@@ -82,42 +78,76 @@ def _degenerate(schur, self_k):
     return schur <= DEGENERATE_U_SCALE * np.maximum(self_k, 0.0)
 
 
-def _schur_rows(state, rows):
-    """Block quantities of candidate rows against the labeled set.
-
-    Returns k(c, X) (n, L), k(c, c) (n,), W_c (L, n), the unjittered Schur
-    complement k(c,c) - |W_c|^2 (n,) and the degeneracy flags (n,). The
-    pivot of the augmented jittered Gram is the Schur complement plus the
-    state's jitter.
+def _schur_rows(state, features):
+    """k(c, X) (n, L), k(c, c), W_c = L^{-1} k(X, c) (L, n), the unjittered
+    Schur complement k(c,c) - |W_c|^2 and the degeneracy flags of the rows
+    of a FeatureBatch. The augmented jittered Gram's pivot is schur + jitter.
     """
-    k_cl = state.kernel_rows(rows)
-    self_k = state.kernel_diag(rows)
-    w = _forward_solve(state, k_cl)
+    k_cl = features.cross()
+    self_k = features.diag()
+    w = solve_triangular(state.factor.lower, k_cl.T, lower=True, check_finite=False)
     schur = self_k - np.einsum("ln,ln->n", w, w)
     return k_cl, self_k, w, schur, _degenerate(schur, self_k)
 
 
-def _covariance(block, w):
-    """Posterior covariance block - W^T W, formed in the (n, n) kernel block.
+def _covariance_chunks(features, w, sigma=None):
+    """Upper-triangle row chunks (start, stop, Sigma[start:stop, start:]) of Sigma = K - W^T W.
 
-    BLAS updates the block through its transpose, a Fortran-ordered view,
-    so the returned array is the block itself. The symmetric rank-L update
-    dsyrk fills one triangle only, including the diagonal blocks' own
-    triangles; the other triangle is mirrored in row chunks, so the result
-    is exactly symmetric.
+    A chunk is formed in place in a given zeroed (n, n) ``sigma``, or else
+    in a new array that the sink may overwrite. Diagonal blocks are taken
+    from their upper triangle, so a mirror below the diagonal is exact.
     """
-    # op(a) = w^T from a Fortran-ordered view of w, so BLAS copies no W.
-    a, trans = (w, 1) if w.flags.f_contiguous else (w.T, 0)
-    # The upper triangle of the Fortran view is the lower one of the block.
-    sigma = blas.dsyrk(-1.0, a, beta=1.0, c=block.T, trans=trans, overwrite_c=1).T
-    n = len(sigma)
+    n = len(features.rows)
     for start in range(0, n, linalg.CHUNK_ROWS):
-        stop = start + linalg.CHUNK_ROWS
-        rows = slice(start, stop)
-        sigma[rows, stop:] = sigma[stop:, rows].T
-        diag = sigma[rows, rows]
-        diag[...] = np.tril(diag) + np.tril(diag, -1).T
+        stop = min(start + linalg.CHUNK_ROWS, n)
+        rows, cols = slice(start, stop), slice(start, n)
+        chunk = np.zeros((stop - start, n - start)) if sigma is None else sigma[rows, cols]
+        features.add_block(rows, cols, chunk)
+        chunk -= w[:, rows].T @ w[:, cols]
+        diag = chunk[:, : stop - start]
+        diag[...] = np.triu(diag) + np.triu(diag, 1).T
+        yield start, stop, chunk
+
+
+def _dense_sink(features, w):
+    """Sigma as one (n, n) array: each chunk formed in place, then mirrored."""
+    sigma = np.zeros((len(features.rows),) * 2)
+    for start, stop, chunk in _covariance_chunks(features, w, sigma):
+        sigma[stop:, start:stop] = chunk[:, stop - start :].T
     return sigma
+
+
+def _reduce_sink(features, w):
+    """sum(|Sigma|, axis=0); a chunk's columns right of its diagonal block
+    also stand for their mirror, whose column sums are their row sums."""
+    sums = np.zeros(len(features.rows))
+    for start, stop, chunk in _covariance_chunks(features, w):
+        np.abs(chunk, out=chunk)
+        sums[start:] += np.sum(chunk, axis=0)
+        sums[start:stop] += np.sum(chunk[:, stop - start :], axis=1)
+    return sums
+
+
+def _pivots(batch):
+    """u = schur + jitter, and 1 for degenerate candidates (zero gains)."""
+    return np.where(batch.degenerate, 1.0, batch.schur + batch.jitter)
+
+
+class _FormedOnRead:
+    """``LookaheadBatch.gains``: formed by the dense sink on first read, then kept."""
+
+    def __get__(self, batch, owner=None):
+        if batch is None:
+            return None  # the field's default
+        if batch.__dict__.get("gains") is None:
+            gains = _dense_sink(*batch.covariance)
+            gains /= -_pivots(batch)
+            gains[:, batch.degenerate] = 0.0
+            batch.__dict__["gains"] = gains
+        return batch.__dict__["gains"]
+
+    def __set__(self, batch, value):
+        batch.__dict__["gains"] = value
 
 
 @dataclass(frozen=True)
@@ -131,11 +161,26 @@ class LookaheadBatch:
 
     outputs: np.ndarray  # (n, C) raw network outputs at the candidates
     degenerate: np.ndarray  # (n,) bool
-    gains: np.ndarray  # (n, n) gains (W_r^T W_c - k(r,c)) / u_c, row r, column c
     shift_base: np.ndarray  # (n, C) current linearized predictions at the candidates
     schur: np.ndarray  # (n,) unjittered Schur complements k(c,c) - |W_c|^2
     self_k: np.ndarray  # (n,) self-kernel values k(c, c)
     jitter: float  # the state's jitter; u = schur + jitter
+    covariance: tuple = None  # (FeatureBatch, W) of Sigma; None once conditioned
+    gains: np.ndarray = _FormedOnRead()  # (n, n) (W_r^T W_c - k(r,c)) / u_c, row r, column c
+
+    def formed(self):
+        """This batch carrying its gains, without the factors and W they come from."""
+        return replace(self, covariance=None, gains=self.gains)
+
+    def abs_gain_sums(self):
+        """sum(|gains|, axis=0), streamed through the reduce sink while unformed.
+
+        Formed gains are summed whole, with an (n, n) temporary no larger
+        than the copy ``condition`` makes of them."""
+        if self.__dict__.get("gains") is None:
+            sums = _reduce_sink(*self.covariance)
+            return np.where(self.degenerate, 0.0, sums / _pivots(self))
+        return np.sum(np.abs(self.gains), axis=0)
 
 
 def lookahead_batch(state, candidates):
@@ -146,27 +191,17 @@ def lookahead_batch(state, candidates):
     cands = linalg.as_matrix(candidates)
     if len(cands) == 0:
         raise ContractError("candidate set is empty")
-    # The kernel block becomes the gains, -(k(r,c) - W_r^T W_c) / u, in
-    # place: the only (n, n) array of the pass. It is evaluated first, so
-    # its factor passes and row chunks never coexist with the kernel rows.
-    gains = state.kernel_block(cands, cands)
-    k_cl, self_k, w, schur, degenerate = _schur_rows(state, cands)
-    jitter = state.factor.jitter_applied
-    u = schur + jitter
-    outputs = np.atleast_2d(net.forward(state.params, cands))
-    shift_base = outputs + k_cl @ state.solved_residual
-    del k_cl
-    gains = _covariance(gains, w)
-    gains /= -np.where(degenerate, 1.0, u)
-    gains[:, degenerate] = 0.0
+    features = state.features(cands)
+    k_cl, self_k, w, schur, degenerate = _schur_rows(state, features)
+    outputs = features.outputs()
     return LookaheadBatch(
         outputs=outputs,
         degenerate=degenerate,
-        gains=gains,
-        shift_base=shift_base,
+        shift_base=outputs + k_cl @ state.solved_residual,
         schur=schur,
         self_k=self_k,
-        jitter=jitter,
+        jitter=state.factor.jitter_applied,
+        covariance=(features, w),
     )
 
 
@@ -212,6 +247,7 @@ def condition(batch, i, y):
         shift_base=shift_base,
         schur=schur,
         self_k=batch.self_k[keep],
+        covariance=None,
     )
 
 
@@ -226,55 +262,31 @@ def augment_state(state, x, y, f_val=None):
     callers pass a previously computed network output at x (the network
     itself does not change here, so caching is exact).
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    k_cl, self_k, w, schur, degenerate = _schur_rows(state, x[None, :])
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    features = state.features(x)
+    k_cl, self_k, w, schur, degenerate = _schur_rows(state, features)
     if degenerate[0]:
-        raise DegenerateCandidateError(
-            "cannot augment with a point inside the labeled span"
-        )
-    col = k_cl[0]
-    n = state.labeled_count
-    lower = np.zeros((n + 1, n + 1))
-    lower[:n, :n] = state.factor.lower
-    lower[n, :n] = w[:, 0]
-    lower[n, n] = np.sqrt(schur[0] + state.factor.jitter_applied)
-    factor = linalg.CholeskyFactor(
-        lower=lower, jitter_applied=state.factor.jitter_applied
-    )
-
-    gram = np.zeros((n + 1, n + 1))
-    gram[:n, :n] = state.gram
-    gram[n, :n] = col
-    gram[:n, n] = col
-    gram[n, n] = self_k[0]
-
-    if f_val is None:
-        f_val = net.forward(state.params, x)
-    f_val = np.asarray(f_val, dtype=np.float64).reshape(-1)
-
-    inputs = np.vstack([state.inputs, x[None, :]])
-    targets = np.vstack([state.targets, y[None, :]])
+        raise DegenerateCandidateError("cannot augment with a point inside the labeled span")
+    jitter = state.factor.jitter_applied
+    lower = np.block([[state.factor.lower, np.zeros_like(w)], [w.T, np.sqrt(schur + jitter)]])
+    factor = linalg.CholeskyFactor(lower=lower, jitter_applied=jitter)
+    f_val = features.outputs() if f_val is None else f_val
     # Extended like the Gram and the factor, not recomputed from targets.
-    residual = np.vstack([state.residual, (y - f_val)[None, :]])
-    solved = linalg.chol_solve(factor, residual)
-
+    residual = np.vstack([state.residual, y - np.reshape(f_val, (1, -1))])
     cache = state.factor_cache
-    if state.kernel_fn is None:
-        new_factors = net.grad_factors(state.params, x[None, :])
+    if features.factors is not None:
         cache = tuple(
             (np.vstack([a, na]), np.vstack([d, nd]))
-            for (a, d), (na, nd) in zip(cache, new_factors)
+            for (a, d), (na, nd) in zip(cache, features.factors)
         )
-
-    return kernel_mod.KernelState(
-        params=state.params,
-        inputs=inputs,
-        targets=targets,
+    return replace(
+        state,
+        inputs=np.vstack([state.inputs, x]),
+        targets=np.vstack([state.targets, y]),
         residual=residual,
-        gram=gram,
+        gram=np.block([[state.gram, k_cl.T], [k_cl, self_k]]),
         factor=factor,
-        solved_residual=solved,
-        kernel_fn=state.kernel_fn,
+        solved_residual=linalg.chol_solve(factor, residual),
         factor_cache=cache,
     )

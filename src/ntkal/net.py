@@ -28,6 +28,7 @@ __all__ = [
     "init",
     "forward",
     "grad_factors",
+    "factor_outputs",
     "train_sgd",
 ]
 
@@ -130,6 +131,12 @@ def _check_input(params, x):
     return x, single
 
 
+def _layer(params, l, a):
+    """Pre-activations of layer l for its input activations a."""
+    cfg = params.config
+    return a @ params.weights[l] / np.sqrt(cfg.widths[l]) + cfg.beta * params.biases[l]
+
+
 def _forward_trace(params, x):
     """Forward pass keeping activations and pre-activations for backprop."""
     cfg = params.config
@@ -137,7 +144,7 @@ def _forward_trace(params, x):
     preacts = []
     a = x
     for l in range(cfg.n_layers):
-        h = a @ params.weights[l] / np.sqrt(cfg.widths[l]) + cfg.beta * params.biases[l]
+        h = _layer(params, l, a)
         preacts.append(h)
         a = _act(cfg.nonlinearity, h) if l + 1 < cfg.n_layers else h
         acts.append(a)
@@ -194,6 +201,11 @@ def grad_factors(params, x):
             g = (g @ params.weights[l].T) / np.sqrt(cfg.widths[l])
             g = g * _act_deriv(cfg.nonlinearity, preacts[l - 1])
     return [(acts[l], deltas[l]) for l in range(cfg.n_layers)]
+
+
+def factor_outputs(params, factors):
+    """Network outputs (batch, C) of a ``grad_factors`` result, bitwise equal to ``forward``."""
+    return _layer(params, params.config.n_layers - 1, factors[-1][0])
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ into the kernel state (one factor extension, no SGD) so that later
 picks within the same cycle already see the earlier labels; SGD
 retraining happens only every ``retrain_every`` cycles.
 
-Sequential cost model, for n subset candidates against L labels: each
-cycle pays one ``lookahead_batch`` pass (kernel rows, self-kernels and
-the n x n kernel block, one triangular solve, the L n^2 gain product).
-Each pick then pays only O(n^2 + L^2): scoring the batch,
-``lookahead.condition`` (a rank-one downdate of the gains, no kernel
-evaluation) and ``augment_state`` (one kernel row and one triangular
-solve).
+Cost model, for n subset candidates against L labels: each cycle pays
+one ``lookahead_batch`` pass (one gradient-factor pass over the subset,
+one triangular solve, the n x n covariance in row chunks at O(L n^2)).
+Batch linearized mlmoc/emoc reduce the chunks and hold no n x n array.
+Sequential mode forms the n x n gains once per cycle; each pick then pays
+O(n^2 + L^2): scoring, ``lookahead.condition`` (a rank-one downdate of
+the gains) and ``augment_state`` (one factor pass and one solve).
 """
 
 import time
@@ -350,6 +350,10 @@ def run_sequential_al(config, train_data, test_data, on_cycle_end=None):
             )
         subset = list(sample_subset(pool, config.subset_size, _mix(config.seed, 1, cycle)))
         batch = lookahead.lookahead_batch(state, train_data.inputs[subset])
+        if config.query_batch_size > 1:
+            # condition reads the gains; the first score then sums them too,
+            # instead of contracting the subset's kernel a second time.
+            batch = batch.formed()
         degenerate_skipped = 0
         chosen = []
         for step in range(config.query_batch_size):

@@ -16,6 +16,8 @@ quantity the package computes another way, so tests can cross-check it.
   every hypothetical label, one label (emoc) or one candidate (eer_lin)
   at a time, with a full C-vector of look-ahead logits per label. The
   package derives all labels from shared sums instead.
+  ``eer_lin_scores_longdouble`` evaluates the same float64 look-ahead
+  logits in long double, for softmaxes saturated below one ulp of 1.
 - ``write_idx_images`` / ``write_idx_labels``: IDX writers, so the MNIST
   loader can be tested on round-tripped files.
 """
@@ -121,6 +123,33 @@ def eer_lin_scores(batch):
         ent = np.sum(acquire.entropy(acquire.softmax(preds)), axis=1)  # (C,)
         scores[i] = -float(probs[i] @ ent)
     return scores
+
+
+def _entropy_longdouble(logits):
+    """Softmax entropy along the last axis in long double.
+
+    The maximum's term of the exp-sum is exactly 1; the others are summed
+    on their own, so a saturated softmax keeps its entropy.
+    """
+    z = logits.astype(np.longdouble)
+    z -= np.max(z, axis=-1, keepdims=True)
+    e = np.exp(z)
+    others = e.copy()
+    np.put_along_axis(others, np.argmax(z, axis=-1)[..., None], 0.0, axis=-1)
+    r = np.sum(others, axis=-1)
+    return np.log1p(r) - np.sum(e * z, axis=-1) / (1.0 + r)
+
+
+def eer_lin_scores_longdouble(batch):
+    """``eer_lin_scores`` with each entropy of the float64 look-ahead logits in long double."""
+    n, c = batch.outputs.shape
+    probs = acquire.softmax(batch.outputs).astype(np.longdouble)
+    scores = np.zeros(n, dtype=np.longdouble)
+    for i in range(n):
+        shift = batch.shift_base[i][None, :] - np.eye(c)
+        preds = batch.shift_base[None, :, :] + batch.gains[:, i][None, :, None] * shift[:, None, :]
+        scores[i] = -np.sum(probs[i] * np.sum(_entropy_longdouble(preds), axis=1))
+    return scores.astype(np.float64)
 
 
 def write_idx_images(path, images_u8):

@@ -228,10 +228,12 @@ class TestEmoc:
 class TestChunkedScoring:
     """Scores from row-chunked |gains| sums and column-chunked per-label tables.
 
-    The linearized branch reduces |gains| in the order of one whole-array
-    reduction, so it matches bitwise up to the product with the shift norm;
-    the raw branch derives every label from shared sums, so it matches the
-    whole-tensor formula up to rounding.
+    The batches carry formed gains, as conditioned batches do. The
+    linearized branch reduces them in the order of one whole-array
+    reduction, so it matches bitwise up to the product with the shift norm
+    (streamed sums of unformed gains: ``test_lookahead``
+    TestStreamedColumnSums); the raw branch derives every label from shared
+    sums, so it matches the whole-tensor formula up to rounding.
     """
 
     @staticmethod
@@ -242,7 +244,7 @@ class TestChunkedScoring:
         y = data.one_hot_encode(rng.integers(0, 3, 20), 3)
         state = kernel.build_state_xy(params, x, y)
         cands = np.vstack([rng.standard_normal((600, 4)), x[:2]])
-        return lookahead.lookahead_batch(state, cands)
+        return lookahead.lookahead_batch(state, cands).formed()
 
     def test_emoc_matches_whole_array_formula(self, monkeypatch):
         # A small byte budget splits the raw table into several chunks,
@@ -296,6 +298,28 @@ class TestChunkedScoring:
             tracemalloc.stop()
         assert peak < 1.8 * gains_bytes
 
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_linearized_mlmoc_peak_memory_linear_in_n(self, n):
+        # One pass holds per-candidate arrays (k(c, X), W and the gradient
+        # factors) and a few (CHUNK_ROWS, n) chunks of Sigma, but no (n, n)
+        # array: at n = 4000 the gains alone would be 2.5 times the bound.
+        rng = np.random.default_rng(63)
+        params = net.init(net.MlpConfig((32, 64, 3), seed=63))
+        x = rng.standard_normal((200, 32))
+        y = data.one_hot_encode(rng.integers(0, 3, 200), 3)
+        state = kernel.build_state_xy(params, x, y)
+        cands = rng.standard_normal((n, 32))
+        row_bytes = 8 * (
+            2 * state.labeled_count + 2 * sum(params.config.widths) + 4 * linalg.CHUNK_ROWS
+        )
+        tracemalloc.start()
+        try:
+            acquire.mlmoc(state, cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * row_bytes
+
     @pytest.mark.parametrize("candidates_only", [True, False])
     @pytest.mark.parametrize("scorer", ["eer_lin", "emoc-raw"])
     def test_table_scorers_peak_memory_within_budget(self, scorer, candidates_only):
@@ -312,7 +336,7 @@ class TestChunkedScoring:
         try:
             call(state, cands)
             peak = tracemalloc.get_traced_memory()[1]
-            batch = lookahead.lookahead_batch(state, cands)
+            batch = lookahead.lookahead_batch(state, cands).formed()
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             score(batch)
@@ -401,6 +425,27 @@ class TestPerLabelTables:
         a = batch.shift_base[:, None, :] + batch.gains[:, :, None] * batch.shift_base[None]
         assert np.any(np.argmax(a, axis=2) == 1)
         self._assert_agree(batch)
+
+    def test_saturated_softmaxes_match_longdouble(self):
+        # Logits scaled by 30 and gains by 1e3 to 1e4: most candidates have
+        # every look-ahead softmax saturated, and their entropy sums (down
+        # to 1e-305 here) are sums of terms far below one ulp of 1.
+        rng = np.random.default_rng(0)
+        params = net.init(net.MlpConfig((4, 24, 10), seed=0))
+        x = rng.standard_normal((20, 4))
+        y = data.one_hot_encode(rng.integers(0, 10, 20), 10)
+        state = kernel.build_state_xy(params, x, y)
+        batch = lookahead.lookahead_batch(state, rng.standard_normal((60, 4)))
+        batch = replace(
+            batch,
+            outputs=30.0 * batch.outputs,
+            shift_base=30.0 * batch.shift_base,
+            gains=batch.gains * rng.uniform(1e3, 1e4, batch.gains.shape),
+        )
+        got = acquire.score_eer_lin(batch).scores
+        want = oracles.eer_lin_scores_longdouble(batch)
+        assert np.sum(np.abs(want) < 1e-6) > 30 and np.min(np.abs(want[want != 0.0])) < 1e-300
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("c", [1, 2])
     def test_few_classes(self, c):
@@ -536,19 +581,18 @@ class TestNaiveOracle:
         labeled = data.make_dataset(x, np.argmax(y, axis=1), 2)
         ref = np.random.default_rng(24).standard_normal((4, 2))
         zero_cfg = net.TrainConfig(learning_rate=0.1, epochs=0)
-        out = acquire.naive_sgd_oracle(
-            params, labeled, (x[0], y[0]), zero_cfg, ref
-        )
-        assert np.array_equal(out, np.atleast_2d(net.forward(params, ref)))
+        out = acquire.naive_sgd_oracle(params, labeled, (x[0], y[0]), zero_cfg)
+        assert out is params
+        assert np.array_equal(net.forward(out, ref), net.forward(params, ref))
 
     def test_deterministic_with_fixed_shuffle(self):
         params, x, y, _ = _problem(seed=25)
         labeled = data.make_dataset(x, np.argmax(y, axis=1), 2)
         ref = np.random.default_rng(26).standard_normal((3, 2))
         cfg = net.TrainConfig(learning_rate=0.01, epochs=5, minibatch_size=4, shuffle_seed=9)
-        a = acquire.naive_sgd_oracle(params, labeled, (ref[0], y[0]), cfg, ref)
-        b = acquire.naive_sgd_oracle(params, labeled, (ref[0], y[0]), cfg, ref)
-        assert np.array_equal(a, b)
+        a = acquire.naive_sgd_oracle(params, labeled, (ref[0], y[0]), cfg)
+        b = acquire.naive_sgd_oracle(params, labeled, (ref[0], y[0]), cfg)
+        assert np.array_equal(net.forward(a, ref), net.forward(b, ref))
 
     def test_kernel_lookahead_correlates_with_real_retraining(self):
         # Per-reference output changes from the block look-ahead track the
@@ -573,7 +617,8 @@ class TestNaiveOracle:
                 yc = np.zeros(2)
                 yc[np.argmax(outs[i])] = 1.0
                 k_changes.append((_lookahead_after(state, xc, yc, ref) - base).ravel())
-                after = acquire.naive_sgd_oracle(params, labeled, (xc, yc), tc, ref)
+                retrained = acquire.naive_sgd_oracle(params, labeled, (xc, yc), tc)
+                after = np.atleast_2d(net.forward(retrained, ref))
                 n_changes.append((after - base).ravel())
             r = np.corrcoef(np.concatenate(k_changes), np.concatenate(n_changes))[0, 1]
             correlations.append(r)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -286,46 +288,114 @@ class TestCovarianceInPlace:
     @pytest.mark.parametrize("candidates_only", [True, False])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
     def test_covariance_is_formed_in_the_block(self, n, candidates_only, order):
-        # dsyrk fills one triangle, diagonal blocks included; the mirror must
-        # complete every block, exactly. W may come in either memory order.
+        # The chunk loop yields the upper triangle in row chunks, diagonal
+        # blocks included; the dense sink's mirror must complete every
+        # block, exactly. W may come in either memory order.
         params, x, state, rng = self._state(False)
         cands = self._candidates(rng, n, candidates_only)
-        w = np.asarray(lookahead._forward_solve(state, state.kernel_rows(cands)), order=order)
-        block = state.kernel_block(cands, cands)
-        want = block - w.T @ w
-        sigma = lookahead._covariance(block, w)
-        assert np.shares_memory(sigma, block)
+        features = state.features(cands)
+        w = np.asarray(lookahead._schur_rows(state, features)[2], order=order)
+        want = kernel.empirical_ntk(params, cands) - w.T @ w
+        sigma = lookahead._dense_sink(features, w)
         np.testing.assert_array_equal(sigma, sigma.T)
         np.testing.assert_allclose(sigma, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("candidates_only", [True, False])
-    def test_gains_are_the_kernel_block(self, monkeypatch, candidates_only):
+    def test_gains_are_formed_once_on_first_read(self, monkeypatch, candidates_only):
+        # A batch contracts no kernel block until its gains are read; the
+        # first read forms them chunk by chunk, later reads return the same
+        # array.
         blocks = []
-        original = kernel.KernelState.kernel_block
+        original = kernel.FeatureBatch.add_block
 
-        def recording(self, a, b):
-            blocks.append(original(self, a, b))
-            return blocks[-1]
+        def recording(self, rows, cols, out):
+            blocks.append((rows, cols))
+            return original(self, rows, cols, out)
 
-        monkeypatch.setattr(kernel.KernelState, "kernel_block", recording)
+        monkeypatch.setattr(kernel.FeatureBatch, "add_block", recording)
         _, _, state, rng = self._state(False)
-        batch = lookahead.lookahead_batch(state, self._candidates(rng, 300, candidates_only, 270))
-        assert len(blocks) == 1
-        assert np.shares_memory(batch.gains, blocks[0])
+        cands = self._candidates(rng, 300, candidates_only, 270)
+        batch = lookahead.lookahead_batch(state, cands)
+        assert blocks == []
+        gains = batch.gains
+        n, chunk = len(cands), linalg.CHUNK_ROWS
+        assert blocks == [
+            (slice(start, min(start + chunk, n)), slice(start, n)) for start in range(0, n, chunk)
+        ]
+        assert batch.gains is gains
 
     def test_same_set_evaluates_each_kernel_quantity_once(self, monkeypatch):
-        calls = []
-        for name in ("kernel_rows", "kernel_diag", "kernel_block"):
-            original = getattr(kernel.KernelState, name)
-
-            def counting(self, *rows, _name=name, _original=original):
-                calls.append(_name)
-                return _original(self, *rows)
-
-            monkeypatch.setattr(kernel.KernelState, name, counting)
+        # One gradient-factor pass over the candidates: k(c, X), k(c, c),
+        # the outputs and every kernel block are contracted from it.
         _, _, state, rng = self._state(False)
-        lookahead.lookahead_batch(state, rng.standard_normal((40, 4)))
-        assert sorted(calls) == ["kernel_block", "kernel_diag", "kernel_rows"]
+        cands = rng.standard_normal((300, 4))
+        calls = []
+        original = net.grad_factors
+
+        def counting(params, x):
+            calls.append(len(x))
+            return original(params, x)
+
+        monkeypatch.setattr(net, "grad_factors", counting)
+        batch = lookahead.lookahead_batch(state, cands)
+        batch.abs_gain_sums()
+        assert batch.gains.shape == (300, 300)
+        assert calls == [300]
+        np.testing.assert_array_equal(batch.outputs, net.forward(state.params, cands))
+
+
+def _labeled_state(rng, n, jittered):
+    params = net.init(net.MlpConfig((4, 24, 2), seed=53))
+    x = rng.standard_normal((15, 4))
+    y = data.one_hot_encode(rng.integers(0, 2, 15), 2)
+    ladder = (1e-3,) if jittered else (0.0,)
+    state = kernel.build_state_xy(params, x, y, jitter_policy=linalg.JitterPolicy(ladder))
+    assert (state.factor.jitter_applied > 0.0) == jittered
+    return state, rng.standard_normal((n, 4)), 0
+
+
+def _partly_degenerate_state(rng, n):
+    # The last rows repeat labeled points, up to three of them, and at
+    # least one candidate stays healthy.
+    params, x, y, state = _problem(l_size=15, seed=54)
+    cands = rng.standard_normal((n, 3))
+    repeated = min(3, n - 1)
+    cands[n - repeated :] = x[:repeated]
+    return state, cands, repeated
+
+
+def _kernel_fn_state(rng, n):
+    params = net.init(net.MlpConfig((4, 24, 24, 3), nonlinearity="erf", seed=55))
+    x = rng.standard_normal((15, 4))
+    y = data.one_hot_encode(rng.integers(0, 3, 15), 3)
+    state = kernel.build_state_xy(
+        params, x, y, kernel_fn=lambda p, a, b: kernel.infinite_ntk_fc(p.config, a, b)
+    )
+    return state, rng.standard_normal((n, 4)), 0
+
+
+class TestStreamedColumnSums:
+    """abs_gain_sums streams Sigma through the reduce sink; it must match the formed gains."""
+
+    @pytest.mark.parametrize(
+        "make_problem",
+        [
+            pytest.param(partial(_labeled_state, jittered=False), id="unjittered"),
+            pytest.param(partial(_labeled_state, jittered=True), id="jittered"),
+            pytest.param(_partly_degenerate_state, id="partly-degenerate"),
+            pytest.param(_kernel_fn_state, id="kernel_fn"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_matches_dense_gains(self, n, make_problem):
+        state, cands, degenerate = make_problem(np.random.default_rng(56), n)
+        streamed = lookahead.lookahead_batch(state, cands).abs_gain_sums()
+        batch = lookahead.lookahead_batch(state, cands)
+        assert np.count_nonzero(batch.degenerate) == degenerate
+        dense = np.sum(np.abs(batch.gains), axis=0)
+        assert np.all(dense[~batch.degenerate] > 0.0)
+        np.testing.assert_allclose(streamed, dense, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(batch.abs_gain_sums(), dense, rtol=1e-12, atol=0.0)
 
 
 class TestCondition:
@@ -424,6 +494,34 @@ class TestAugmentState:
         direct = kernel.empirical_ntk(params, q, new.inputs)
         np.testing.assert_allclose(new.kernel_rows(q), direct, rtol=1e-12)
 
+    @pytest.mark.parametrize("cached_output", [False, True])
+    def test_one_factor_pass_gives_every_new_entry(self, monkeypatch, cached_output):
+        # The new Gram row, pivot, residual row and factor-cache row all come
+        # from one gradient-factor pass over x, bitwise equal to separate
+        # evaluations of each.
+        params, x, y, state = _problem(seed=38)
+        xc = np.random.default_rng(39).standard_normal(3)
+        yc = np.array([0.0, 1.0])
+        f_val = net.forward(params, xc) if cached_output else None
+        calls = []
+        original = net.grad_factors
+
+        def counting(params, rows):
+            calls.append(len(rows))
+            return original(params, rows)
+
+        monkeypatch.setattr(net, "grad_factors", counting)
+        new = lookahead.augment_state(state, xc, yc, f_val=f_val)
+        assert calls == [1]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(new.gram[-1, :-1], state.kernel_rows(xc)[0])
+        np.testing.assert_array_equal(new.gram[:-1, -1], state.kernel_rows(xc)[0])
+        assert new.gram[-1, -1] == state.kernel_diag(xc)[0]
+        np.testing.assert_array_equal(new.residual[-1], yc - net.forward(params, xc))
+        for (a, d), (na, nd) in zip(new.factor_cache, net.grad_factors(params, xc[None, :])):
+            np.testing.assert_array_equal(a[-1], na[0])
+            np.testing.assert_array_equal(d[-1], nd[0])
+
     def test_lookahead_matches_actual_augment(self):
         params, x, y, state = _problem(seed=33)
         xc = np.random.default_rng(34).standard_normal(3)
@@ -484,7 +582,9 @@ def _direct_mlmoc_scores(params, state, cand):
     jitter = state.factor.jitter_applied
     k_ul = state.kernel_rows(cand)  # (U, L)
     k_uu_diag = state.kernel_diag(cand)
-    k_ru = state.kernel_block(cand, cand)  # reference = candidate subset
+    k_ru = state.features(cand).add_block(  # reference = candidate subset
+        slice(None), slice(None), np.zeros((u_size, u_size))
+    )
     outputs = net.forward(params, cand)
     base = outputs + k_ul @ state.solved_residual
     labels = np.zeros_like(outputs)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ntkal import acquire, data, kernel, lookahead, net, pool
+from ntkal import acquire, data, kernel, linalg, lookahead, net, pool
 from ntkal.errors import ContractError, DegenerateCandidateError
 
 
@@ -332,20 +332,30 @@ class TestRunSequential:
         assert [r.labeled_size for r in records] == [9, 12]
 
     def test_kernel_block_once_per_cycle(self, monkeypatch):
-        # The subset's n x n kernel block is evaluated once per cycle, not
-        # once per pick: later picks condition the cycle's batch.
-        calls = []
-        original = kernel.KernelState.kernel_block
+        # The subset's kernel block is contracted once per cycle, not once
+        # per pick and not once for scoring plus once for conditioning:
+        # later picks condition the cycle's batch. The subset's gradient
+        # factors come from one pass per cycle too.
+        blocks, factor_rows = [], []
+        original_block, original_factors = kernel.FeatureBatch.add_block, net.grad_factors
 
-        def counting(self, a, b):
-            calls.append(len(a))
-            return original(self, a, b)
+        def counting_block(self, rows, cols, out):
+            blocks.append((len(self.rows), rows, cols))
+            return original_block(self, rows, cols, out)
 
-        monkeypatch.setattr(kernel.KernelState, "kernel_block", counting)
+        def counting_factors(params, x):
+            factor_rows.append(len(x))
+            return original_factors(params, x)
+
+        monkeypatch.setattr(kernel.FeatureBatch, "add_block", counting_block)
+        monkeypatch.setattr(net, "grad_factors", counting_factors)
         train, test = _toy_data()
         cfg = _tiny_config(strategy="mlmoc", sequential=True, cycles=3, query_batch_size=4)
         pool.run_sequential_al(cfg, train, test)
-        assert calls == [cfg.subset_size] * cfg.cycles
+        n = cfg.subset_size
+        assert n <= linalg.CHUNK_ROWS
+        assert blocks == [(n, slice(0, n), slice(0, n))] * cfg.cycles
+        assert factor_rows.count(n) == cfg.cycles
 
     def test_requires_kernel_strategy(self):
         train, test = _toy_data()
