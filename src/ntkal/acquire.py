@@ -19,7 +19,7 @@ so each label differs from a in one entry. The raw-baseline change
 norms and the softmax entropies of all C labels therefore come from
 O(C) sums over a plus one corrected entry per label: an (n, C) table
 at O(m n C) cost, built over chunks of candidate columns small enough
-to stay in cache. mlmoc reads only its pseudo-label. With the
+to stay in cache. mlmoc reads its pseudo-label's entry. With the
 linearized baseline the change norm factorizes into the column sums of
 |gains|, streamed without an n x n array, times the label shift's norm.
 
@@ -152,7 +152,7 @@ def _entropies(a, corr):
     return np.log1p(r) - total_d / (1.0 + r)
 
 
-def _label_table(ctx, kind, labels=None):
+def _label_table(ctx, kind):
     """Reference sums of a look-ahead quantity per candidate and label, (n, C).
 
     Labeling candidate i with l moves reference r to
@@ -163,12 +163,10 @@ def _label_table(ctx, kind, labels=None):
     shift_base - outputs), "entropy" the softmax entropy of the look-ahead
     logits (base = shift_base). Each chunk of k candidate columns is held as
     (C, k, n) arrays of at most _TABLE_CHUNK_BYTES, and all its labels come
-    from shared sums over a. With ``labels`` (one class per candidate, norms
-    only) each candidate is scored at its label alone, as the norm of a
-    with that entry replaced, shape (n,).
+    from shared sums over a.
     """
     n, c = ctx.outputs.shape
-    sums = np.zeros(n if labels is not None else (n, c))
+    sums = np.zeros((n, c))
     if kind == "entropy" and c == 1:
         return sums  # the softmax of a single logit is one-hot
     base = ctx.shift_base if kind == "entropy" else ctx.shift_base - ctx.outputs
@@ -183,13 +181,7 @@ def _label_table(ctx, kind, labels=None):
             values = _entropies(a, corr)
         else:
             v, own = np.square(a, out=a), np.square(corr, out=corr)
-            if labels is None:
-                total = _leave_one_out(v) + own
-            else:
-                idx = np.broadcast_to(labels[None, cols, None], (1,) + v.shape[1:])
-                np.put_along_axis(v, idx, np.take_along_axis(own, idx, axis=0), axis=0)
-                total = np.sum(v, axis=0)
-            values = np.sqrt(total)
+            values = np.sqrt(_leave_one_out(v) + own)
         sums[cols] = np.sum(values, axis=-1).T
     return sums
 
@@ -199,11 +191,13 @@ def _change_table(ctx, baseline, labels=None):
 
     With the linearized baseline the change at reference point r is exactly
     gains[r] * shift, so the sum factorizes into the column sums of |gains|
-    times the shift norm; the raw baseline adds the constant offset between
-    linearized and raw current predictions.
+    times the shift norm. The raw baseline adds the constant offset between
+    linearized and raw current predictions, and is tabulated over all labels
+    even when ``labels`` picks one.
     """
     if baseline == "raw":
-        return _label_table(ctx, "l2", labels)
+        table = _label_table(ctx, "l2")
+        return table if labels is None else table[np.arange(len(table)), labels]
     if baseline != "linearized":
         raise ContractError(f"unknown baseline {baseline!r}")
     eye = np.eye(ctx.shift_base.shape[1])

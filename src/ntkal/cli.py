@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    run    --config PATH [--seed N] [--out DIR] [--threads N]
+    run    --config PATH [--seed N] [--out DIR]
     report --in CSV [CSV ...] --out SVG
 
 Configs are flat key=value text with [section] headers (see README.md for
@@ -10,38 +10,28 @@ the grammar). Each run writes one records CSV (one row per cycle per
 seed) and a JSON summary whose config echo is enough to reproduce the
 accuracy columns exactly; timing columns are machine-dependent.
 
-numpy and the model modules are imported lazily so that ``run --threads``
-can cap the BLAS thread pools before they initialize.
+BLAS pools start when numpy is imported: cap their threads in the
+environment (``OMP_NUM_THREADS=1``, ``OPENBLAS_NUM_THREADS=1``, ...).
 """
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
 import sys
 from pathlib import Path
+from xml.sax.saxutils import escape
+
+import numpy as np
+
+from . import data as data_mod
+from . import net, pool
+from .errors import ContractError, FormatError
+from .pool import CycleRecord
 
 __all__ = ["main", "cmd_run", "cmd_report", "load_run_spec"]
-
-
-def _apply_thread_cap(threads):
-    if threads is None:
-        return
-    threads = str(int(threads))
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = threads
-    try:  # also cap pools that were already started
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(threads))
-    except ImportError:
-        pass
 
 
 # --- config parsing -------------------------------------------------------
@@ -49,18 +39,6 @@ def _apply_thread_cap(threads):
 
 class ConfigError(ValueError):
     pass
-
-
-def _get(parser, section, key, conv, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"[{section}] is missing required key {key!r}")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
 
 
 def _as_bool(raw):
@@ -76,6 +54,59 @@ def _as_int_list(raw):
     return [int(tok) for tok in raw.replace(",", " ").split()]
 
 
+# Every key of every section, in config-echo order: (converter, default
+# text); None marks a required key. README.md documents the same table.
+_GRAMMAR = {
+    "run": {
+        "strategy": (str, None),
+        "initial_labeled": (int, None),
+        "query_batch_size": (int, None),
+        "subset_size": (int, None),
+        "cycles": (int, None),
+        "sequential": (_as_bool, "false"),
+        "retrain_every": (int, "1"),
+        "seeds": (_as_int_list, "0"),
+        "naive_epochs": (int, "15"),
+        "score_baseline": (str, "linearized"),
+    },
+    "mlp": {
+        "hidden": (_as_int_list, "256"),
+        "nonlinearity": (str, "relu"),
+        "beta": (float, "1.0"),
+        "seed": (int, "0"),
+    },
+    "train": {
+        "learning_rate": (float, None),
+        "epochs": (int, None),
+        "minibatch_size": (int, "32"),
+        "shuffle_seed": (int, "0"),
+        "warm_start": (_as_bool, "true"),
+        "lr_decay": (float, "1.0"),
+    },
+    "data": {
+        "kind": (str, None),
+        "n_per_class": (int, "500"),
+        "noise": (float, "0.2"),
+        "separation": (float, "4.0"),
+        "seed": (int, "0"),
+        "test_n_per_class": (int, "0"),
+        "mnist_dir": (str, ""),
+        "pool_size": (int, "10000"),
+        "test_size": (int, "10000"),
+    },
+}
+
+
+def _get(parser, section, key, conv, default):
+    raw = parser.get(section, key, fallback=default)
+    if raw is None:
+        raise ConfigError(f"[{section}] is missing required key {key!r}")
+    try:
+        return conv(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+
+
 def load_run_spec(config_path):
     """Parse and validate a run config file into a plain dict."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -88,49 +119,18 @@ def load_run_spec(config_path):
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
     for section in parser.sections():
-        if section not in ("run", "mlp", "train", "data"):
+        if section not in _GRAMMAR:
             raise ConfigError(f"unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in _GRAMMAR[section]:
+                raise ConfigError(f"[{section}] has unknown key {key!r}")
 
     spec = {
-        "run": {
-            "strategy": _get(parser, "run", "strategy", str, required=True),
-            "initial_labeled": _get(parser, "run", "initial_labeled", int, required=True),
-            "query_batch_size": _get(parser, "run", "query_batch_size", int, required=True),
-            "subset_size": _get(parser, "run", "subset_size", int, required=True),
-            "cycles": _get(parser, "run", "cycles", int, required=True),
-            "sequential": _get(parser, "run", "sequential", _as_bool, default=False),
-            "retrain_every": _get(parser, "run", "retrain_every", int, default=1),
-            "seeds": _get(parser, "run", "seeds", _as_int_list, default=[0]),
-            "naive_epochs": _get(parser, "run", "naive_epochs", int, default=15),
-            "score_baseline": _get(
-                parser, "run", "score_baseline", str, default="linearized"
-            ),
-        },
-        "mlp": {
-            "hidden": _get(parser, "mlp", "hidden", _as_int_list, default=[256]),
-            "nonlinearity": _get(parser, "mlp", "nonlinearity", str, default="relu"),
-            "beta": _get(parser, "mlp", "beta", float, default=1.0),
-            "seed": _get(parser, "mlp", "seed", int, default=0),
-        },
-        "train": {
-            "learning_rate": _get(parser, "train", "learning_rate", float, required=True),
-            "epochs": _get(parser, "train", "epochs", int, required=True),
-            "minibatch_size": _get(parser, "train", "minibatch_size", int, default=32),
-            "shuffle_seed": _get(parser, "train", "shuffle_seed", int, default=0),
-            "warm_start": _get(parser, "train", "warm_start", _as_bool, default=True),
-            "lr_decay": _get(parser, "train", "lr_decay", float, default=1.0),
-        },
-        "data": {
-            "kind": _get(parser, "data", "kind", str, required=True),
-            "n_per_class": _get(parser, "data", "n_per_class", int, default=500),
-            "noise": _get(parser, "data", "noise", float, default=0.2),
-            "separation": _get(parser, "data", "separation", float, default=4.0),
-            "seed": _get(parser, "data", "seed", int, default=0),
-            "test_n_per_class": _get(parser, "data", "test_n_per_class", int, default=0),
-            "mnist_dir": _get(parser, "data", "mnist_dir", str, default=""),
-            "pool_size": _get(parser, "data", "pool_size", int, default=10000),
-            "test_size": _get(parser, "data", "test_size", int, default=10000),
-        },
+        section: {
+            key: _get(parser, section, key, conv, default)
+            for key, (conv, default) in keys.items()
+        }
+        for section, keys in _GRAMMAR.items()
     }
     if not spec["run"]["seeds"]:
         raise ConfigError("[run] seeds is empty: list at least one seed")
@@ -144,23 +144,16 @@ def load_run_spec(config_path):
 
 def _load_datasets(dspec):
     """Pool and test datasets; synthetic kinds use two independent draws."""
-    import numpy as np
-
-    from . import data as data_mod
-
-    kind = dspec["kind"]
-    test_n = dspec["test_n_per_class"] or dspec["n_per_class"]
-    test_seed = int(np.random.SeedSequence([dspec["seed"], 0x7E57]).generate_state(1)[0])
-    if kind == "spirals":
-        pool = data_mod.gen_spirals(dspec["n_per_class"], dspec["noise"], dspec["seed"])
-        test = data_mod.gen_spirals(test_n, dspec["noise"], test_seed)
-        return pool, test
-    if kind == "two_gaussians":
-        pool = data_mod.gen_two_gaussians(
-            dspec["n_per_class"], dspec["separation"], dspec["seed"]
-        )
-        test = data_mod.gen_two_gaussians(test_n, dspec["separation"], test_seed)
-        return pool, test
+    synthetic = {
+        "spirals": (data_mod.gen_spirals, "noise"),
+        "two_gaussians": (data_mod.gen_two_gaussians, "separation"),
+    }
+    if dspec["kind"] in synthetic:
+        gen, shape = synthetic[dspec["kind"]]
+        test_n = dspec["test_n_per_class"] or dspec["n_per_class"]
+        test_seed = int(np.random.SeedSequence([dspec["seed"], 0x7E57]).generate_state(1)[0])
+        train = gen(dspec["n_per_class"], dspec[shape], dspec["seed"])
+        return train, gen(test_n, dspec[shape], test_seed)
     mnist_dir = Path(dspec["mnist_dir"] or os.environ.get("NTKAL_MNIST_DIR", ""))
     train = data_mod.load_mnist_idx(
         mnist_dir / "train-images-idx3-ubyte", mnist_dir / "train-labels-idx1-ubyte"
@@ -181,45 +174,19 @@ def _load_datasets(dspec):
 
 
 def _build_run_config(spec, seed, train_data):
-    from . import net, pool
-
-    widths = [train_data.input_dim] + spec["mlp"]["hidden"] + [train_data.class_count]
-    mlp_cfg = net.MlpConfig(
-        widths=tuple(widths),
-        nonlinearity=spec["mlp"]["nonlinearity"],
-        beta=spec["mlp"]["beta"],
-        seed=spec["mlp"]["seed"],
-    )
-    train_cfg = net.TrainConfig(
-        learning_rate=spec["train"]["learning_rate"],
-        epochs=spec["train"]["epochs"],
-        minibatch_size=spec["train"]["minibatch_size"],
-        shuffle_seed=spec["train"]["shuffle_seed"],
-        warm_start=spec["train"]["warm_start"],
-        lr_decay=spec["train"]["lr_decay"],
-    )
+    mlp = dict(spec["mlp"])
+    widths = (train_data.input_dim, *mlp.pop("hidden"), train_data.class_count)
+    run = {key: value for key, value in spec["run"].items() if key != "seeds"}
     return pool.RunConfig(
-        strategy=spec["run"]["strategy"],
-        initial_labeled=spec["run"]["initial_labeled"],
-        query_batch_size=spec["run"]["query_batch_size"],
-        subset_size=spec["run"]["subset_size"],
-        cycles=spec["run"]["cycles"],
-        mlp=mlp_cfg,
-        train=train_cfg,
-        sequential=spec["run"]["sequential"],
-        retrain_every=spec["run"]["retrain_every"],
+        **run,
+        mlp=net.MlpConfig(widths=widths, **mlp),
+        train=net.TrainConfig(**spec["train"]),
         seed=seed,
-        naive_epochs=spec["run"]["naive_epochs"],
-        score_baseline=spec["run"]["score_baseline"],
     )
 
 
-def cmd_run(config_path, seed=None, out_dir=".", threads=None):
+def cmd_run(config_path, seed=None, out_dir="."):
     """Execute the configured run for every seed; returns the exit code."""
-    _apply_thread_cap(threads)
-    from . import pool
-    from .errors import ContractError, FormatError
-
     try:
         spec = load_run_spec(config_path)
         seeds = [seed] if seed is not None else spec["run"]["seeds"]
@@ -278,32 +245,32 @@ def cmd_run(config_path, seed=None, out_dir=".", threads=None):
     return 0
 
 
-def write_records_csv(records, path):
-    from .pool import CycleRecord
+# The records CSV has one column per CycleRecord field, in field order:
+# written with str(), read back with the field's type.
+_RECORD_FIELDS = dataclasses.fields(CycleRecord)
+CSV_HEADER = ",".join(field.name for field in _RECORD_FIELDS)
 
+
+def write_records_csv(records, path):
     with open(path, "w") as f:
-        f.write(CycleRecord.CSV_HEADER + "\n")
+        f.write(CSV_HEADER + "\n")
         for rec in records:
-            f.write(rec.csv_row() + "\n")
+            f.write(",".join(str(getattr(rec, field.name)) for field in _RECORD_FIELDS) + "\n")
 
 
 # --- report rendering -----------------------------------------------------
 
 
 def read_records_csv(path):
-    from .errors import FormatError
-    from .pool import CycleRecord
-
     lines = Path(path).read_text().strip().splitlines()
     if not lines:
         raise FormatError(f"{path}: empty CSV")
     header = lines[0].strip()
-    if header != CycleRecord.CSV_HEADER:
-        want = CycleRecord.CSV_HEADER.split(",")
-        got = header.split(",")
+    if header != CSV_HEADER:
+        want, got = CSV_HEADER.split(","), header.split(",")
         for i, col in enumerate(want):
-            if i >= len(got) or got[i] != col:
-                offending = got[i] if i < len(got) else "<missing>"
+            offending = got[i] if i < len(got) else "<missing>"
+            if offending != col:
                 raise FormatError(
                     f"{path}: bad CSV schema at column {i + 1}: got "
                     f"{offending!r}, want {col!r}"
@@ -312,25 +279,18 @@ def read_records_csv(path):
     records = []
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != 8:
-            raise FormatError(f"{path}:{ln}: expected 8 fields, got {len(parts)}")
-        try:
-            record = CycleRecord(
-                cycle=int(parts[0]),
-                labeled_size=int(parts[1]),
-                test_accuracy=float(parts[2]),
-                query_seconds=float(parts[3]),
-                train_seconds=float(parts[4]),
-                strategy=parts[5],
-                seed=int(parts[6]),
-                degenerate_skipped=int(parts[7]),
+        if len(parts) != len(_RECORD_FIELDS):
+            raise FormatError(
+                f"{path}:{ln}: expected {len(_RECORD_FIELDS)} fields, got {len(parts)}"
             )
+        try:
+            values = {field.name: field.type(text) for field, text in zip(_RECORD_FIELDS, parts)}
         except ValueError as exc:
             raise FormatError(f"{path}:{ln}: {exc}") from None
-        for name in ("test_accuracy", "query_seconds", "train_seconds"):
-            if not math.isfinite(getattr(record, name)):
-                raise FormatError(f"{path}:{ln}: {name} is {getattr(record, name)!r}, not finite")
-        records.append(record)
+        for name, value in values.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise FormatError(f"{path}:{ln}: {name} is {value!r}, not finite")
+        records.append(CycleRecord(**values))
     if not records:
         raise FormatError(f"{path}: no data rows")
     return records
@@ -354,10 +314,6 @@ def render_accuracy_svg(records, out_path):
     """Standalone SVG: mean accuracy per cycle per strategy, with a
     shaded 95%-confidence band across seeds where there are >= 2 seeds.
     Strategy names come from CSV text and are escaped for XML."""
-    from xml.sax.saxutils import escape
-
-    import numpy as np
-
     groups = {}
     for rec in records:
         groups.setdefault(rec.strategy, {}).setdefault(rec.cycle, []).append(
@@ -453,8 +409,6 @@ def render_accuracy_svg(records, out_path):
 
 
 def cmd_report(csv_paths, out_path):
-    from .errors import FormatError
-
     try:
         records = []
         for path in csv_paths:
@@ -481,7 +435,6 @@ def main(argv=None):
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=".")
-    p_run.add_argument("--threads", type=int, default=None)
 
     p_report = sub.add_parser("report", help="render accuracy curves as SVG")
     p_report.add_argument("--in", dest="inputs", nargs="+", required=True)
@@ -489,7 +442,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        return cmd_run(args.config, seed=args.seed, out_dir=args.out, threads=args.threads)
+        return cmd_run(args.config, seed=args.seed, out_dir=args.out)
     return cmd_report(args.inputs, args.out)
 
 

@@ -96,7 +96,6 @@ class KernelState:
     inputs: np.ndarray  # (L, n_0)
     targets: np.ndarray  # (L, C) one-hot
     residual: np.ndarray  # (L, C) targets minus the network outputs at build
-    gram: np.ndarray  # (L, L)
     factor: linalg.CholeskyFactor
     solved_residual: np.ndarray  # (L, C)
     kernel_fn: object = None  # None means the empirical kernel of params
@@ -115,10 +114,6 @@ class KernelState:
     def kernel_rows(self, q):
         """Cross-kernel k(q, X), shape (len(q), L)."""
         return self.features(q).cross()
-
-    def kernel_diag(self, q):
-        """Self-kernel values k(q_i, q_i), shape (len(q),)."""
-        return self.features(q).diag()
 
 
 @dataclass(frozen=True)
@@ -200,7 +195,6 @@ def build_state_xy(
         inputs=x,
         targets=y,
         residual=residual,
-        gram=gram,
         factor=factor,
         solved_residual=solved,
         kernel_fn=kernel_fn,

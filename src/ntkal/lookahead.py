@@ -265,14 +265,14 @@ def augment_state(state, x, y, f_val=None):
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     y = np.asarray(y, dtype=np.float64).reshape(1, -1)
     features = state.features(x)
-    k_cl, self_k, w, schur, degenerate = _schur_rows(state, features)
+    _, _, w, schur, degenerate = _schur_rows(state, features)
     if degenerate[0]:
         raise DegenerateCandidateError("cannot augment with a point inside the labeled span")
     jitter = state.factor.jitter_applied
     lower = np.block([[state.factor.lower, np.zeros_like(w)], [w.T, np.sqrt(schur + jitter)]])
     factor = linalg.CholeskyFactor(lower=lower, jitter_applied=jitter)
     f_val = features.outputs() if f_val is None else f_val
-    # Extended like the Gram and the factor, not recomputed from targets.
+    # Extended like the factor, not recomputed from targets.
     residual = np.vstack([state.residual, y - np.reshape(f_val, (1, -1))])
     cache = state.factor_cache
     if features.factors is not None:
@@ -285,7 +285,6 @@ def augment_state(state, x, y, f_val=None):
         inputs=np.vstack([state.inputs, x]),
         targets=np.vstack([state.targets, y]),
         residual=residual,
-        gram=np.block([[state.gram, k_cl.T], [k_cl, self_k]]),
         factor=factor,
         solved_residual=linalg.chol_solve(factor, residual),
         factor_cache=cache,

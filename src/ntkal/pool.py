@@ -114,6 +114,8 @@ class Pool:
 
 @dataclass(frozen=True)
 class CycleRecord:
+    """One query cycle of one run; its fields are the columns of ``cli``'s records CSV."""
+
     cycle: int
     labeled_size: int
     test_accuracy: float
@@ -122,18 +124,6 @@ class CycleRecord:
     strategy: str
     seed: int
     degenerate_skipped: int
-
-    CSV_HEADER = (
-        "cycle,labeled_size,test_accuracy,query_seconds,train_seconds,"
-        "strategy,seed,degenerate_skipped"
-    )
-
-    def csv_row(self):
-        return (
-            f"{self.cycle},{self.labeled_size},{self.test_accuracy!r},"
-            f"{self.query_seconds!r},{self.train_seconds!r},{self.strategy},"
-            f"{self.seed},{self.degenerate_skipped}"
-        )
 
 
 @dataclass(frozen=True)

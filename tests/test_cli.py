@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -79,6 +80,26 @@ class TestConfigParsing:
             cli.load_run_spec(path)
         assert cli.cmd_run(path, out_dir=tmp_path / "o") == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "section, old, new",
+        [
+            ("train", "minibatch_size = 8", "minibatch = 8"),
+            ("run", "cycles = 3", "cycles = 3\ncycle = 3"),
+            ("mlp", "hidden = 16", "hidden = 16\nwidth = 16"),
+            ("data", "seed = 0", "seed = 0\nsepration = 3.0"),
+        ],
+        ids=["train", "run", "mlp", "data"],
+    )
+    def test_unknown_key_names_section_and_key(self, tmp_path, capsys, section, old, new):
+        path = _write_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        key = new.split("\n")[-1].split(" = ")[0]
+        with pytest.raises(cli.ConfigError, match=rf"\[{section}\] has unknown key '{key}'"):
+            cli.load_run_spec(path)
+        assert cli.cmd_run(path, out_dir=tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+        assert key in capsys.readouterr().err
 
     def test_bad_data_kind(self, tmp_path):
         path = _write_config(tmp_path)
@@ -193,6 +214,68 @@ class TestRemovedCommands:
         assert exc.value.code == 2
         assert "bench" in capsys.readouterr().err
 
+    def test_threads_option_is_rejected(self, tmp_path, capsys):
+        # BLAS threads are capped through the environment before numpy loads.
+        cfg = _write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "1"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+# Two strategies over three seeds (bands), one single-seed strategy with
+# markup in its name, cycles in file order 1, 0, 2.
+REPORT_CSV = """\
+cycle,labeled_size,test_accuracy,query_seconds,train_seconds,strategy,seed,degenerate_skipped
+0,10,0.5,0.01,0.02,mlmoc,0,0
+1,15,0.625,0.01,0.02,mlmoc,0,1
+2,20,0.75,0.01,0.02,mlmoc,0,0
+0,10,0.55,0.01,0.02,mlmoc,1,0
+1,15,0.6,0.01,0.02,mlmoc,1,0
+2,20,0.8,0.01,0.02,mlmoc,1,0
+0,10,0.45,0.01,0.02,mlmoc,2,0
+1,15,0.7,0.01,0.02,mlmoc,2,0
+2,20,0.7,0.01,0.02,mlmoc,2,0
+1,15,0.6,0.01,0.02,random,0,0
+0,10,0.5,0.01,0.02,random,0,0
+2,20,0.65,0.01,0.02,random,0,0
+1,15,0.5,0.01,0.02,random,1,0
+0,10,0.52,0.01,0.02,random,1,0
+2,20,0.66,0.01,0.02,random,1,0
+0,10,0.3333333333333333,2.5e-07,0.5,a<b&c>,7,0
+2,20,0.9,1.25,2.5e-07,a<b&c>,7,2
+"""
+SVG_SHA256 = "5b2cf46103777be05fbf242ca3b9ae7523c09f54f3d64433965cf3bdd7ed2a35"
+
+
+class TestRecordsCsv:
+    def test_round_trip_exact_bytes(self, tmp_path):
+        from ntkal.pool import CycleRecord
+
+        records = [
+            CycleRecord(0, 10, 1 / 3, 2.5e-07, 0.5, "a<b&c>", 7, 0),
+            CycleRecord(1, 12, 0.75, 1.25, 2.5e-07, "mlmoc", 7, 2),
+        ]
+        csv = tmp_path / "r.csv"
+        cli.write_records_csv(records, csv)
+        assert csv.read_bytes() == (
+            b"cycle,labeled_size,test_accuracy,query_seconds,train_seconds,"
+            b"strategy,seed,degenerate_skipped\n"
+            b"0,10,0.3333333333333333,2.5e-07,0.5,a<b&c>,7,0\n"
+            b"1,12,0.75,1.25,2.5e-07,mlmoc,7,2\n"
+        )
+        assert cli.read_records_csv(csv) == records
+
+    def test_report_svg_bytes_are_pinned(self, tmp_path):
+        # Digest of the SVG this renderer has always written for REPORT_CSV.
+        csv = tmp_path / "r.csv"
+        csv.write_text(REPORT_CSV)
+        out = tmp_path / "plot.svg"
+        assert cli.main(["report", "--in", str(csv), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == SVG_SHA256
+
 
 class TestReport:
     def _fake_records(self, strategies, seeds, cycles=4):
@@ -253,10 +336,8 @@ class TestReport:
         assert cli.cmd_report([str(csv)], tmp_path / "x.svg") == 2
 
     def test_header_only_rejected(self, tmp_path):
-        from ntkal.pool import CycleRecord
-
         csv = tmp_path / "h.csv"
-        csv.write_text(CycleRecord.CSV_HEADER + "\n")
+        csv.write_text(cli.CSV_HEADER + "\n")
         assert cli.cmd_report([str(csv)], tmp_path / "x.svg") == 2
 
     def test_schema_mismatch_names_column(self, tmp_path, capsys):

@@ -89,7 +89,8 @@ class TestBuildState:
         x = np.array([[0.4, -0.2]])
         state = kernel.build_state_xy(params, x, np.array([[1.0, 0.0]]))
         g = oracles.grad_first_logit(params, x[0])
-        assert np.allclose(state.gram, [[g @ g]], rtol=1e-12)
+        factored = state.factor.lower[0, 0] ** 2 - state.factor.jitter_applied
+        assert np.allclose(factored, g @ g, rtol=1e-12)
 
     def test_solve_invariant(self):
         # Theta @ solved_residual reproduces the residual.
@@ -98,7 +99,7 @@ class TestBuildState:
         x = rng.standard_normal((20, 3))
         y = data.one_hot_encode(rng.integers(0, 3, 20), 3)
         state = kernel.build_state_xy(params, x, y)
-        lhs = state.gram @ state.solved_residual
+        lhs = kernel.empirical_ntk(params, x) @ state.solved_residual
         if state.factor.jitter_applied:
             lhs = lhs + state.factor.jitter_applied * state.solved_residual
         err = np.linalg.norm(lhs - state.residual) / np.linalg.norm(state.residual)
@@ -150,9 +151,8 @@ class TestBuildState:
             x = rng.standard_normal((8, 3))
             y = data.one_hot_encode(rng.integers(0, c, 8), c)
             state = kernel.build_state_xy(params, x, y)
-            big = np.kron(
-                state.gram + state.factor.jitter_applied * np.eye(8), np.eye(c)
-            )
+            gram = kernel.empirical_ntk(params, x)
+            big = np.kron(gram + state.factor.jitter_applied * np.eye(8), np.eye(c))
             stacked = np.linalg.solve(big, state.residual.reshape(-1))
             np.testing.assert_allclose(
                 stacked.reshape(8, c), state.solved_residual, rtol=1e-8, atol=1e-10
@@ -195,16 +195,17 @@ class TestInfiniteNtk:
 
         y = data.one_hot_encode(rng.integers(0, 10, 16), 10)
         state = kernel.build_state_xy(params, x[:16], y, kernel_fn=kernel_fn)
-        diag = state.kernel_diag(x)
+        diag = state.features(x).diag()
         block = state.features(x).add_block(slice(None), slice(None), np.zeros((24, 24)))
         np.testing.assert_allclose(np.diag(block), diag, rtol=1e-12, atol=0)
         rows = state.kernel_rows(x[:16])
         np.testing.assert_allclose(np.diag(rows), diag[:16], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(np.diag(state.gram), diag[:16], rtol=1e-12, atol=0)
+        gram = kernel_fn(params, x[:16], x[:16])  # the Gram build_state_xy factorizes
+        np.testing.assert_allclose(np.diag(gram), diag[:16], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("nonlinearity", ["relu", "erf"])
     def test_kernel_diag_one_call_per_chunk(self, nonlinearity):
-        # kernel_diag takes the diagonals of CHUNK_ROWS-row diagonal blocks;
+        # FeatureBatch.diag takes the diagonals of CHUNK_ROWS-row diagonal blocks;
         # the values equal one-row evaluations bitwise, duplicates included.
         cfg = net.MlpConfig((20, 16, 16, 3), nonlinearity=nonlinearity)
         params = net.init(cfg)
@@ -220,7 +221,7 @@ class TestInfiniteNtk:
         y = data.one_hot_encode(rng.integers(0, 3, 8), 3)
         state = kernel.build_state_xy(params, x[:8], y, kernel_fn=kernel_fn)
         calls.clear()
-        diag = state.kernel_diag(x)
+        diag = state.features(x).diag()
         assert calls == [linalg.CHUNK_ROWS, linalg.CHUNK_ROWS, 37]
         per_row = [kernel.infinite_ntk_fc(cfg, row[None, :], row[None, :])[0, 0] for row in x]
         np.testing.assert_array_equal(diag, per_row)

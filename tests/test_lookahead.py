@@ -2,6 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from ntkal import acquire, data, kernel, linalg, lookahead, net
 from ntkal.errors import ContractError, DegenerateCandidateError
@@ -32,7 +33,7 @@ def _dense_predict(params, x, y, q, kernel_fn=None):
 class TestPredictLin:
     def test_interpolates_labeled_points(self):
         params, x, y, state = _problem()
-        assert state.factor.jitter_applied <= 1e-8 * np.mean(np.diag(state.gram))
+        assert state.factor.jitter_applied <= 1e-8 * np.mean(state.features(x).diag())
         pred = lookahead.predict_lin(state, x)
         assert np.max(np.abs(pred - y)) < 1e-6
 
@@ -250,7 +251,7 @@ class TestCovarianceInPlace:
     def _dense_gains(params, x, state, cands):
         w = np.linalg.solve(state.factor.lower, kernel.empirical_ntk(params, x, cands))
         sigma = kernel.empirical_ntk(params, cands, cands) - w.T @ w
-        u = state.kernel_diag(cands) - np.sum(w * w, axis=0) + state.factor.jitter_applied
+        u = state.features(cands).diag() - np.sum(w * w, axis=0) + state.factor.jitter_applied
         return -sigma / u
 
     @staticmethod
@@ -496,9 +497,9 @@ class TestAugmentState:
 
     @pytest.mark.parametrize("cached_output", [False, True])
     def test_one_factor_pass_gives_every_new_entry(self, monkeypatch, cached_output):
-        # The new Gram row, pivot, residual row and factor-cache row all come
-        # from one gradient-factor pass over x, bitwise equal to separate
-        # evaluations of each.
+        # The new factor row, pivot, residual row and factor-cache row all
+        # come from one gradient-factor pass over x, bitwise equal to
+        # separate evaluations of each.
         params, x, y, state = _problem(seed=38)
         xc = np.random.default_rng(39).standard_normal(3)
         yc = np.array([0.0, 1.0])
@@ -514,9 +515,12 @@ class TestAugmentState:
         new = lookahead.augment_state(state, xc, yc, f_val=f_val)
         assert calls == [1]
         monkeypatch.undo()
-        np.testing.assert_array_equal(new.gram[-1, :-1], state.kernel_rows(xc)[0])
-        np.testing.assert_array_equal(new.gram[:-1, -1], state.kernel_rows(xc)[0])
-        assert new.gram[-1, -1] == state.kernel_diag(xc)[0]
+        w = solve_triangular(
+            state.factor.lower, state.kernel_rows(xc).T, lower=True, check_finite=False
+        )
+        np.testing.assert_array_equal(new.factor.lower[-1, :-1], w[:, 0])
+        batch = lookahead.lookahead_batch(state, xc[None, :])
+        assert new.factor.lower[-1, -1] == np.sqrt(batch.schur[0] + batch.jitter)
         np.testing.assert_array_equal(new.residual[-1], yc - net.forward(params, xc))
         for (a, d), (na, nd) in zip(new.factor_cache, net.grad_factors(params, xc[None, :])):
             np.testing.assert_array_equal(a[-1], na[0])
@@ -581,7 +585,8 @@ def _direct_mlmoc_scores(params, state, cand):
     u_size = len(cand)
     jitter = state.factor.jitter_applied
     k_ul = state.kernel_rows(cand)  # (U, L)
-    k_uu_diag = state.kernel_diag(cand)
+    k_uu_diag = state.features(cand).diag()
+    k_ll = kernel.empirical_ntk(params, state.inputs)  # the Gram the state factorized
     k_ru = state.features(cand).add_block(  # reference = candidate subset
         slice(None), slice(None), np.zeros((u_size, u_size))
     )
@@ -592,7 +597,7 @@ def _direct_mlmoc_scores(params, state, cand):
     direct_scores = np.zeros(u_size)
     for i in range(u_size):
         gram_aug = np.zeros((state.labeled_count + 1, state.labeled_count + 1))
-        gram_aug[:-1, :-1] = state.gram
+        gram_aug[:-1, :-1] = k_ll
         gram_aug[-1, :-1] = k_ul[i]
         gram_aug[:-1, -1] = k_ul[i]
         gram_aug[-1, -1] = k_uu_diag[i]
