@@ -109,7 +109,7 @@ def _get(parser, section, key, conv, default):
 
 def load_run_spec(config_path):
     """Parse and validate a run config file into a plain dict."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     path = Path(config_path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")

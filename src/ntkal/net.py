@@ -159,25 +159,6 @@ def forward(params, x):
     return out[0] if single else out
 
 
-def _backprop_from(params, acts, preacts, g_out):
-    """Gradients of sum(g_out * f) w.r.t. every parameter.
-
-    g_out has shape (batch, C). Returns (weight_grads, bias_grads) summed
-    over the batch.
-    """
-    cfg = params.config
-    w_grads = [None] * cfg.n_layers
-    b_grads = [None] * cfg.n_layers
-    g = g_out
-    for l in range(cfg.n_layers - 1, -1, -1):
-        w_grads[l] = acts[l].T @ g / np.sqrt(cfg.widths[l])
-        b_grads[l] = cfg.beta * g.sum(axis=0)
-        if l > 0:
-            g = (g @ params.weights[l].T) / np.sqrt(cfg.widths[l])
-            g *= _act_deriv(cfg.nonlinearity, preacts[l - 1])
-    return w_grads, b_grads
-
-
 def grad_factors(params, x):
     """Per-example first-logit gradients in factorized form.
 
@@ -220,18 +201,12 @@ class TrainConfig:
     lr_decay: float = 1.0  # multiplicative, applied after each epoch
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be > 0")
+        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ContractError("learning_rate must be finite and > 0")
         if self.minibatch_size < 1:
             raise ContractError("minibatch_size must be >= 1")
-        if self.lr_decay <= 0:
-            raise ContractError("lr_decay must be > 0")
-
-
-def squared_loss(params, inputs, targets):
-    """0.5 * sum of squared output errors."""
-    diff = forward(params, inputs) - targets
-    return 0.5 * float(np.sum(diff * diff))
+        if not np.isfinite(self.lr_decay) or self.lr_decay <= 0:
+            raise ContractError("lr_decay must be finite and > 0")
 
 
 def train_sgd(params, data, cfg):
@@ -239,8 +214,15 @@ def train_sgd(params, data, cfg):
 
     Targets are the dataset's one-hot rows. With warm_start the given
     parameters are the starting point; otherwise training restarts from
-    the configuration seed. Aborts with DivergenceError if the full-data
-    loss ever exceeds 1e6 times its initial value (or turns non-finite).
+    the configuration seed. The result is bitwise reproducible for a
+    given shuffle_seed.
+
+    Each step costs only its minibatch; no full-data pass is made. An
+    epoch's loss is the running sum of 0.5 * ||f - y||^2 over its
+    minibatches, each taken before that minibatch's update. Aborts with
+    DivergenceError if an epoch's running loss turns non-finite or exceeds
+    1e6 times the reference loss, which is the first minibatch's loss at
+    the starting parameters scaled by n / (its rows).
     """
     if cfg.epochs < 1:
         raise ContractError("epochs must be >= 1")
@@ -264,24 +246,39 @@ def train_sgd(params, data, cfg):
     weights = [w.copy() for w in params.weights]
     biases = [b.copy() for b in params.biases]
     work = MlpParams(params.config, tuple(weights), tuple(biases))
+    mlp = work.config
+    scales = [np.sqrt(w) for w in mlp.widths]
 
     n = len(x)
+    mb = cfg.minibatch_size
     rng = np.random.default_rng(cfg.shuffle_seed)
-    initial_loss = squared_loss(work, x, y)
-    divergence_bar = 1e6 * max(initial_loss, 1e-12)
+    initial_loss = None
     lr = cfg.learning_rate
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.minibatch_size):
-            batch = order[start : start + cfg.minibatch_size]
-            acts, preacts = _forward_trace(work, x[batch])
-            g = acts[-1] - y[batch]
-            w_grads, b_grads = _backprop_from(work, acts, preacts, g)
-            for l in range(work.config.n_layers):
-                weights[l] -= lr * w_grads[l]
-                biases[l] -= lr * b_grads[l]
-        loss = squared_loss(work, x, y)
+        xs, ys = x[order], y[order]
+        loss = 0.0
+        for start in range(0, n, mb):
+            acts, preacts = _forward_trace(work, xs[start : start + mb])
+            g = acts[-1] - ys[start : start + mb]
+            with np.errstate(over="ignore"):  # a blown-up loss reads inf
+                batch_loss = 0.5 * float(np.sum(g * g))
+            if initial_loss is None:
+                initial_loss = batch_loss * n / len(g)
+                divergence_bar = 1e6 * max(initial_loss, 1e-12)
+            loss += batch_loss
+            # Backprop fused with the update: the delta passed down from
+            # layer l is read from weights[l] before that layer is stepped.
+            for l in range(mlp.n_layers - 1, -1, -1):
+                step = acts[l].T @ g
+                biases[l] -= lr * (mlp.beta * g.sum(axis=0))
+                if l > 0:
+                    g = (g @ weights[l].T) / scales[l]
+                    g *= _act_deriv(mlp.nonlinearity, preacts[l - 1])
+                step /= scales[l]
+                step *= lr
+                weights[l] -= step
         if not np.isfinite(loss) or loss > divergence_bar:
             raise DivergenceError(
                 f"training diverged at epoch {epoch + 1}: loss {loss:.3e} vs "

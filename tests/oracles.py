@@ -18,6 +18,11 @@ quantity the package computes another way, so tests can cross-check it.
   package derives all labels from shared sums instead.
   ``eer_lin_scores_longdouble`` evaluates the same float64 look-ahead
   logits in long double, for softmaxes saturated below one ulp of 1.
+- ``squared_loss``: the full-data loss 0.5 * sum ||f - y||^2 by a fresh
+  forward pass.
+- ``train_sgd_reference``: minibatch SGD as separate forward, backward
+  and update passes, checking divergence on the full-data loss after each
+  epoch. ``net.train_sgd`` fuses these and must return the same bits.
 - ``write_idx_images`` / ``write_idx_labels``: IDX writers, so the MNIST
   loader can be tested on round-tripped files.
 """
@@ -27,7 +32,7 @@ import struct
 import numpy as np
 
 from ntkal import acquire, data, net
-from ntkal.errors import ShapeError
+from ntkal.errors import DivergenceError, ShapeError
 
 
 def flat(params):
@@ -83,6 +88,64 @@ def empirical_ntk_features(params, a, b=None):
     return np.array(
         [[float(np.dot(fa[i], fb[j])) for j in range(len(fb))] for i in range(len(fa))]
     )
+
+
+def squared_loss(params, inputs, targets):
+    """0.5 * sum of squared output errors."""
+    diff = net.forward(params, inputs) - targets
+    return 0.5 * float(np.sum(diff * diff))
+
+
+def _backprop(params, acts, preacts, g_out):
+    """Gradients of sum(g_out * f) w.r.t. every parameter, summed over the batch."""
+    cfg = params.config
+    w_grads = [None] * cfg.n_layers
+    b_grads = [None] * cfg.n_layers
+    g = g_out
+    for l in range(cfg.n_layers - 1, -1, -1):
+        w_grads[l] = acts[l].T @ g / np.sqrt(cfg.widths[l])
+        b_grads[l] = cfg.beta * g.sum(axis=0)
+        if l > 0:
+            g = (g @ params.weights[l].T) / np.sqrt(cfg.widths[l])
+            g *= net._act_deriv(cfg.nonlinearity, preacts[l - 1])
+    return w_grads, b_grads
+
+
+def train_sgd_reference(params, data, cfg):
+    """Minibatch SGD with gradients and updates as separate passes.
+
+    The minibatch order is the one ``net.train_sgd`` draws. Divergence is
+    checked on the full-data loss after each epoch against its value at
+    the starting parameters.
+    """
+    x = np.asarray(data.inputs, dtype=np.float64)
+    y = np.asarray(data.one_hot, dtype=np.float64)
+    if not cfg.warm_start:
+        params = net.init(params.config)
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
+    work = net.MlpParams(params.config, tuple(weights), tuple(biases))
+
+    n = len(x)
+    rng = np.random.default_rng(cfg.shuffle_seed)
+    initial_loss = squared_loss(work, x, y)
+    divergence_bar = 1e6 * max(initial_loss, 1e-12)
+    lr = cfg.learning_rate
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.minibatch_size):
+            batch = order[start : start + cfg.minibatch_size]
+            acts, preacts = net._forward_trace(work, x[batch])
+            g = acts[-1] - y[batch]
+            w_grads, b_grads = _backprop(work, acts, preacts, g)
+            for l in range(work.config.n_layers):
+                weights[l] -= lr * w_grads[l]
+                biases[l] -= lr * b_grads[l]
+        loss = squared_loss(work, x, y)
+        if not np.isfinite(loss) or loss > divergence_bar:
+            raise DivergenceError(f"diverged at epoch {epoch + 1}", epoch=epoch + 1)
+        lr *= cfg.lr_decay
+    return work
 
 
 def change_norms(batch, labels_onehot, baseline):

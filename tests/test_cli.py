@@ -101,6 +101,13 @@ class TestConfigParsing:
         assert not (tmp_path / "o").exists()
         assert key in capsys.readouterr().err
 
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        path = _write_config(tmp_path)
+        path.write_text(
+            path.read_text().replace("kind = two_gaussians", "kind = mnist\nmnist_dir = /data/100%/mnist")
+        )
+        assert cli.load_run_spec(path)["data"]["mnist_dir"] == "/data/100%/mnist"
+
     def test_bad_data_kind(self, tmp_path):
         path = _write_config(tmp_path)
         path.write_text(path.read_text().replace("two_gaussians", "imagenet"))
@@ -175,8 +182,13 @@ class TestCmdRun:
             ("eer", "seeds = 0", "seeds = 0\nscore_baseline = rwa"),
             ("mlmoc-naive", "seeds = 0", "seeds = 0\nnaive_epochs = -1"),
             ("mlmoc-inf", "nonlinearity = relu", "nonlinearity = identity"),
+            ("random", "learning_rate = 0.05", "learning_rate = nan"),
+            ("random", "minibatch_size = 8", "minibatch_size = 8\nlr_decay = inf"),
         ],
-        ids=["unknown-baseline", "eer-unknown-baseline", "negative-naive-epochs", "inf-identity"],
+        ids=[
+            "unknown-baseline", "eer-unknown-baseline", "negative-naive-epochs",
+            "inf-identity", "nan-learning-rate", "inf-lr-decay",
+        ],
     )
     def test_invalid_run_values_exit_2_and_write_nothing(self, tmp_path, capsys, strategy, old, new):
         cfg = _write_config(tmp_path, strategy=strategy)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -169,20 +171,20 @@ class TestTrainSgd:
         trained = net.train_sgd(
             params, ds, net.TrainConfig(learning_rate=0.05, epochs=200, minibatch_size=1)
         )
-        assert net.squared_loss(trained, ds.inputs, ds.one_hot) < 1e-3
+        assert oracles.squared_loss(trained, ds.inputs, ds.one_hot) < 1e-3
 
     def test_loss_trend_is_monotone_overall(self):
         # Oracle for the interpolation example: the loss trace trends down.
         cfg = net.MlpConfig((2, 64, 2), seed=0)
         params = net.init(cfg)
         ds = self._one_point()
-        losses = [net.squared_loss(params, ds.inputs, ds.one_hot)]
+        losses = [oracles.squared_loss(params, ds.inputs, ds.one_hot)]
         work = params
         for _ in range(5):
             work = net.train_sgd(
                 work, ds, net.TrainConfig(learning_rate=0.05, epochs=10, minibatch_size=1)
             )
-            losses.append(net.squared_loss(work, ds.inputs, ds.one_hot))
+            losses.append(oracles.squared_loss(work, ds.inputs, ds.one_hot))
         assert losses[-1] < losses[0]
         assert all(b <= a * 1.001 for a, b in zip(losses, losses[1:]))
 
@@ -226,3 +228,74 @@ class TestTrainSgd:
         jittered = oracles.params_from_flat(cfg, oracles.flat(params) + 1.0)
         b = net.train_sgd(jittered, ds, tc)
         assert np.array_equal(oracles.flat(a), oracles.flat(b))
+
+    def test_non_finite_settings_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ContractError, match="learning_rate"):
+                net.TrainConfig(learning_rate=bad, epochs=1)
+            with pytest.raises(ContractError, match="lr_decay"):
+                net.TrainConfig(learning_rate=0.1, epochs=1, lr_decay=bad)
+
+    @pytest.mark.parametrize(
+        "n_points, growth, expected_epoch", [(1, 8.0, 5), (4, 11.2, 2)]
+    )
+    def test_finite_loss_past_the_bar_names_its_epoch(self, n_points, growth, expected_epoch):
+        # One linear layer, identical points, minibatch 1: every step scales
+        # the residual by -growth, because the tangent kernel of x = (1, 1)
+        # is |x|^2 / 2 + beta^2 = 2 and lr = (1 + growth) / 2. Step t thus
+        # sees loss L0 * growth^(2t), and the reference is n * L0.
+        # (1, 8): epoch e sees 64^(e-1) * L0, first past 1e6 * L0 at e = 5.
+        # (4, 11.2): epoch 1 sums to 1.99e6 * L0, under the bar 4e6 * L0
+        # that the n / (minibatch rows) scaling sets; epoch 2 is far past it.
+        params = net.init(net.MlpConfig((2, 3), nonlinearity="identity", seed=1))
+        ds = data.make_dataset(np.ones((n_points, 2)), np.zeros(n_points, dtype=int), 3)
+        tc = net.TrainConfig(
+            learning_rate=(1.0 + growth) / 2.0, epochs=expected_epoch, minibatch_size=1
+        )
+        net.train_sgd(params, ds, dataclasses.replace(tc, epochs=expected_epoch - 1))
+        with pytest.raises(DivergenceError, match="loss [0-9]") as exc_info:
+            net.train_sgd(params, ds, tc)
+        assert exc_info.value.epoch == expected_epoch
+
+
+def _random_dataset(n, dim, classes, seed):
+    rng = np.random.default_rng(seed)
+    return data.make_dataset(rng.standard_normal((n, dim)), rng.integers(0, classes, n), classes)
+
+
+def _assert_matches_reference(params, ds, tc):
+    assert np.array_equal(
+        oracles.flat(net.train_sgd(params, ds, tc)),
+        oracles.flat(oracles.train_sgd_reference(params, ds, tc)),
+    )
+
+
+class TestTrainSgdMatchesReferenceLoop:
+    """``net.train_sgd`` returns the bits of separate forward/backward/update passes."""
+
+    @pytest.mark.parametrize("minibatch_size", [1, 5, 23, 24], ids=["1", "ragged", "n", "n+1"])
+    @pytest.mark.parametrize("nonlinearity", net.NONLINEARITIES)
+    def test_bitwise_equal(self, nonlinearity, minibatch_size):
+        params = net.init(net.MlpConfig((12, 24, 16, 3), nonlinearity=nonlinearity, seed=2))
+        ds = _random_dataset(23, 12, 3, seed=4)
+        tc = net.TrainConfig(
+            learning_rate=0.02, epochs=3, minibatch_size=minibatch_size,
+            shuffle_seed=9, lr_decay=0.8,
+        )
+        _assert_matches_reference(params, ds, tc)
+
+    def test_bitwise_equal_cold_start(self):
+        cfg = net.MlpConfig((12, 24, 3), nonlinearity="erf", seed=5)
+        start = oracles.params_from_flat(cfg, oracles.flat(net.init(cfg)) + 0.5)
+        ds = _random_dataset(17, 12, 3, seed=6)
+        tc = net.TrainConfig(
+            learning_rate=0.05, epochs=2, minibatch_size=4, warm_start=False, lr_decay=1.1
+        )
+        _assert_matches_reference(start, ds, tc)
+
+    def test_bitwise_equal_at_benchmark_shape(self):
+        # The 784-256-10 MLP the benchmark trains, with a ragged last minibatch.
+        params = net.init(net.MlpConfig((784, 256, 10), seed=0))
+        ds = _random_dataset(75, 784, 10, seed=8)
+        tc = net.TrainConfig(learning_rate=0.05, epochs=2, minibatch_size=32)
+        _assert_matches_reference(params, ds, tc)
