@@ -1,14 +1,16 @@
-"""Active-learning orchestration: pools, query loops, and measurements.
+"""Active-learning orchestration: pools, the query loop, and its records.
 
-The batch loop trains on the initial labeled set, then per cycle builds
-the kernel state, scores a random subset of the unlabeled pool with the
-configured strategy, moves the top-k points (with their true labels)
-into the labeled set, and retrains with SGD.
+One loop serves both modes. It trains on the initial labeled set; each
+cycle then builds the kernel state when none is live (look-ahead
+strategies only), scores a random subset of the unlabeled pool, moves
+k picks with their true labels into the labeled set, and evaluates.
 
-The sequential loop instead feeds each newly labeled point straight
-into the kernel state (one factor extension, no SGD) so that later
-picks within the same cycle already see the earlier labels; SGD
-retraining happens only every ``retrain_every`` cycles.
+- Batch mode picks the top k of one scoring and retrains with SGD every
+  cycle.
+- Sequential mode (look-ahead strategies only) picks one point at a
+  time: its true label enters the kernel state (``augment_state``, no
+  SGD) and the cycle's look-ahead batch is conditioned on it before the
+  next pick. SGD runs every ``retrain_every`` cycles and drops the state.
 
 Cost model, for n subset candidates against L labels: each cycle pays
 one ``lookahead_batch`` pass (one gradient-factor pass over the subset,
@@ -40,20 +42,12 @@ __all__ = [
     "run_al",
 ]
 
-STRATEGIES = (
-    "random",
-    "entropy",
-    "margin",
-    "mlmoc",
-    "emoc",
-    "eer",
-    "mlmoc-inf",
-    "mlmoc-naive",
-    "mlmoc-1step",
-)
+# The look-ahead strategies, which score through a kernel state, and the
+# name of their scorer in ``acquire``: ``<name>(state, inputs)`` scores
+# candidate rows, ``score_<name>(batch)`` a LookaheadBatch.
+_LOOKAHEAD_SCORERS = {"mlmoc": "mlmoc", "emoc": "emoc", "eer": "eer_lin", "mlmoc-inf": "mlmoc"}
 
-# Strategies that score through the kernel-state look-ahead.
-_KERNEL_STRATEGIES = ("mlmoc", "emoc", "eer", "mlmoc-inf")
+STRATEGIES = ("random", "entropy", "margin", *_LOOKAHEAD_SCORERS, "mlmoc-naive", "mlmoc-1step")
 
 
 def _index_array(indices):
@@ -114,7 +108,15 @@ class Pool:
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """One query cycle of one run; its fields are the columns of ``cli``'s records CSV."""
+    """One query cycle of one run; its fields are the columns of ``cli``'s records CSV.
+
+    ``labeled_size`` counts labels after the cycle's picks. ``test_accuracy``
+    is the network's after a retrain, else (sequential cycles without SGD)
+    the linearized predictor's of the live kernel state. ``query_seconds``
+    times state building, scoring and picking, ``train_seconds`` the SGD
+    (0 without a retrain). ``degenerate_skipped`` is the most candidates
+    flagged degenerate by any one scoring of the cycle: batch mode has one.
+    """
 
     cycle: int
     labeled_size: int
@@ -152,6 +154,11 @@ class RunConfig:
             raise ContractError("need subset_size >= query_batch_size >= 1")
         if self.cycles < 1:
             raise ContractError("cycles must be >= 1")
+        if self.sequential and self.strategy not in _LOOKAHEAD_SCORERS:
+            raise ContractError(
+                f"sequential mode needs a look-ahead strategy "
+                f"({', '.join(_LOOKAHEAD_SCORERS)}), got {self.strategy!r}"
+            )
         if self.naive_epochs < 0:
             raise ContractError("naive_epochs must be >= 0")
         if self.score_baseline not in acquire.BASELINES:
@@ -203,178 +210,93 @@ def query_batch_topk(result, k):
     return ranked[:k]
 
 
-def _accuracy(outputs, labels):
-    return float(np.mean(np.argmax(outputs, axis=1) == labels))
+def _score(config, cycle, params, pool, state, candidates):
+    """One scoring pass of the configured strategy; an AcquisitionResult.
 
-
-def _state_kernel_fn(strategy):
-    if strategy == "mlmoc-inf":
-        return lambda params, a, b: kernel.infinite_ntk_fc(params.config, a, b)
-    return None
-
-
-def _score_candidates(strategy, state, params, labeled_ds, cand_inputs, cfg, cycle):
-    """Dispatch one scoring pass; returns an AcquisitionResult."""
-    if strategy in ("mlmoc", "mlmoc-inf"):
-        return acquire.mlmoc(state, cand_inputs, baseline=cfg.score_baseline)
-    if strategy == "emoc":
-        return acquire.emoc(state, cand_inputs, baseline=cfg.score_baseline)
-    if strategy == "eer":
-        return acquire.eer_lin(state, cand_inputs)
+    ``candidates`` are input rows, or in sequential mode the cycle's
+    LookaheadBatch against ``state``. Look-ahead scorers are looked up
+    on ``acquire`` by name at call time.
+    """
+    strategy = config.strategy
+    name = _LOOKAHEAD_SCORERS.get(strategy)
+    if name is not None:
+        kwargs = {} if name == "eer_lin" else {"baseline": config.score_baseline}
+        if isinstance(candidates, lookahead.LookaheadBatch):
+            return getattr(acquire, "score_" + name)(candidates, **kwargs)
+        return getattr(acquire, name)(state, candidates, **kwargs)
     if strategy == "entropy":
-        return acquire.entropy_score(net.forward(params, cand_inputs))
+        return acquire.entropy_score(net.forward(params, candidates))
     if strategy == "margin":
-        return acquire.margin_score(net.forward(params, cand_inputs))
+        return acquire.margin_score(net.forward(params, candidates))
     if strategy == "random":
-        return acquire.random_score(_mix(cfg.seed, 2, cycle), len(cand_inputs))
-    if strategy == "mlmoc-naive":
-        retrain = replace(cfg.train, epochs=cfg.naive_epochs, warm_start=True)
-        return acquire.naive_change_scores(params, labeled_ds, cand_inputs, retrain)
-    if strategy == "mlmoc-1step":
-        retrain = replace(
-            cfg.train, epochs=1, minibatch_size=len(labeled_ds) + 1, warm_start=True
+        return acquire.random_score(_mix(config.seed, 2, cycle), len(candidates))
+    labeled = pool.labeled_dataset()
+    retrain = replace(config.train, epochs=config.naive_epochs, warm_start=True)
+    if strategy == "mlmoc-1step":  # one full-batch gradient step
+        retrain = replace(retrain, epochs=1, minibatch_size=len(labeled) + 1)
+    return acquire.naive_change_scores(params, labeled, candidates, retrain)
+
+
+def _run(config, train_data, test_data, on_cycle_end):
+    """The active-learning loop of both modes; see the module docstring."""
+    k = config.query_batch_size
+    needed = config.initial_labeled + config.cycles * k
+    if needed > len(train_data):
+        raise ContractError(
+            f"initial_labeled + cycles * query_batch_size = {config.initial_labeled} + "
+            f"{config.cycles} * {k} = {needed} exceeds the pool of {len(train_data)} points"
         )
-        return acquire.naive_change_scores(params, labeled_ds, cand_inputs, retrain)
-    raise ContractError(f"unknown strategy {strategy!r}")
-
-
-def _score_batch(strategy, batch, cfg):
-    """Score a LookaheadBatch with a kernel strategy's scorer."""
-    if strategy in ("mlmoc", "mlmoc-inf"):
-        return acquire.score_mlmoc(batch, baseline=cfg.score_baseline)
-    if strategy == "emoc":
-        return acquire.score_emoc(batch, baseline=cfg.score_baseline)
-    if strategy == "eer":
-        return acquire.score_eer_lin(batch)
-    raise ContractError(f"{strategy!r} is not a kernel look-ahead strategy")
-
-
-def _initial_training(config, pool):
-    mlp_cfg = replace(config.mlp, seed=_mix(config.mlp.seed, config.seed))
+    pool = Pool.initial(train_data, config.initial_labeled, _mix(config.seed, 0))
     train_cfg = replace(
         config.train, shuffle_seed=_mix(config.train.shuffle_seed, config.seed)
     )
-    params = net.init(mlp_cfg)
+    params = net.init(replace(config.mlp, seed=_mix(config.mlp.seed, config.seed)))
     params = net.train_sgd(params, pool.labeled_dataset(), train_cfg)
-    return params, train_cfg
-
-
-def run_batch_al(config, train_data, test_data, on_cycle_end=None):
-    """Batch-mode active learning; one CycleRecord per cycle.
-
-    ``on_cycle_end(cycle, pool, params, state)`` is an optional observer
-    used by tests and notebooks; the loop itself never reads it.
-    """
-    if config.sequential:
-        raise ContractError("config.sequential is set; use run_sequential_al")
-    pool = Pool.initial(train_data, config.initial_labeled, _mix(config.seed, 0))
-    params, train_cfg = _initial_training(config, pool)
-    records = []
-    for cycle in range(config.cycles):
-        t0 = time.perf_counter()
-        labeled_ds = pool.labeled_dataset()
-        state = None
-        if config.strategy in _KERNEL_STRATEGIES:
-            state = kernel.build_state(
-                params, labeled_ds, kernel_fn=_state_kernel_fn(config.strategy)
-            )
-        subset = sample_subset(pool, config.subset_size, _mix(config.seed, 1, cycle))
-        cand_inputs = train_data.inputs[subset]
-        result = _score_candidates(
-            config.strategy, state, params, labeled_ds, cand_inputs, config, cycle
-        )
-        picked = query_batch_topk(result, config.query_batch_size)
-        chosen = [int(subset[i]) for i in picked]
-        query_seconds = time.perf_counter() - t0
-
-        pool = pool.acquire(chosen)
-        t1 = time.perf_counter()
-        params = net.train_sgd(params, pool.labeled_dataset(), train_cfg)
-        train_seconds = time.perf_counter() - t1
-
-        records.append(
-            CycleRecord(
-                cycle=cycle,
-                labeled_size=len(pool.labeled_indices),
-                test_accuracy=_accuracy(
-                    net.forward(params, test_data.inputs), test_data.labels
-                ),
-                query_seconds=query_seconds,
-                train_seconds=train_seconds,
-                strategy=config.strategy,
-                seed=config.seed,
-                degenerate_skipped=int(np.sum(result.degenerate_flags)),
-            )
-        )
-        if on_cycle_end is not None:
-            on_cycle_end(cycle, pool, params, state)
-    return records
-
-
-def run_sequential_al(config, train_data, test_data, on_cycle_end=None):
-    """Streaming-mode active learning: true labels enter the kernel state.
-
-    Within a cycle each of the k picks is scored against a state already
-    augmented with the previous picks' true labels; SGD retraining (and a
-    state rebuild) happens every ``retrain_every`` cycles. The subset is
-    scored once per cycle; after each pick the look-ahead batch is
-    conditioned on the true label instead of rebuilt.
-    """
-    if not config.sequential:
-        raise ContractError("config.sequential is not set; use run_batch_al")
-    if config.strategy not in _KERNEL_STRATEGIES:
-        raise ContractError(
-            f"sequential mode needs a kernel look-ahead strategy, "
-            f"got {config.strategy!r}"
-        )
-    pool = Pool.initial(train_data, config.initial_labeled, _mix(config.seed, 0))
-    params, train_cfg = _initial_training(config, pool)
-    kernel_fn = _state_kernel_fn(config.strategy)
+    kernel_fn = None
+    if config.strategy == "mlmoc-inf":
+        kernel_fn = lambda params, a, b: kernel.infinite_ntk_fc(params.config, a, b)
     state = None
     records = []
     for cycle in range(config.cycles):
         t0 = time.perf_counter()
-        if state is None:
-            state = kernel.build_state(
-                params, pool.labeled_dataset(), kernel_fn=kernel_fn
-            )
-        subset = list(sample_subset(pool, config.subset_size, _mix(config.seed, 1, cycle)))
-        batch = lookahead.lookahead_batch(state, train_data.inputs[subset])
-        if config.query_batch_size > 1:
-            # condition reads the gains; the first score then sums them too,
-            # instead of contracting the subset's kernel a second time.
-            batch = batch.formed()
-        degenerate_skipped = 0
-        chosen = []
-        for step in range(config.query_batch_size):
-            result = _score_batch(config.strategy, batch, config)
-            pick = query_batch_topk(result, 1)[0]
-            degenerate_skipped = max(
-                degenerate_skipped, int(np.sum(result.degenerate_flags))
-            )
-            idx = subset.pop(pick)
-            chosen.append(idx)
-            y_new = train_data.one_hot[idx]
-            try:
-                state = lookahead.augment_state(
-                    state, train_data.inputs[idx], y_new, f_val=batch.outputs[pick]
-                )
-            except DegenerateCandidateError:
-                pass  # consumes budget but adds nothing to the regression
-            if step + 1 < config.query_batch_size:
-                batch = lookahead.condition(batch, pick, y_new)
+        if state is None and config.strategy in _LOOKAHEAD_SCORERS:
+            state = kernel.build_state(params, pool.labeled_dataset(), kernel_fn=kernel_fn)
+        subset = sample_subset(pool, config.subset_size, _mix(config.seed, 1, cycle))
+        candidates = train_data.inputs[subset]
+        if config.sequential:
+            candidates = lookahead.lookahead_batch(state, candidates)
+            if k > 1:
+                # condition reads the gains; the first score then sums them too,
+                # instead of contracting the subset's kernel a second time.
+                candidates = candidates.formed()
+        chosen, degenerate_skipped = [], 0
+        while len(chosen) < k:
+            result = _score(config, cycle, params, pool, state, candidates)
+            degenerate_skipped = max(degenerate_skipped, int(np.sum(result.degenerate_flags)))
+            picked = query_batch_topk(result, 1 if config.sequential else k)
+            chosen += [int(subset[i]) for i in picked]
+            if config.sequential:
+                i, y = picked[0], train_data.one_hot[chosen[-1]]
+                try:
+                    state = lookahead.augment_state(
+                        state, train_data.inputs[chosen[-1]], y, f_val=candidates.outputs[i]
+                    )
+                except DegenerateCandidateError:
+                    pass  # consumes budget but adds nothing to the regression
+                if len(chosen) < k:
+                    candidates = lookahead.condition(candidates, i, y)
+                    subset = np.delete(subset, i)
         query_seconds = time.perf_counter() - t0
 
         pool = pool.acquire(chosen)
         train_seconds = 0.0
-        retrained = config.retrain_every > 0 and (cycle + 1) % config.retrain_every == 0
+        retrained = not config.sequential or (
+            config.retrain_every > 0 and (cycle + 1) % config.retrain_every == 0
+        )
         if retrained:
             t1 = time.perf_counter()
             params = net.train_sgd(params, pool.labeled_dataset(), train_cfg)
             train_seconds = time.perf_counter() - t1
-            state = None  # rebuilt from the retrained network next cycle
-
-        if retrained:
             test_outputs = net.forward(params, test_data.inputs)
         else:
             test_outputs = lookahead.predict_lin(state, test_data.inputs)
@@ -382,7 +304,7 @@ def run_sequential_al(config, train_data, test_data, on_cycle_end=None):
             CycleRecord(
                 cycle=cycle,
                 labeled_size=len(pool.labeled_indices),
-                test_accuracy=_accuracy(test_outputs, test_data.labels),
+                test_accuracy=float(np.mean(np.argmax(test_outputs, axis=1) == test_data.labels)),
                 query_seconds=query_seconds,
                 train_seconds=train_seconds,
                 strategy=config.strategy,
@@ -391,8 +313,34 @@ def run_sequential_al(config, train_data, test_data, on_cycle_end=None):
             )
         )
         if on_cycle_end is not None:
-            on_cycle_end(cycle, pool, params, state)
+            on_cycle_end(cycle, pool, params, None if config.sequential and retrained else state)
+        if retrained:
+            state = None  # rebuilt from the retrained network next cycle
     return records
+
+
+def run_batch_al(config, train_data, test_data, on_cycle_end=None):
+    """Batch-mode active learning; one CycleRecord per cycle.
+
+    ``on_cycle_end(cycle, pool, params, state)`` is an optional observer
+    used by tests and notebooks; the loop itself never reads it. ``state``
+    is the kernel state that scored the cycle, None for strategies that
+    use none.
+    """
+    if config.sequential:
+        raise ContractError("config.sequential is set; use run_sequential_al")
+    return _run(config, train_data, test_data, on_cycle_end)
+
+
+def run_sequential_al(config, train_data, test_data, on_cycle_end=None):
+    """Streaming-mode active learning: true labels enter the kernel state.
+
+    Records and observer as in ``run_batch_al``, except that ``state`` is
+    the live state holding the cycle's picks, None after a retrain.
+    """
+    if not config.sequential:
+        raise ContractError("config.sequential is not set; use run_batch_al")
+    return _run(config, train_data, test_data, on_cycle_end)
 
 
 def run_al(config, train_data, test_data):

@@ -184,10 +184,11 @@ class TestCmdRun:
             ("mlmoc-inf", "nonlinearity = relu", "nonlinearity = identity"),
             ("random", "learning_rate = 0.05", "learning_rate = nan"),
             ("random", "minibatch_size = 8", "minibatch_size = 8\nlr_decay = inf"),
+            ("random", "seeds = 0", "seeds = 0\nsequential = true"),
         ],
         ids=[
             "unknown-baseline", "eer-unknown-baseline", "negative-naive-epochs",
-            "inf-identity", "nan-learning-rate", "inf-lr-decay",
+            "inf-identity", "nan-learning-rate", "inf-lr-decay", "sequential-random",
         ],
     )
     def test_invalid_run_values_exit_2_and_write_nothing(self, tmp_path, capsys, strategy, old, new):

@@ -230,6 +230,73 @@ class TestRunBatch:
         assert _strip_timing(first) == _strip_timing(second)
 
 
+class TestRunLoop:
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_budget_beyond_pool_fails_before_training(self, monkeypatch, sequential):
+        trained = []
+        original = net.train_sgd
+        monkeypatch.setattr(
+            net, "train_sgd", lambda *a, **kw: trained.append(1) or original(*a, **kw)
+        )
+        train, test = _toy_data(n=10)
+        cfg = _tiny_config(strategy="mlmoc", sequential=sequential, cycles=6)
+        with pytest.raises(ContractError, match=r"6 \+ 6 \* 3 = 24 exceeds the pool of 20"):
+            pool.run_al(cfg, train, test)
+        assert trained == []
+        exact = _tiny_config(
+            strategy="mlmoc", sequential=sequential, initial_labeled=8, cycles=4
+        )
+        records = pool.run_al(exact, train, test)
+        assert records[-1].labeled_size == len(train)
+        assert trained
+
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_observer_state(self, sequential):
+        # The benchmark gates the state a batch cycle scored with, and counts
+        # sequential labels missing from the live state; a retrain drops it.
+        train, test = _toy_data()
+        cfg = _tiny_config(
+            strategy="mlmoc", sequential=sequential, cycles=4, retrain_every=2
+        )
+        seen = []
+        records = (pool.run_sequential_al if sequential else pool.run_batch_al)(
+            cfg, train, test, on_cycle_end=lambda c, p, prm, st: seen.append(st)
+        )
+        for record, state in zip(records, seen):
+            if not sequential:
+                assert state.labeled_count == record.labeled_size - cfg.query_batch_size
+            elif record.cycle % 2 == 1:
+                assert state is None
+            else:
+                assert state.labeled_count == record.labeled_size
+        assert len(seen) == cfg.cycles
+
+    @pytest.mark.parametrize("sequential", [False, True])
+    @pytest.mark.parametrize(
+        "strategy, scorer", [("mlmoc", "mlmoc"), ("emoc", "emoc"), ("eer", "eer_lin")]
+    )
+    def test_scorers_are_looked_up_on_acquire(self, monkeypatch, strategy, scorer, sequential):
+        # The benchmark's tracer replaces these attributes; a table of the
+        # functions captured at import time would bypass it. Batch mode
+        # scores fresh rows once per cycle, sequential mode the cycle's
+        # batch once per pick.
+        calls = []
+        for name in ("mlmoc", "emoc", "eer_lin"):
+            for attr in (name, "score_" + name):
+                original = getattr(acquire, attr)
+                monkeypatch.setattr(
+                    acquire, attr,
+                    lambda *a, _f=original, _n=attr, **kw: calls.append(_n) or _f(*a, **kw),
+                )
+        train, test = _toy_data()
+        cfg = _tiny_config(strategy=strategy, sequential=sequential)
+        (pool.run_sequential_al if sequential else pool.run_batch_al)(cfg, train, test)
+        if sequential:
+            assert calls == ["score_" + scorer] * (cfg.cycles * cfg.query_batch_size)
+        else:
+            assert calls == [scorer, "score_" + scorer] * cfg.cycles
+
+
 class TestRunSequential:
     def test_k1_matches_batch_selections(self):
         train, test = _toy_data()
@@ -357,12 +424,6 @@ class TestRunSequential:
         assert blocks == [(n, slice(0, n), slice(0, n))] * cfg.cycles
         assert factor_rows.count(n) == cfg.cycles
 
-    def test_requires_kernel_strategy(self):
-        train, test = _toy_data()
-        cfg = _tiny_config(strategy="random", sequential=True)
-        with pytest.raises(ContractError):
-            pool.run_sequential_al(cfg, train, test)
-
     def test_dispatch_checks_mode(self):
         train, test = _toy_data()
         with pytest.raises(ContractError):
@@ -383,3 +444,8 @@ class TestRunConfigValidation:
             _tiny_config(query_batch_size=20, subset_size=10)
         with pytest.raises(ContractError):
             _tiny_config(cycles=0)
+
+    def test_requires_kernel_strategy(self):
+        for strategy in ("random", "entropy", "margin", "mlmoc-naive", "mlmoc-1step"):
+            with pytest.raises(ContractError, match="sequential mode"):
+                _tiny_config(strategy=strategy, sequential=True)
