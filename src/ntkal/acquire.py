@@ -10,7 +10,7 @@ times a per-label shift), whole candidate batches are scored with a
 handful of matrix products. Each takes a kernel state and candidate rows
 and scores the batch it builds with ``score_mlmoc``, ``score_emoc`` or
 ``score_eer_lin``; sequential querying calls those directly on a batch
-kept up to date with ``lookahead.condition``.
+kept up to date in place with ``lookahead.condition``.
 
 emoc and eer_lin sum over all C hypothetical labels. Labeling candidate
 i with l moves reference r to a - gains[r, i] * e_l, where
@@ -171,10 +171,10 @@ def _label_table(ctx, kind):
         return sums  # the softmax of a single logit is one-hot
     base = ctx.shift_base if kind == "entropy" else ctx.shift_base - ctx.outputs
     base = np.ascontiguousarray(base.T)[:, None, :]
-    step = max(1, _TABLE_CHUNK_BYTES // (8 * len(ctx.gains) * c))
+    step = max(1, _TABLE_CHUNK_BYTES // (8 * n * c))
     for start in range(0, n, step):
         cols = slice(start, start + step)
-        g = np.ascontiguousarray(ctx.gains[:, cols].T)
+        g = ctx.gain_rows(cols)
         s = ctx.shift_base[cols].T[:, :, None]
         a, corr = base + g * s, base + g * (s - 1.0)
         if kind == "entropy":

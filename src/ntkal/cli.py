@@ -192,9 +192,10 @@ def cmd_run(config_path, seed=None, out_dir="."):
         seeds = [seed] if seed is not None else spec["run"]["seeds"]
         train_data, test_data = _load_datasets(spec["data"])
         configs = [_build_run_config(spec, s, train_data) for s in seeds]
+        configs[0].check_pool(len(train_data))  # the seed does not change the budget
     except (ConfigError, ContractError, FormatError, OSError) as exc:
-        # Bad configs, invalid strategy names, and unreadable data files
-        # all surface as exit code 2 before any cycle runs.
+        # Bad configs, invalid strategy names, budgets beyond the pool and
+        # unreadable data files all surface as exit code 2 before any output.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

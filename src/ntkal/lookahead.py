@@ -22,11 +22,11 @@ numerator is minus the posterior covariance Sigma(r, c) = k(r, c) -
 W_r^T W_c. One loop contracts Sigma in row chunks of its upper triangle
 into one of two sinks: the reduce sink sums |Sigma| per column, which is
 all that linearized mlmoc and emoc read, so their pass holds no (n, n)
-array; the dense sink forms the (n, n) gains, on first read, for
-``condition``, eer_lin and the raw baseline. ``augment_state`` uses the
-same block quantities to extend the Cholesky factor, so feeding true
-labels sequentially into the state costs one solve per point and is order
-independent.
+array; the dense sink forms Sigma whole, for ``condition``, or the gains,
+on first read, for batch-mode eer_lin and the raw baseline.
+``augment_state`` uses the same block quantities to extend the Cholesky
+factor, so feeding true labels sequentially into the state costs one
+solve per point and is order independent.
 
 Once a candidate x* is really labeled, ``condition`` updates the batch
 in O(n^2) instead of a fresh ``lookahead_batch`` on the augmented state.
@@ -42,7 +42,10 @@ This is exact, not an approximation: ``augment_state`` appends the factor
 row [W*^T, sqrt(u*)], which gives every candidate the one new W entry
 S(x*, c) / sqrt(u*), and S is symmetric, so s is both S(., x*) and
 S(x*, .). A fresh rescoring differs only by rounding. Schur complements
-only shrink, so a degenerate candidate stays degenerate.
+only shrink, so a degenerate candidate stays degenerate. ``condition``
+applies the downdate by one ``dger`` to S, formed once per cycle
+(``LookaheadBatch.in_place``); a pick's row and column are zeroed and
+stay zero, and gains are derived where they are read, never stored.
 """
 
 from dataclasses import dataclass, replace
@@ -134,11 +137,13 @@ def _pivots(batch):
 
 
 class _FormedOnRead:
-    """``LookaheadBatch.gains``: formed by the dense sink on first read, then kept."""
+    """``LookaheadBatch.gains``: formed on first read and kept; derived from Sigma in place."""
 
     def __get__(self, batch, owner=None):
         if batch is None:
             return None  # the field's default
+        if batch.sigma is not None:
+            return batch.gain_rows(slice(None)).T
         if batch.__dict__.get("gains") is None:
             gains = _dense_sink(*batch.covariance)
             gains /= -_pivots(batch)
@@ -165,22 +170,40 @@ class LookaheadBatch:
     schur: np.ndarray  # (n,) unjittered Schur complements k(c,c) - |W_c|^2
     self_k: np.ndarray  # (n,) self-kernel values k(c, c)
     jitter: float  # the state's jitter; u = schur + jitter
-    covariance: tuple = None  # (FeatureBatch, W) of Sigma; None once conditioned
+    live: np.ndarray  # (n,) the candidates' positions in the batch first built
+    covariance: tuple = None  # (FeatureBatch, W) of Sigma while unformed
     gains: np.ndarray = _FormedOnRead()  # (n, n) (W_r^T W_c - k(r,c)) / u_c, row r, column c
+    sigma: np.ndarray = None  # in place: (N, N) Sigma over positions, Fortran order
 
-    def formed(self):
-        """This batch carrying its gains, without the factors and W they come from."""
-        return replace(self, covariance=None, gains=self.gains)
+    def in_place(self):
+        """This batch holding Sigma for ``condition``, without its factors and W."""
+        sigma = _dense_sink(*self.covariance).T  # symmetric; Fortran order for dger
+        fields = (self.outputs, self.degenerate, self.shift_base, self.schur, self.self_k)
+        return LookaheadBatch(*fields, self.jitter, self.live, sigma=sigma)
+
+    def gain_rows(self, cols):
+        """gains[:, cols].T as a C-ordered array; in place, derived from Sigma's live rows."""
+        if self.sigma is None:
+            return np.ascontiguousarray(self.gains[:, cols].T)
+        pivots = np.where(self.degenerate[cols], -np.inf, -self.schur[cols] - self.jitter)
+        return self.sigma.T[np.ix_(self.live[cols], self.live)] / pivots[:, None]
 
     def abs_gain_sums(self):
-        """sum(|gains|, axis=0), streamed through the reduce sink while unformed.
-
-        Formed gains are summed whole, with an (n, n) temporary no larger
-        than the copy ``condition`` makes of them."""
-        if self.__dict__.get("gains") is None:
+        """sum(|gains|, axis=0): unformed, through the reduce sink; in place, |Sigma|
+        through one (N, 64) buffer, whose whole columns sum the live rows as
+        dead rows are zero; formed, summed whole with an (n, n) temporary."""
+        if self.sigma is not None:
+            n, step = len(self.sigma), 64  # a (1000, 64) buffer stays in cache
+            buf, sums = np.empty((n, min(n, step)), order="F"), np.empty(n)
+            for start in range(0, n, step):
+                block = np.abs(self.sigma[:, start : start + step], out=buf[:, : n - start])
+                np.sum(block, axis=0, out=sums[start : start + step])
+            sums = sums[self.live]
+        elif self.__dict__.get("gains") is None:
             sums = _reduce_sink(*self.covariance)
-            return np.where(self.degenerate, 0.0, sums / _pivots(self))
-        return np.sum(np.abs(self.gains), axis=0)
+        else:
+            return np.sum(np.abs(self.gains), axis=0)
+        return np.where(self.degenerate, 0.0, sums / _pivots(self))
 
 
 def lookahead_batch(state, candidates):
@@ -201,6 +224,7 @@ def lookahead_batch(state, candidates):
         schur=schur,
         self_k=self_k,
         jitter=state.factor.jitter_applied,
+        live=np.arange(len(cands)),
         covariance=(features, w),
     )
 
@@ -210,45 +234,33 @@ def condition(batch, i, y):
 
     Equals, up to rounding, ``lookahead_batch`` on the state returned by
     ``augment_state(state, candidates[i], y)`` over the remaining candidates
-    (see the module docstring), at O(n^2) cost and without evaluating the
-    kernel. A degenerate pick leaves the state unchanged, so only its row
-    and column are dropped. Needs at least two candidates; raises
-    ContractError otherwise.
+    (see the module docstring), at O(N^2) cost and without evaluating the
+    kernel. Sigma (formed by ``in_place`` on first use) is updated in
+    place and shared with the returned batch, so ``batch`` is spent. A
+    degenerate pick leaves the state unchanged, so it is only dropped.
+    Needs at least two candidates; raises ContractError otherwise.
     """
     n = len(batch.outputs)
     if not 0 <= i < n:
         raise ContractError(f"candidate index {i} out of range for {n} candidates")
     if n < 2:
         raise ContractError("conditioning the last candidate leaves an empty batch")
-    keep = np.arange(n) != i
-    gains = batch.gains[np.ix_(keep, keep)]  # the only (n, n) allocation
-    schur, shift_base = batch.schur[keep], batch.shift_base[keep]
-    degenerate = batch.degenerate[keep]
+    batch = batch if batch.sigma is not None else batch.in_place()
+    sigma, pos, keep = batch.sigma, batch.live[i], np.arange(n) != i
+    live, schur, degenerate = batch.live[keep], batch.schur[keep], batch.degenerate[keep]
+    shift_base = batch.shift_base[keep]
     if not batch.degenerate[i]:
         y = np.asarray(y, dtype=np.float64).reshape(-1)
-        u = batch.schur + batch.jitter
-        column = batch.gains[keep, i]
-        s = -column * u[i]  # S(., x*), also S(x*, .) by symmetry
-        schur = schur - s * s / u[i]
+        u = batch.schur[i] + batch.jitter
+        s = sigma[:, pos].copy()  # S(., x*), also S(x*, .) by symmetry
+        blas.dger(-1.0 / u, s, s, a=sigma, overwrite_a=True)
+        s = s[live]
+        schur = schur - s * s / u
         degenerate = degenerate | _degenerate(schur, batch.self_k[keep])
-        u_new = np.where(degenerate, 1.0, schur + batch.jitter)
-        # Column c of gains is -S(., c) / u_c, so the conditioned gains
-        # -S'(., c) / u'_c are gains * u_c / u'_c + s * s_c / (u* u'_c):
-        # scale the columns, then add the rank-one term in place.
-        gains *= u[keep] / u_new
-        gains = blas.dger(1.0 / u[i], s / u_new, s, a=gains.T, overwrite_a=True).T
-        gains[:, degenerate] = 0.0
-        shift_base = shift_base + np.outer(column, batch.shift_base[i] - y)
-    return replace(
-        batch,
-        outputs=batch.outputs[keep],
-        degenerate=degenerate,
-        gains=gains,
-        shift_base=shift_base,
-        schur=schur,
-        self_k=batch.self_k[keep],
-        covariance=None,
-    )
+        shift_base = shift_base + np.outer(s / -u, batch.shift_base[i] - y)
+    sigma[pos], sigma[:, pos] = 0.0, 0.0  # and zero under every later downdate
+    fields = (batch.outputs[keep], degenerate, shift_base, schur, batch.self_k[keep])
+    return LookaheadBatch(*fields, batch.jitter, live, sigma=sigma)
 
 
 def augment_state(state, x, y, f_val=None):

@@ -16,9 +16,9 @@ Cost model, for n subset candidates against L labels: each cycle pays
 one ``lookahead_batch`` pass (one gradient-factor pass over the subset,
 one triangular solve, the n x n covariance in row chunks at O(L n^2)).
 Batch linearized mlmoc/emoc reduce the chunks and hold no n x n array.
-Sequential mode forms the n x n gains once per cycle; each pick then pays
-O(n^2 + L^2): scoring, ``lookahead.condition`` (a rank-one downdate of
-the gains) and ``augment_state`` (one factor pass and one solve).
+Sequential mode forms the n x n covariance once per cycle; each pick then
+pays O(n^2 + L^2) and allocates no n x n array: scoring, a rank-one
+downdate in place (``lookahead.condition``) and ``augment_state``.
 """
 
 import time
@@ -145,6 +145,16 @@ class RunConfig:
     naive_epochs: int = 15  # retraining budget of the naive oracle strategy
     score_baseline: str = "linearized"
 
+    def check_pool(self, size):
+        """Raises ContractError when the labeling budget exceeds a pool of ``size`` points."""
+        needed = self.initial_labeled + self.cycles * self.query_batch_size
+        if needed > size:
+            raise ContractError(
+                f"initial_labeled + cycles * query_batch_size = {self.initial_labeled} + "
+                f"{self.cycles} * {self.query_batch_size} = {needed} exceeds the pool of "
+                f"{size} points"
+            )
+
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ContractError(
@@ -204,10 +214,8 @@ def query_batch_topk(result, k):
     if k > n:
         raise ContractError(f"k={k} exceeds candidate count {n}")
     order = np.lexsort((np.arange(n), -scores))
-    ranked = [int(i) for i in order if not result.degenerate_flags[i]]
-    if len(ranked) < k:
-        ranked += [int(i) for i in order if result.degenerate_flags[i]]
-    return ranked[:k]
+    # A stable sort on the flags moves degenerate candidates behind the others.
+    return order[np.argsort(result.degenerate_flags[order], kind="stable")[:k]].tolist()
 
 
 def _score(config, cycle, params, pool, state, candidates):
@@ -240,12 +248,7 @@ def _score(config, cycle, params, pool, state, candidates):
 def _run(config, train_data, test_data, on_cycle_end):
     """The active-learning loop of both modes; see the module docstring."""
     k = config.query_batch_size
-    needed = config.initial_labeled + config.cycles * k
-    if needed > len(train_data):
-        raise ContractError(
-            f"initial_labeled + cycles * query_batch_size = {config.initial_labeled} + "
-            f"{config.cycles} * {k} = {needed} exceeds the pool of {len(train_data)} points"
-        )
+    config.check_pool(len(train_data))
     pool = Pool.initial(train_data, config.initial_labeled, _mix(config.seed, 0))
     train_cfg = replace(
         config.train, shuffle_seed=_mix(config.train.shuffle_seed, config.seed)
@@ -266,15 +269,15 @@ def _run(config, train_data, test_data, on_cycle_end):
         if config.sequential:
             candidates = lookahead.lookahead_batch(state, candidates)
             if k > 1:
-                # condition reads the gains; the first score then sums them too,
-                # instead of contracting the subset's kernel a second time.
-                candidates = candidates.formed()
+                # condition downdates Sigma in place; the first score then reads
+                # it too, instead of contracting the subset's kernel again.
+                candidates = candidates.in_place()
         chosen, degenerate_skipped = [], 0
         while len(chosen) < k:
             result = _score(config, cycle, params, pool, state, candidates)
             degenerate_skipped = max(degenerate_skipped, int(np.sum(result.degenerate_flags)))
             picked = query_batch_topk(result, 1 if config.sequential else k)
-            chosen += [int(subset[i]) for i in picked]
+            chosen += subset[candidates.live[picked] if config.sequential else picked].tolist()
             if config.sequential:
                 i, y = picked[0], train_data.one_hot[chosen[-1]]
                 try:
@@ -285,7 +288,6 @@ def _run(config, train_data, test_data, on_cycle_end):
                     pass  # consumes budget but adds nothing to the regression
                 if len(chosen) < k:
                     candidates = lookahead.condition(candidates, i, y)
-                    subset = np.delete(subset, i)
         query_seconds = time.perf_counter() - t0
 
         pool = pool.acquire(chosen)

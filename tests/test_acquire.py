@@ -31,6 +31,11 @@ def _lookahead_after(state, xc, yc, q):
     return batch.shift_base[1:] + np.outer(batch.gains[1:, 0], batch.shift_base[0] - yc)
 
 
+def _formed(batch):
+    """The batch carrying its gains, without the factors and W they come from."""
+    return replace(batch, covariance=None, gains=batch.gains)
+
+
 def _brute_change_score(params, x, y, cand, label, reference):
     """Direct augmented dense solve of the look-ahead change, per candidate."""
     gram = kernel.empirical_ntk(params, x, x)
@@ -228,7 +233,7 @@ class TestEmoc:
 class TestChunkedScoring:
     """Scores from row-chunked |gains| sums and column-chunked per-label tables.
 
-    The batches carry formed gains, as conditioned batches do. The
+    The batches carry formed gains without the factors they come from. The
     linearized branch reduces them in the order of one whole-array
     reduction, so it matches bitwise up to the product with the shift norm
     (streamed sums of unformed gains: ``test_lookahead``
@@ -237,14 +242,38 @@ class TestChunkedScoring:
     """
 
     @staticmethod
-    def _batch():
+    def _batch(formed=True):
         rng = np.random.default_rng(60)
         params = net.init(net.MlpConfig((4, 24, 3), seed=60))
         x = rng.standard_normal((20, 4))
         y = data.one_hot_encode(rng.integers(0, 3, 20), 3)
         state = kernel.build_state_xy(params, x, y)
         cands = np.vstack([rng.standard_normal((600, 4)), x[:2]])
-        return lookahead.lookahead_batch(state, cands).formed()
+        batch = lookahead.lookahead_batch(state, cands)
+        return _formed(batch) if formed else batch
+
+    def test_in_place_scores_match_formed_gains(self, monkeypatch):
+        # Sigma in place after picks in three of its 64-column blocks,
+        # against the gains it stands for formed whole: sums and tables
+        # read the live candidates only.
+        monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 8 * 602 * 3 * 70)
+        batch = self._batch(formed=False).in_place()
+        for i, label in [(5, 0), (300, 1), (100, 2)]:
+            batch = lookahead.condition(batch, i, np.eye(3)[label])
+        dead = np.setdiff1d(np.arange(602), batch.live)
+        assert len(batch.live) == 599 and not np.any(batch.sigma[:, dead])
+        formed = replace(batch, sigma=None)
+        assert formed.degenerate[-2:].all()
+        for baseline in acquire.BASELINES:
+            for score in (acquire.score_mlmoc, acquire.score_emoc):
+                np.testing.assert_allclose(
+                    score(batch, baseline).scores, score(formed, baseline).scores,
+                    rtol=1e-12, atol=0.0,
+                )
+        np.testing.assert_allclose(
+            acquire.score_eer_lin(batch).scores, acquire.score_eer_lin(formed).scores,
+            rtol=1e-12, atol=0.0,
+        )
 
     def test_emoc_matches_whole_array_formula(self, monkeypatch):
         # A small byte budget splits the raw table into several chunks,
@@ -336,7 +365,7 @@ class TestChunkedScoring:
         try:
             call(state, cands)
             peak = tracemalloc.get_traced_memory()[1]
-            batch = lookahead.lookahead_batch(state, cands).formed()
+            batch = _formed(lookahead.lookahead_batch(state, cands))
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             score(batch)

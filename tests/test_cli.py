@@ -185,10 +185,13 @@ class TestCmdRun:
             ("random", "learning_rate = 0.05", "learning_rate = nan"),
             ("random", "minibatch_size = 8", "minibatch_size = 8\nlr_decay = inf"),
             ("random", "seeds = 0", "seeds = 0\nsequential = true"),
+            # 6 + 3 * 2 = 12 labels from a pool of 10 points.
+            ("mlmoc", "n_per_class = 30", "n_per_class = 5"),
         ],
         ids=[
             "unknown-baseline", "eer-unknown-baseline", "negative-naive-epochs",
             "inf-identity", "nan-learning-rate", "inf-lr-decay", "sequential-random",
+            "budget-beyond-pool",
         ],
     )
     def test_invalid_run_values_exit_2_and_write_nothing(self, tmp_path, capsys, strategy, old, new):

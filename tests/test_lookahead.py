@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -407,34 +408,75 @@ class TestCondition:
             lookahead.condition(batch, 3, np.array([1.0, 0.0]))
 
     def test_degenerate_pick_only_drops_its_row_and_column(self):
+        # Sigma is updated in place: the pick's row and column are zeroed
+        # and nothing else moves; the other arrays list the live candidates.
         params, x, y, state = _problem(seed=46)
         rng = np.random.default_rng(47)
         cands = np.vstack([rng.standard_normal((2, 3)), x[:1], rng.standard_normal((2, 3))])
-        batch = lookahead.lookahead_batch(state, cands)
+        batch = lookahead.lookahead_batch(state, cands).in_place()
         assert batch.degenerate.tolist() == [False, False, True, False, False]
+        assert batch.sigma.flags.f_contiguous and batch.covariance is None
         keep = [0, 1, 3, 4]
+        gains, sigma = batch.gains[np.ix_(keep, keep)], batch.sigma.copy()
+        sigma[2], sigma[:, 2] = 0.0, 0.0
         after = lookahead.condition(batch, 2, np.array([0.0, 1.0]))
-        np.testing.assert_array_equal(after.gains, batch.gains[np.ix_(keep, keep)])
+        assert after.sigma is batch.sigma
+        np.testing.assert_array_equal(after.sigma, sigma)
+        np.testing.assert_array_equal(after.gains, gains)
+        np.testing.assert_array_equal(after.live, keep)
         for name in ("outputs", "degenerate", "shift_base", "schur", "self_k"):
             np.testing.assert_array_equal(getattr(after, name), getattr(batch, name)[keep])
 
     def test_conditions_down_to_the_last_candidate(self):
+        # One Sigma serves every pick; dead rows and columns stay exactly
+        # zero under later downdates.
         params, x, y, state = _problem(seed=48)
         rng = np.random.default_rng(49)
         cands = rng.standard_normal((4, 3))
         labels = np.eye(2)[rng.integers(0, 2, 4)]
         batch = lookahead.lookahead_batch(state, cands)
+        sigma = None
         while len(cands) > 1:
             state = lookahead.augment_state(state, cands[0], labels[0])
             batch = lookahead.condition(batch, 0, labels[0])
+            sigma = batch.sigma if sigma is None else sigma
+            assert batch.sigma is sigma
             cands, labels = cands[1:], labels[1:]
             fresh = lookahead.lookahead_batch(state, cands)
             np.testing.assert_allclose(batch.gains, fresh.gains, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(batch.shift_base, fresh.shift_base, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(batch.schur, fresh.schur, rtol=1e-9, atol=1e-12)
+            dead = np.setdiff1d(np.arange(4), batch.live)
+            assert not np.any(sigma[dead]) and not np.any(sigma[:, dead])
         assert batch.gains.shape == (1, 1)
+        np.testing.assert_array_equal(batch.live, [3])
         with pytest.raises(ContractError):
             lookahead.condition(batch, 0, labels[0])
+
+    def test_picks_allocate_no_covariance_sized_array(self):
+        # A 10-pick cycle as pool runs it: after the cycle's first score,
+        # scoring, augmenting and conditioning never raise traced memory
+        # by one (n, n) array.
+        params, x, y, state = _problem(l_size=20, seed=57)
+        rng = np.random.default_rng(58)
+        cands = rng.standard_normal((300, 3))
+        labels = np.eye(2)[rng.integers(0, 2, 300)]
+        tracemalloc.start()
+        try:
+            batch = lookahead.lookahead_batch(state, cands).in_place()
+            result = acquire.score_mlmoc(batch)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                i = result.argmax_index
+                state = lookahead.augment_state(state, cands[i], labels[i], batch.outputs[i])
+                batch = lookahead.condition(batch, i, labels[i])
+                cands, labels = np.delete(cands, i, axis=0), np.delete(labels, i, axis=0)
+                result = acquire.score_mlmoc(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 8 * 300 * 300
 
 
 class TestAugmentState:

@@ -142,6 +142,29 @@ class TestTopK:
         assert pool.query_batch_topk(result, 2) == [2, 1]
         assert pool.query_batch_topk(result, 3) == [2, 1, 0]
 
+    def test_matches_ranked_comprehension(self):
+        # Against the two comprehensions over the lexsort order that the
+        # selection replaces: few distinct scores make ties common, and k
+        # often exceeds the healthy candidates, so the degenerate fallback
+        # runs.
+        def ranked_topk(result, k):
+            order = np.lexsort((np.arange(len(result.scores)), -result.scores))
+            ranked = [int(i) for i in order if not result.degenerate_flags[i]]
+            ranked += [int(i) for i in order if result.degenerate_flags[i]]
+            return ranked[:k]
+
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            n = int(rng.integers(1, 30))
+            result = acquire.AcquisitionResult.from_scores(
+                rng.integers(0, 4, n) * rng.choice([0.5, 1.0]),
+                degenerate_flags=rng.random(n) < rng.random(),
+            )
+            k = int(rng.integers(1, n + 1))
+            picked = pool.query_batch_topk(result, k)
+            assert picked == ranked_topk(result, k)
+            assert all(type(i) is int for i in picked)
+
 
 class TestRunBatch:
     def test_random_moves_exactly_k(self):
