@@ -18,10 +18,11 @@ a = shift_base[r] + gains[r, i] * shift_base[i] is shared by every label,
 so each label differs from a in one entry. The raw-baseline change
 norms and the softmax entropies of all C labels therefore come from
 O(C) sums over a plus one corrected entry per label: an (n, C) table
-at O(m n C) cost, built over chunks of candidate columns small enough
-to stay in cache. mlmoc reads its pseudo-label's entry. With the
-linearized baseline the change norm factorizes into the column sums of
-|gains|, streamed without an n x n array, times the label shift's norm.
+at O(m n C) cost, built over chunks of gain columns, derived from the
+dense posterior covariance Sigma and small enough to stay in cache.
+mlmoc reads its pseudo-label's entry. With the linearized baseline the
+change norm factorizes into the column sums of |gains|, streamed
+without an n x n array, times the label shift's norm.
 
 Myopic baselines (entropy, margin, random) and a naive oracle that
 really retrains with SGD round out the comparison suite.
@@ -161,14 +162,16 @@ def _label_table(ctx, kind):
     entry l replaced by base[r, l] + gains[r, i] * (shift_base[i, l] - 1).
     ``kind`` "l2" sums the l2 norm of the raw-baseline change (base =
     shift_base - outputs), "entropy" the softmax entropy of the look-ahead
-    logits (base = shift_base). Each chunk of k candidate columns is held as
-    (C, k, n) arrays of at most _TABLE_CHUNK_BYTES, and all its labels come
-    from shared sums over a.
+    logits (base = shift_base). The gains are read from the batch's dense
+    Sigma, formed here if ``ctx`` is unformed. Each chunk of k candidate
+    columns is held as (C, k, n) arrays of at most _TABLE_CHUNK_BYTES, and
+    all its labels come from shared sums over a.
     """
     n, c = ctx.outputs.shape
     sums = np.zeros((n, c))
     if kind == "entropy" and c == 1:
         return sums  # the softmax of a single logit is one-hot
+    ctx = ctx.dense()
     base = ctx.shift_base if kind == "entropy" else ctx.shift_base - ctx.outputs
     base = np.ascontiguousarray(base.T)[:, None, :]
     step = max(1, _TABLE_CHUNK_BYTES // (8 * n * c))

@@ -22,8 +22,9 @@ numerator is minus the posterior covariance Sigma(r, c) = k(r, c) -
 W_r^T W_c. One loop contracts Sigma in row chunks of its upper triangle
 into one of two sinks: the reduce sink sums |Sigma| per column, which is
 all that linearized mlmoc and emoc read, so their pass holds no (n, n)
-array; the dense sink forms Sigma whole, for ``condition``, or the gains,
-on first read, for batch-mode eer_lin and the raw baseline.
+array; the dense sink forms Sigma whole (``LookaheadBatch.dense``) for
+``condition``, eer_lin and the raw baseline, which derive gain columns
+from it where they read them. Gains are never stored.
 ``augment_state`` uses the same block quantities to extend the Cholesky
 factor, so feeding true labels sequentially into the state costs one
 solve per point and is order independent.
@@ -43,9 +44,8 @@ row [W*^T, sqrt(u*)], which gives every candidate the one new W entry
 S(x*, c) / sqrt(u*), and S is symmetric, so s is both S(., x*) and
 S(x*, .). A fresh rescoring differs only by rounding. Schur complements
 only shrink, so a degenerate candidate stays degenerate. ``condition``
-applies the downdate by one ``dger`` to S, formed once per cycle
-(``LookaheadBatch.in_place``); a pick's row and column are zeroed and
-stay zero, and gains are derived where they are read, never stored.
+applies the downdate by one ``dger`` to the dense S; a pick's row and
+column are zeroed and stay zero.
 """
 
 from dataclasses import dataclass, replace
@@ -54,7 +54,7 @@ import numpy as np
 from scipy.linalg import blas, solve_triangular
 
 from . import linalg
-from .errors import ContractError, DegenerateCandidateError
+from .errors import ContractError, DegenerateCandidateError, ShapeError
 
 __all__ = [
     "LookaheadBatch",
@@ -91,6 +91,16 @@ def _schur_rows(state, features):
     w = solve_triangular(state.factor.lower, k_cl.T, lower=True, check_finite=False)
     schur = self_k - np.einsum("ln,ln->n", w, w)
     return k_cl, self_k, w, schur, _degenerate(schur, self_k)
+
+
+def _label(y, classes):
+    """y as a (classes,) float array; ShapeError for another length, ContractError if not finite."""
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if len(y) != classes:
+        raise ShapeError(f"label has {len(y)} entries, expected {classes}")
+    if not np.all(np.isfinite(y)):
+        raise ContractError("label contains non-finite entries")
+    return y
 
 
 def _covariance_chunks(features, w, sigma=None):
@@ -131,28 +141,9 @@ def _reduce_sink(features, w):
     return sums
 
 
-def _pivots(batch):
-    """u = schur + jitter, and 1 for degenerate candidates (zero gains)."""
-    return np.where(batch.degenerate, 1.0, batch.schur + batch.jitter)
-
-
-class _FormedOnRead:
-    """``LookaheadBatch.gains``: formed on first read and kept; derived from Sigma in place."""
-
-    def __get__(self, batch, owner=None):
-        if batch is None:
-            return None  # the field's default
-        if batch.sigma is not None:
-            return batch.gain_rows(slice(None)).T
-        if batch.__dict__.get("gains") is None:
-            gains = _dense_sink(*batch.covariance)
-            gains /= -_pivots(batch)
-            gains[:, batch.degenerate] = 0.0
-            batch.__dict__["gains"] = gains
-        return batch.__dict__["gains"]
-
-    def __set__(self, batch, value):
-        batch.__dict__["gains"] = value
+def _pivots(batch, cols=slice(None)):
+    """u = schur + jitter at ``cols``, and +inf at degenerate candidates, whose gains are zero."""
+    return np.where(batch.degenerate[cols], np.inf, batch.schur[cols] + batch.jitter)
 
 
 @dataclass(frozen=True)
@@ -160,8 +151,10 @@ class LookaheadBatch:
     """Block look-ahead of a candidate batch against itself.
 
     Labeling candidate i with y changes the linearized predictions at the
-    candidates by ``outer(gains[:, i], shift_base[i] - y)``. Degenerate
-    candidates have all-zero gain columns.
+    candidates by ``outer(gains[:, i], shift_base[i] - y)``, with
+    gains[r, c] = -Sigma(r, c) / u_c and all-zero columns at degenerate
+    candidates. A batch holds Sigma either unformed, as the factors and W
+    it is contracted from, or dense; scoring reads it and never writes.
     """
 
     outputs: np.ndarray  # (n, C) raw network outputs at the candidates
@@ -172,38 +165,34 @@ class LookaheadBatch:
     jitter: float  # the state's jitter; u = schur + jitter
     live: np.ndarray  # (n,) the candidates' positions in the batch first built
     covariance: tuple = None  # (FeatureBatch, W) of Sigma while unformed
-    gains: np.ndarray = _FormedOnRead()  # (n, n) (W_r^T W_c - k(r,c)) / u_c, row r, column c
-    sigma: np.ndarray = None  # in place: (N, N) Sigma over positions, Fortran order
+    sigma: np.ndarray = None  # dense: (N, N) Sigma over positions, Fortran order
 
-    def in_place(self):
-        """This batch holding Sigma for ``condition``, without its factors and W."""
+    def dense(self):
+        """This batch holding Sigma, without its factors and W; itself if it already does."""
+        if self.sigma is not None:
+            return self
         sigma = _dense_sink(*self.covariance).T  # symmetric; Fortran order for dger
-        fields = (self.outputs, self.degenerate, self.shift_base, self.schur, self.self_k)
-        return LookaheadBatch(*fields, self.jitter, self.live, sigma=sigma)
+        return replace(self, covariance=None, sigma=sigma)
 
     def gain_rows(self, cols):
-        """gains[:, cols].T as a C-ordered array; in place, derived from Sigma's live rows."""
-        if self.sigma is None:
-            return np.ascontiguousarray(self.gains[:, cols].T)
-        pivots = np.where(self.degenerate[cols], -np.inf, -self.schur[cols] - self.jitter)
-        return self.sigma.T[np.ix_(self.live[cols], self.live)] / pivots[:, None]
+        """gains[:, cols].T of a dense batch, C-ordered: Sigma's columns (rows of
+        Sigma^T) at the live positions of ``cols``, then their live entries."""
+        rows = np.take(self.sigma.T[self.live[cols]], self.live, axis=1)
+        rows /= -_pivots(self, cols)[:, None]
+        return rows
 
     def abs_gain_sums(self):
-        """sum(|gains|, axis=0): unformed, through the reduce sink; in place, |Sigma|
+        """sum(|gains|, axis=0): unformed, through the reduce sink; dense, |Sigma|
         through one (N, 64) buffer, whose whole columns sum the live rows as
-        dead rows are zero; formed, summed whole with an (n, n) temporary."""
-        if self.sigma is not None:
-            n, step = len(self.sigma), 64  # a (1000, 64) buffer stays in cache
-            buf, sums = np.empty((n, min(n, step)), order="F"), np.empty(n)
-            for start in range(0, n, step):
-                block = np.abs(self.sigma[:, start : start + step], out=buf[:, : n - start])
-                np.sum(block, axis=0, out=sums[start : start + step])
-            sums = sums[self.live]
-        elif self.__dict__.get("gains") is None:
-            sums = _reduce_sink(*self.covariance)
-        else:
-            return np.sum(np.abs(self.gains), axis=0)
-        return np.where(self.degenerate, 0.0, sums / _pivots(self))
+        dead rows are zero."""
+        if self.sigma is None:
+            return _reduce_sink(*self.covariance) / _pivots(self)
+        n, step = len(self.sigma), 64  # a (1000, 64) buffer stays in cache
+        buf, sums = np.empty((n, min(n, step)), order="F"), np.empty(n)
+        for start in range(0, n, step):
+            block = np.abs(self.sigma[:, start : start + step], out=buf[:, : n - start])
+            np.sum(block, axis=0, out=sums[start : start + step])
+        return sums[self.live] / _pivots(self)
 
 
 def lookahead_batch(state, candidates):
@@ -235,22 +224,22 @@ def condition(batch, i, y):
     Equals, up to rounding, ``lookahead_batch`` on the state returned by
     ``augment_state(state, candidates[i], y)`` over the remaining candidates
     (see the module docstring), at O(N^2) cost and without evaluating the
-    kernel. Sigma (formed by ``in_place`` on first use) is updated in
-    place and shared with the returned batch, so ``batch`` is spent. A
-    degenerate pick leaves the state unchanged, so it is only dropped.
-    Needs at least two candidates; raises ContractError otherwise.
+    kernel. The dense Sigma (``batch.dense()``) is updated in place and
+    shared with the returned batch, so a dense ``batch`` is spent. A degenerate
+    pick leaves the state unchanged, so it is only dropped. Needs at least
+    two candidates and raises ContractError otherwise; raises ShapeError
+    for a label without C entries and ContractError for a non-finite one.
     """
-    n = len(batch.outputs)
+    n, classes = batch.outputs.shape
     if not 0 <= i < n:
         raise ContractError(f"candidate index {i} out of range for {n} candidates")
     if n < 2:
         raise ContractError("conditioning the last candidate leaves an empty batch")
-    batch = batch if batch.sigma is not None else batch.in_place()
+    y, batch = _label(y, classes), batch.dense()
     sigma, pos, keep = batch.sigma, batch.live[i], np.arange(n) != i
     live, schur, degenerate = batch.live[keep], batch.schur[keep], batch.degenerate[keep]
     shift_base = batch.shift_base[keep]
     if not batch.degenerate[i]:
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
         u = batch.schur[i] + batch.jitter
         s = sigma[:, pos].copy()  # S(., x*), also S(x*, .) by symmetry
         blas.dger(-1.0 / u, s, s, a=sigma, overwrite_a=True)
@@ -272,10 +261,11 @@ def augment_state(state, x, y, f_val=None):
     look-ahead of ``lookahead_batch``. Raises DegenerateCandidateError for
     the candidates ``lookahead_batch`` flags degenerate. ``f_val`` lets
     callers pass a previously computed network output at x (the network
-    itself does not change here, so caching is exact).
+    itself does not change here, so caching is exact). A label without C
+    entries raises ShapeError; non-finite x or y raise ContractError.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    x = linalg.as_matrix(np.reshape(x, (1, -1)))
+    y = _label(y, state.targets.shape[1])[None, :]
     features = state.features(x)
     _, _, w, schur, degenerate = _schur_rows(state, features)
     if degenerate[0]:

@@ -103,10 +103,6 @@ class MlpParams:
     weights: tuple
     biases: tuple
 
-    @property
-    def param_count(self):
-        return self.config.param_count
-
 
 def init(config):
     """Fresh parameters, every entry i.i.d. standard normal from the seed."""

@@ -271,7 +271,7 @@ def _run(config, train_data, test_data, on_cycle_end):
             if k > 1:
                 # condition downdates Sigma in place; the first score then reads
                 # it too, instead of contracting the subset's kernel again.
-                candidates = candidates.in_place()
+                candidates = candidates.dense()
         chosen, degenerate_skipped = [], 0
         while len(chosen) < k:
             result = _score(config, cycle, params, pool, state, candidates)

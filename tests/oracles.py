@@ -10,6 +10,8 @@ quantity the package computes another way, so tests can cross-check it.
 - ``empirical_ntk_features``: the kernel as literal dots of those flat
   gradients, which ``kernel.empirical_ntk``'s layerwise contraction must
   reproduce.
+- ``gains``: the (n, n) look-ahead gains of a batch, divided out of its
+  dense posterior covariance whole; the package reads them in chunks.
 - ``change_norms``: reference-summed change norms of a look-ahead batch
   from the whole (n, n, C) change tensor, for one label per candidate.
 - ``emoc_scores`` / ``eer_lin_scores``: the look-ahead expectations over
@@ -148,13 +150,23 @@ def train_sgd_reference(params, data, cfg):
     return work
 
 
+def gains(batch):
+    """(n, n) gains -Sigma(r, c) / u_c of a batch, row r and column c, from its
+    dense Sigma at the live positions; zero at degenerate columns. Fortran
+    order, like Sigma, so whole-array sums run down contiguous columns."""
+    batch = batch.dense()
+    sigma = np.asfortranarray(batch.sigma[np.ix_(batch.live, batch.live)])
+    return -sigma / np.where(batch.degenerate, np.inf, batch.schur + batch.jitter)
+
+
 def change_norms(batch, labels_onehot, baseline):
     """Per-candidate l2 change norms summed over the candidates, (n,)."""
     shift = batch.shift_base - labels_onehot
+    g = gains(batch)
     if baseline == "linearized":
-        return np.sum(np.abs(batch.gains), axis=0) * np.linalg.norm(shift, axis=1)
+        return np.sum(np.abs(g), axis=0) * np.linalg.norm(shift, axis=1)
     offset = batch.shift_base - batch.outputs
-    changes = offset[:, None, :] + batch.gains[:, :, None] * shift[None, :, :]
+    changes = offset[:, None, :] + g[:, :, None] * shift[None, :, :]
     return np.sum(np.sqrt(np.sum(changes * changes, axis=2)), axis=0)
 
 
@@ -175,6 +187,7 @@ def eer_lin_scores(batch):
     n, c = batch.outputs.shape
     probs = acquire.softmax(batch.outputs)
     current = float(np.sum(acquire.entropy(acquire.softmax(batch.shift_base))))
+    g = gains(batch)
     scores = np.zeros(n)
     for i in range(n):
         if batch.degenerate[i]:
@@ -182,7 +195,7 @@ def eer_lin_scores(batch):
             continue
         shift = batch.shift_base[i][None, :] - np.eye(c)  # (C, C), rows per label
         # predictions[label, ref, class]
-        preds = batch.shift_base[None, :, :] + batch.gains[:, i][None, :, None] * shift[:, None, :]
+        preds = batch.shift_base[None, :, :] + g[:, i][None, :, None] * shift[:, None, :]
         ent = np.sum(acquire.entropy(acquire.softmax(preds)), axis=1)  # (C,)
         scores[i] = -float(probs[i] @ ent)
     return scores
@@ -207,10 +220,11 @@ def eer_lin_scores_longdouble(batch):
     """``eer_lin_scores`` with each entropy of the float64 look-ahead logits in long double."""
     n, c = batch.outputs.shape
     probs = acquire.softmax(batch.outputs).astype(np.longdouble)
+    g = gains(batch)
     scores = np.zeros(n, dtype=np.longdouble)
     for i in range(n):
         shift = batch.shift_base[i][None, :] - np.eye(c)
-        preds = batch.shift_base[None, :, :] + batch.gains[:, i][None, :, None] * shift[:, None, :]
+        preds = batch.shift_base[None, :, :] + g[:, i][None, :, None] * shift[:, None, :]
         scores[i] = -np.sum(probs[i] * np.sum(_entropy_longdouble(preds), axis=1))
     return scores.astype(np.float64)
 

@@ -28,12 +28,8 @@ def _lookahead_after(state, xc, yc, q):
     the rows of q are read from xc's gain column.
     """
     batch = lookahead.lookahead_batch(state, np.vstack([xc, q]))
-    return batch.shift_base[1:] + np.outer(batch.gains[1:, 0], batch.shift_base[0] - yc)
-
-
-def _formed(batch):
-    """The batch carrying its gains, without the factors and W they come from."""
-    return replace(batch, covariance=None, gains=batch.gains)
+    gains = oracles.gains(batch)
+    return batch.shift_base[1:] + np.outer(gains[1:, 0], batch.shift_base[0] - yc)
 
 
 def _brute_change_score(params, x, y, cand, label, reference):
@@ -231,18 +227,17 @@ class TestEmoc:
 
 
 class TestChunkedScoring:
-    """Scores from row-chunked |gains| sums and column-chunked per-label tables.
+    """Scores from column-chunked |gains| sums and per-label tables.
 
-    The batches carry formed gains without the factors they come from. The
-    linearized branch reduces them in the order of one whole-array
-    reduction, so it matches bitwise up to the product with the shift norm
-    (streamed sums of unformed gains: ``test_lookahead``
+    The batches hold Sigma dense, without the factors they come from. The
+    linearized branch sums whole columns of |Sigma| before dividing by the
+    pivots (streamed sums of unformed batches: ``test_lookahead``
     TestStreamedColumnSums); the raw branch derives every label from shared
-    sums, so it matches the whole-tensor formula up to rounding.
+    sums. Both match the whole-tensor formulas up to rounding.
     """
 
     @staticmethod
-    def _batch(formed=True):
+    def _batch(dense=True):
         rng = np.random.default_rng(60)
         params = net.init(net.MlpConfig((4, 24, 3), seed=60))
         x = rng.standard_normal((20, 4))
@@ -250,28 +245,29 @@ class TestChunkedScoring:
         state = kernel.build_state_xy(params, x, y)
         cands = np.vstack([rng.standard_normal((600, 4)), x[:2]])
         batch = lookahead.lookahead_batch(state, cands)
-        return _formed(batch) if formed else batch
+        return batch.dense() if dense else batch
 
-    def test_in_place_scores_match_formed_gains(self, monkeypatch):
-        # Sigma in place after picks in three of its 64-column blocks,
-        # against the gains it stands for formed whole: sums and tables
-        # read the live candidates only.
+    def test_dense_scores_match_live_compacted_copy(self, monkeypatch):
+        # Sigma after picks in three of its 64-column blocks, against a
+        # copy of its live rows and columns only: sums and tables read the
+        # live candidates only.
         monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 8 * 602 * 3 * 70)
-        batch = self._batch(formed=False).in_place()
+        batch = self._batch(dense=False)
         for i, label in [(5, 0), (300, 1), (100, 2)]:
             batch = lookahead.condition(batch, i, np.eye(3)[label])
         dead = np.setdiff1d(np.arange(602), batch.live)
         assert len(batch.live) == 599 and not np.any(batch.sigma[:, dead])
-        formed = replace(batch, sigma=None)
-        assert formed.degenerate[-2:].all()
+        assert batch.degenerate[-2:].all()
+        live = np.ix_(batch.live, batch.live)
+        compact = replace(batch, sigma=np.asfortranarray(batch.sigma[live]), live=np.arange(599))
         for baseline in acquire.BASELINES:
             for score in (acquire.score_mlmoc, acquire.score_emoc):
                 np.testing.assert_allclose(
-                    score(batch, baseline).scores, score(formed, baseline).scores,
+                    score(batch, baseline).scores, score(compact, baseline).scores,
                     rtol=1e-12, atol=0.0,
                 )
         np.testing.assert_allclose(
-            acquire.score_eer_lin(batch).scores, acquire.score_eer_lin(formed).scores,
+            acquire.score_eer_lin(batch).scores, acquire.score_eer_lin(compact).scores,
             rtol=1e-12, atol=0.0,
         )
 
@@ -365,7 +361,7 @@ class TestChunkedScoring:
         try:
             call(state, cands)
             peak = tracemalloc.get_traced_memory()[1]
-            batch = _formed(lookahead.lookahead_batch(state, cands))
+            batch = lookahead.lookahead_batch(state, cands).dense()
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             score(batch)
@@ -398,6 +394,12 @@ class TestPerLabelTables:
         return lookahead.lookahead_batch(state, cands)
 
     @staticmethod
+    def _scaled(batch, scale):
+        """The batch with Sigma, and so its gains, multiplied by ``scale``."""
+        batch = batch.dense()
+        return replace(batch, sigma=batch.sigma * scale)
+
+    @staticmethod
     def _assert_agree(batch):
         got = acquire.score_eer_lin(batch).scores
         assert np.all(np.isfinite(got))
@@ -420,7 +422,7 @@ class TestPerLabelTables:
         # Corrected entries thousands of logits below (or above) the rest:
         # per-label shifts keep every exp-sum finite and nonzero.
         batch = self._batch()
-        self._assert_agree(replace(batch, gains=batch.gains * scale))
+        self._assert_agree(self._scaled(batch, scale))
 
     def test_confident_candidates_with_large_gains(self):
         # Predictions near the one-hot of each candidate's own class, which
@@ -432,9 +434,8 @@ class TestPerLabelTables:
         rng = np.random.default_rng(71)
         confident = np.eye(3)[np.argmax(batch.shift_base, axis=1)]
         confident += 1e-3 * rng.standard_normal(confident.shape)
-        self._assert_agree(
-            replace(batch, shift_base=confident, outputs=40.0 * confident, gains=1e4 * batch.gains)
-        )
+        batch = self._scaled(batch, 1e4)
+        self._assert_agree(replace(batch, shift_base=confident, outputs=40.0 * confident))
 
     def test_near_one_hot_logits(self):
         batch = self._batch()
@@ -451,7 +452,7 @@ class TestPerLabelTables:
             outputs=batch.outputs[:, [0, 1, 1]].copy(),
             shift_base=batch.shift_base[:, [0, 1, 1]].copy(),
         )
-        a = batch.shift_base[:, None, :] + batch.gains[:, :, None] * batch.shift_base[None]
+        a = batch.shift_base[:, None, :] + oracles.gains(batch)[:, :, None] * batch.shift_base[None]
         assert np.any(np.argmax(a, axis=2) == 1)
         self._assert_agree(batch)
 
@@ -465,12 +466,8 @@ class TestPerLabelTables:
         y = data.one_hot_encode(rng.integers(0, 10, 20), 10)
         state = kernel.build_state_xy(params, x, y)
         batch = lookahead.lookahead_batch(state, rng.standard_normal((60, 4)))
-        batch = replace(
-            batch,
-            outputs=30.0 * batch.outputs,
-            shift_base=30.0 * batch.shift_base,
-            gains=batch.gains * rng.uniform(1e3, 1e4, batch.gains.shape),
-        )
+        batch = self._scaled(batch, rng.uniform(1e3, 1e4, (60, 60)))
+        batch = replace(batch, outputs=30.0 * batch.outputs, shift_base=30.0 * batch.shift_base)
         got = acquire.score_eer_lin(batch).scores
         want = oracles.eer_lin_scores_longdouble(batch)
         assert np.sum(np.abs(want) < 1e-6) > 30 and np.min(np.abs(want[want != 0.0])) < 1e-300
@@ -496,10 +493,47 @@ class TestPerLabelTables:
         # Seven candidate columns per chunk: 92 or 169 candidates leave a
         # partial last chunk of one column.
         batch = self._batch(candidates_only=candidates_only)
-        m, n = batch.gains.shape
-        monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 8 * m * 3 * 7)
+        n = len(batch.outputs)
+        monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 8 * n * 3 * 7)
         assert n % 7 == 1
         self._assert_agree(batch)
+
+
+class TestScoringReadsOnly:
+    """Scorers read a batch in either form and leave every field as it was."""
+
+    @staticmethod
+    def _forms():
+        # An unformed batch, a dense one and a dense one with dead positions.
+        unformed = TestPerLabelTables._batch()
+        conditioned = lookahead.condition(TestPerLabelTables._batch(), 10, np.eye(3)[0])
+        return {"unformed": unformed, "dense": unformed.dense(), "conditioned": conditioned}
+
+    @pytest.mark.parametrize("form", ["unformed", "dense", "conditioned"])
+    def test_scoring_leaves_the_batch_as_it_was(self, form):
+        batch = self._forms()[form]
+        before = dict(vars(batch))
+        arrays = {k: v.copy() for k, v in before.items() if isinstance(v, np.ndarray)}
+        scorers = [acquire.score_eer_lin]
+        for baseline in acquire.BASELINES:
+            scorers += [partial(acquire.score_mlmoc, baseline=baseline)]
+            scorers += [partial(acquire.score_emoc, baseline=baseline)]
+        for score in scorers:
+            score(batch)
+            assert vars(batch).keys() == before.keys()
+            assert all(vars(batch)[k] is v for k, v in before.items())
+            for k, v in arrays.items():
+                np.testing.assert_array_equal(getattr(batch, k), v)
+
+    @pytest.mark.parametrize("form", ["dense", "conditioned"])
+    def test_gain_rows_are_c_ordered(self, form):
+        batch = self._forms()[form]
+        gains = oracles.gains(batch)
+        n = len(batch.live)
+        for cols in (slice(0, 7), slice(85, None), slice(None)):
+            rows = batch.gain_rows(cols)
+            assert rows.flags.c_contiguous and rows.shape == (len(range(n)[cols]), n)
+            np.testing.assert_array_equal(rows, gains[:, cols].T)
 
 
 class TestEer:

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from ntkal import acquire, data, kernel, linalg, lookahead, net
-from ntkal.errors import ContractError, DegenerateCandidateError
+from ntkal.errors import ContractError, DegenerateCandidateError, ShapeError
 
 import oracles
 
@@ -90,7 +90,8 @@ def _lookahead_after(state, xc, yc, q):
     the rows of q are read from xc's gain column.
     """
     batch = lookahead.lookahead_batch(state, np.vstack([xc, q]))
-    return batch.shift_base[1:] + np.outer(batch.gains[1:, 0], batch.shift_base[0] - yc)
+    gains = oracles.gains(batch)
+    return batch.shift_base[1:] + np.outer(gains[1:, 0], batch.shift_base[0] - yc)
 
 
 class TestPrepareCandidate:
@@ -103,14 +104,15 @@ class TestPrepareCandidate:
         # Candidate a is the labeled point itself, so it is degenerate.
         state = _hand_kernel_state()
         batch = lookahead.lookahead_batch(state, np.array([[0.0], [1.0], [2.0]]))
-        np.testing.assert_allclose(batch.gains[:, 1], [0.0, -1.0, -0.6], atol=1e-12)
+        gains = oracles.gains(batch)
+        np.testing.assert_allclose(gains[:, 1], [0.0, -1.0, -0.6], atol=1e-12)
         np.testing.assert_allclose(batch.shift_base[1], [0.5], atol=1e-12)
         assert batch.degenerate.tolist() == [True, False, False]
         # Cross-checked against a direct inversion oracle of the augmented Gram.
         aug = np.array([[2.0, 1.0], [1.0, 3.0]])
         k_ref = np.array([[2.0, 1.0], [1.0, 3.0], [1.0, 2.0]])
         oracle = k_ref @ np.linalg.solve(aug, np.array([[1.0], [1.0]]))
-        after = batch.shift_base + np.outer(batch.gains[:, 1], batch.shift_base[1] - 1.0)
+        after = batch.shift_base + np.outer(gains[:, 1], batch.shift_base[1] - 1.0)
         np.testing.assert_allclose(after, oracle, atol=1e-12)
 
     def test_duplicate_labeled_point_degenerate(self):
@@ -137,7 +139,7 @@ class TestPrepareCandidate:
             params, np.array([[0.0]]), np.array([[1.0]]), kernel_fn=kernel_fn
         )
         batch = lookahead.lookahead_batch(state, np.array([[0.0], [1.0]]))
-        np.testing.assert_allclose(batch.gains[:, 1], [0.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(oracles.gains(batch)[:, 1], [0.0, -1.0], atol=1e-12)
         np.testing.assert_allclose(batch.shift_base[1], [0.0], atol=1e-12)
 
     def test_schur_identity(self):
@@ -154,7 +156,7 @@ class TestPrepareCandidate:
         u = kernel.empirical_ntk(params, xc)[0, 0] - col @ v
         direct = (kernel.empirical_ntk(params, q, x) @ v
                   - kernel.empirical_ntk(params, q, xc)[:, 0]) / u
-        np.testing.assert_allclose(batch.gains[:, 0], direct, rtol=1e-8)
+        np.testing.assert_allclose(oracles.gains(batch)[:, 0], direct, rtol=1e-8)
 
 
 class TestLookaheadPredict:
@@ -166,7 +168,7 @@ class TestLookaheadPredict:
         q = np.random.default_rng(14).standard_normal((5, 3))
         batch = lookahead.lookahead_batch(state, np.vstack([xc, q]))
         yc = batch.outputs[0]  # zero residual too
-        pred = batch.shift_base + np.outer(batch.gains[:, 0], batch.shift_base[0] - yc)
+        pred = batch.shift_base + np.outer(oracles.gains(batch)[:, 0], batch.shift_base[0] - yc)
         assert np.array_equal(pred, batch.outputs)
 
     def test_matches_direct_augmented_solve(self):
@@ -196,7 +198,7 @@ class TestLookaheadPredict:
         params, x, y, state = _problem(seed=19)
         batch = lookahead.lookahead_batch(state, x)
         assert batch.degenerate[0]
-        assert not np.any(batch.gains)
+        assert not np.any(oracles.gains(batch))
         with pytest.raises(DegenerateCandidateError):
             lookahead.augment_state(state, x[0], y[0])
 
@@ -210,11 +212,12 @@ class TestLookaheadBatch:
         cands = np.vstack([rng.standard_normal((4, 3)), x[:1]])
         others = rng.standard_normal((6, 3))
         batch = lookahead.lookahead_batch(state, np.vstack([cands, others]))
+        gains = oracles.gains(batch)
         for i in range(len(cands)):
             one = lookahead.lookahead_batch(state, np.vstack([cands[i], others]))
-            shared = [i, *range(len(cands), len(batch.gains))]
+            shared = [i, *range(len(cands), len(gains))]
             np.testing.assert_allclose(
-                one.gains[:, 0], batch.gains[shared, i], rtol=1e-12, atol=1e-14
+                oracles.gains(one)[:, 0], gains[shared, i], rtol=1e-12, atol=1e-14
             )
             np.testing.assert_allclose(
                 one.shift_base[0], batch.shift_base[i], rtol=1e-12, atol=1e-12
@@ -270,7 +273,9 @@ class TestCovarianceInPlace:
         batch = lookahead.lookahead_batch(state, cands)
         assert not np.any(batch.degenerate)
         want = self._dense_gains(params, x, state, cands)
-        np.testing.assert_allclose(batch.gains, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+        np.testing.assert_allclose(
+            oracles.gains(batch), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))
+        )
 
     @pytest.mark.parametrize("candidates_only", [True, False])
     def test_degenerate_columns_are_zero(self, candidates_only):
@@ -283,8 +288,9 @@ class TestCovarianceInPlace:
         batch = lookahead.lookahead_batch(state, cands)
         n = len(cands) - 3
         assert np.flatnonzero(batch.degenerate).tolist() == [n, n + 1, n + 2]
-        assert not np.any(batch.gains[:, n:])
-        assert np.all(np.any(batch.gains[:, :n], axis=0))
+        gains = oracles.gains(batch)
+        assert not np.any(gains[:, n:])
+        assert np.all(np.any(gains[:, :n], axis=0))
 
     @pytest.mark.parametrize("order", ["F", "C"])
     @pytest.mark.parametrize("candidates_only", [True, False])
@@ -303,10 +309,10 @@ class TestCovarianceInPlace:
         np.testing.assert_allclose(sigma, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("candidates_only", [True, False])
-    def test_gains_are_formed_once_on_first_read(self, monkeypatch, candidates_only):
-        # A batch contracts no kernel block until its gains are read; the
-        # first read forms them chunk by chunk, later reads return the same
-        # array.
+    def test_sigma_is_formed_once_in_chunks(self, monkeypatch, candidates_only):
+        # A batch contracts no kernel block until it is made dense; that
+        # forms Sigma in one pass of upper-triangle chunks, and a dense
+        # batch is its own dense form.
         blocks = []
         original = kernel.FeatureBatch.add_block
 
@@ -319,12 +325,13 @@ class TestCovarianceInPlace:
         cands = self._candidates(rng, 300, candidates_only, 270)
         batch = lookahead.lookahead_batch(state, cands)
         assert blocks == []
-        gains = batch.gains
+        dense = batch.dense()
         n, chunk = len(cands), linalg.CHUNK_ROWS
         assert blocks == [
             (slice(start, min(start + chunk, n)), slice(start, n)) for start in range(0, n, chunk)
         ]
-        assert batch.gains is gains
+        assert dense.covariance is None and dense.sigma.shape == (n, n)
+        assert batch.sigma is None and dense.dense() is dense
 
     def test_same_set_evaluates_each_kernel_quantity_once(self, monkeypatch):
         # One gradient-factor pass over the candidates: k(c, X), k(c, c),
@@ -341,7 +348,7 @@ class TestCovarianceInPlace:
         monkeypatch.setattr(net, "grad_factors", counting)
         batch = lookahead.lookahead_batch(state, cands)
         batch.abs_gain_sums()
-        assert batch.gains.shape == (300, 300)
+        assert batch.dense().sigma.shape == (300, 300)
         assert calls == [300]
         np.testing.assert_array_equal(batch.outputs, net.forward(state.params, cands))
 
@@ -377,7 +384,7 @@ def _kernel_fn_state(rng, n):
 
 
 class TestStreamedColumnSums:
-    """abs_gain_sums streams Sigma through the reduce sink; it must match the formed gains."""
+    """abs_gain_sums streams Sigma through the reduce sink; it must match the gains formed whole."""
 
     @pytest.mark.parametrize(
         "make_problem",
@@ -394,10 +401,10 @@ class TestStreamedColumnSums:
         streamed = lookahead.lookahead_batch(state, cands).abs_gain_sums()
         batch = lookahead.lookahead_batch(state, cands)
         assert np.count_nonzero(batch.degenerate) == degenerate
-        dense = np.sum(np.abs(batch.gains), axis=0)
+        dense = np.sum(np.abs(oracles.gains(batch)), axis=0)
         assert np.all(dense[~batch.degenerate] > 0.0)
         np.testing.assert_allclose(streamed, dense, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(batch.abs_gain_sums(), dense, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(batch.dense().abs_gain_sums(), dense, rtol=1e-12, atol=0.0)
 
 
 class TestCondition:
@@ -407,22 +414,38 @@ class TestCondition:
         with pytest.raises(ContractError):
             lookahead.condition(batch, 3, np.array([1.0, 0.0]))
 
+    def test_bad_labels_rejected(self):
+        # A label must have one finite entry per class, whether or not the
+        # pick is degenerate; a rejected label leaves the batch unformed.
+        params, x, y, state = _problem(seed=44)
+        cands = np.vstack([x[:1], np.random.default_rng(45).standard_normal((2, 3))])
+        batch = lookahead.lookahead_batch(state, cands)
+        assert batch.degenerate.tolist() == [True, False, False]
+        for i in (0, 1):
+            for label in ([1.0], [1.0, 0.0, 0.0]):
+                with pytest.raises(ShapeError):
+                    lookahead.condition(batch, i, np.array(label))
+            for label in ([np.nan, 1.0], [0.0, np.inf]):
+                with pytest.raises(ContractError):
+                    lookahead.condition(batch, i, np.array(label))
+        assert batch.sigma is None
+
     def test_degenerate_pick_only_drops_its_row_and_column(self):
         # Sigma is updated in place: the pick's row and column are zeroed
         # and nothing else moves; the other arrays list the live candidates.
         params, x, y, state = _problem(seed=46)
         rng = np.random.default_rng(47)
         cands = np.vstack([rng.standard_normal((2, 3)), x[:1], rng.standard_normal((2, 3))])
-        batch = lookahead.lookahead_batch(state, cands).in_place()
+        batch = lookahead.lookahead_batch(state, cands).dense()
         assert batch.degenerate.tolist() == [False, False, True, False, False]
         assert batch.sigma.flags.f_contiguous and batch.covariance is None
         keep = [0, 1, 3, 4]
-        gains, sigma = batch.gains[np.ix_(keep, keep)], batch.sigma.copy()
+        gains, sigma = oracles.gains(batch)[np.ix_(keep, keep)], batch.sigma.copy()
         sigma[2], sigma[:, 2] = 0.0, 0.0
         after = lookahead.condition(batch, 2, np.array([0.0, 1.0]))
         assert after.sigma is batch.sigma
         np.testing.assert_array_equal(after.sigma, sigma)
-        np.testing.assert_array_equal(after.gains, gains)
+        np.testing.assert_array_equal(oracles.gains(after), gains)
         np.testing.assert_array_equal(after.live, keep)
         for name in ("outputs", "degenerate", "shift_base", "schur", "self_k"):
             np.testing.assert_array_equal(getattr(after, name), getattr(batch, name)[keep])
@@ -443,12 +466,14 @@ class TestCondition:
             assert batch.sigma is sigma
             cands, labels = cands[1:], labels[1:]
             fresh = lookahead.lookahead_batch(state, cands)
-            np.testing.assert_allclose(batch.gains, fresh.gains, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(
+                oracles.gains(batch), oracles.gains(fresh), rtol=1e-9, atol=1e-12
+            )
             np.testing.assert_allclose(batch.shift_base, fresh.shift_base, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(batch.schur, fresh.schur, rtol=1e-9, atol=1e-12)
             dead = np.setdiff1d(np.arange(4), batch.live)
             assert not np.any(sigma[dead]) and not np.any(sigma[:, dead])
-        assert batch.gains.shape == (1, 1)
+        assert oracles.gains(batch).shape == (1, 1)
         np.testing.assert_array_equal(batch.live, [3])
         with pytest.raises(ContractError):
             lookahead.condition(batch, 0, labels[0])
@@ -463,7 +488,7 @@ class TestCondition:
         labels = np.eye(2)[rng.integers(0, 2, 300)]
         tracemalloc.start()
         try:
-            batch = lookahead.lookahead_batch(state, cands).in_place()
+            batch = lookahead.lookahead_batch(state, cands).dense()
             result = acquire.score_mlmoc(batch)
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
@@ -521,6 +546,17 @@ class TestAugmentState:
         assert np.allclose(
             lookahead.predict_lin(new, q), lookahead.predict_lin(state, q), atol=1e-12
         )
+
+    def test_bad_inputs_rejected(self):
+        params, x, y, state = _problem(seed=20)
+        xc = np.random.default_rng(21).standard_normal(3)
+        with pytest.raises(ShapeError):
+            lookahead.augment_state(state, xc, np.array([1.0]))
+        with pytest.raises(ContractError):
+            lookahead.augment_state(state, xc, np.array([np.nan, 0.0]))
+        xc[1] = np.nan
+        with pytest.raises(ContractError):
+            lookahead.augment_state(state, xc, np.array([1.0, 0.0]))
 
     def test_rejects_duplicate(self):
         params, x, y, state = _problem(seed=29)
