@@ -54,11 +54,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AcquisitionResult:
-    """Scores aligned with the candidate batch; argmax ties break low."""
+    """Scores aligned with the candidate batch; ``pool.query_batch_topk`` picks from them."""
 
     scores: np.ndarray
     pseudo_labels: np.ndarray  # (n, C) one-hot, or None for seed-based scores
-    argmax_index: int
     degenerate_flags: np.ndarray
 
     @classmethod
@@ -66,11 +65,9 @@ class AcquisitionResult:
         scores = np.asarray(scores, dtype=np.float64)
         if degenerate_flags is None:
             degenerate_flags = np.zeros(len(scores), dtype=bool)
-        # np.argmax returns the first maximum, which is the tie-break rule.
         return cls(
             scores=scores,
             pseudo_labels=pseudo_labels,
-            argmax_index=int(np.argmax(scores)),
             degenerate_flags=np.asarray(degenerate_flags, dtype=bool),
         )
 

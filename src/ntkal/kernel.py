@@ -106,8 +106,8 @@ class KernelState:
         return self.inputs.shape[0]
 
     def features(self, q):
-        """One gradient-factor pass over query rows q; see FeatureBatch."""
-        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
+        """One gradient-factor pass over query rows q (``linalg.as_matrix``); see FeatureBatch."""
+        q = linalg.as_matrix(q)
         factors = None if self.kernel_fn is not None else tuple(net.grad_factors(self.params, q))
         return FeatureBatch(self, q, factors)
 
@@ -169,14 +169,14 @@ def build_state_xy(
     """Assemble a KernelState from raw input/target arrays.
 
     An empirical-kernel state keeps the labeled set's gradient factors, so
-    later kernel rows cost one factor pass over the query rows only.
+    later kernel rows cost one factor pass over the query rows only. Raises
+    ContractError for non-finite rows, ShapeError unless y is (L, outputs).
     """
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    x, y = linalg.as_matrix(inputs), linalg.as_matrix(targets)
     if len(x) < 1:
         raise ContractError("labeled set is empty")
-    if len(x) != len(y):
-        raise ShapeError(f"{len(x)} inputs vs {len(y)} target rows")
+    if y.shape != (len(x), params.config.output_dim):
+        raise ShapeError(f"targets {y.shape}, expected ({len(x)}, {params.config.output_dim})")
 
     cache = None
     if kernel_fn is None:

@@ -25,9 +25,10 @@ all that linearized mlmoc and emoc read, so their pass holds no (n, n)
 array; the dense sink forms Sigma whole (``LookaheadBatch.dense``) for
 ``condition``, eer_lin and the raw baseline, which derive gain columns
 from it where they read them. Gains are never stored.
-``augment_state`` uses the same block quantities to extend the Cholesky
-factor, so feeding true labels sequentially into the state costs one
-solve per point and is order independent.
+``augment_state`` extends the Cholesky factor by a block of k labeled
+rows: their W and the factor of their own block S = K - W^T W, taken in
+row order by the rank-one downdates of ``condition``. A cycle's picks
+cost one factor pass, one solve and one copy of the state.
 
 Once a candidate x* is really labeled, ``condition`` updates the batch
 in O(n^2) instead of a fresh ``lookahead_batch`` on the augmented state.
@@ -93,11 +94,13 @@ def _schur_rows(state, features):
     return k_cl, self_k, w, schur, _degenerate(schur, self_k)
 
 
-def _label(y, classes):
-    """y as a (classes,) float array; ShapeError for another length, ContractError if not finite."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if len(y) != classes:
-        raise ShapeError(f"label has {len(y)} entries, expected {classes}")
+def _label(y, *shape):
+    """y as a float array of ``shape``: one label (C,), given in any shape with C
+    entries, or a block (k, C); ShapeError otherwise, ContractError if not finite."""
+    y = np.asarray(y, dtype=np.float64)
+    y = y.reshape(-1) if len(shape) == 1 else y
+    if y.shape != shape:
+        raise ShapeError(f"labels have shape {y.shape}, expected {shape}")
     if not np.all(np.isfinite(y)):
         raise ContractError("label contains non-finite entries")
     return y
@@ -200,10 +203,9 @@ def lookahead_batch(state, candidates):
 
     Empty or non-finite candidate sets raise ContractError.
     """
-    cands = linalg.as_matrix(candidates)
-    if len(cands) == 0:
+    features = state.features(candidates)
+    if len(features.rows) == 0:
         raise ContractError("candidate set is empty")
-    features = state.features(cands)
     k_cl, self_k, w, schur, degenerate = _schur_rows(state, features)
     outputs = features.outputs()
     return LookaheadBatch(
@@ -213,7 +215,7 @@ def lookahead_batch(state, candidates):
         schur=schur,
         self_k=self_k,
         jitter=state.factor.jitter_applied,
-        live=np.arange(len(cands)),
+        live=np.arange(len(features.rows)),
         covariance=(features, w),
     )
 
@@ -252,40 +254,45 @@ def condition(batch, i, y):
     return LookaheadBatch(*fields, batch.jitter, live, sigma=sigma)
 
 
-def augment_state(state, x, y, f_val=None):
-    """New KernelState over the labeled set plus (x, y).
+def augment_state(state, x, y):
+    """New KernelState over the labeled set plus rows x (k, d) labeled y (k, C); a 1-D x is one row.
 
-    Extends the existing Cholesky factor with one triangular solve and a
-    scalar square root instead of refactorizing; predictions from the
-    returned state match a cold rebuild on the enlarged set and the
-    look-ahead of ``lookahead_batch``. Raises DegenerateCandidateError for
-    the candidates ``lookahead_batch`` flags degenerate. ``f_val`` lets
-    callers pass a previously computed network output at x (the network
-    itself does not change here, so caching is exact). A label without C
-    entries raises ShapeError; non-finite x or y raise ContractError.
+    Rows enter in order, extending the factor (module docstring); a row
+    ``_degenerate`` flags against the labeled set and the rows entered
+    before it is skipped. Predictions match a cold rebuild on the enlarged
+    set. Raises DegenerateCandidateError when no row enters, ShapeError for
+    labels of another shape and ContractError for non-finite x or y.
     """
-    x = linalg.as_matrix(np.reshape(x, (1, -1)))
-    y = _label(y, state.targets.shape[1])[None, :]
     features = state.features(x)
-    _, _, w, schur, degenerate = _schur_rows(state, features)
-    if degenerate[0]:
-        raise DegenerateCandidateError("cannot augment with a point inside the labeled span")
-    jitter = state.factor.jitter_applied
-    lower = np.block([[state.factor.lower, np.zeros_like(w)], [w.T, np.sqrt(schur + jitter)]])
+    k, classes = len(features.rows), state.targets.shape[1]
+    y = _label(y, k, classes) if np.ndim(x) == 2 else _label(y, classes)[None, :]
+    _, self_k, w, schur, _ = _schur_rows(state, features)
+    s = features.add_block(slice(0, k), slice(0, k), np.zeros((k, k))) - w.T @ w
+    s[np.diag_indices(k)] = schur
+    jitter, lower, enter = state.factor.jitter_applied, np.zeros((k, k)), np.zeros(k, bool)
+    for j in range(k):
+        if _degenerate(s[j, j], self_k[j]):
+            continue
+        u, col = s[j, j] + jitter, s[j + 1 :, j]
+        lower[j, j], lower[j + 1 :, j], enter[j] = np.sqrt(u), col / np.sqrt(u), True
+        s[j + 1 :, j + 1 :] -= np.outer(col, col) / u
+    if not enter.any():
+        raise DegenerateCandidateError("cannot augment with points inside the labeled span")
+    w = w[:, enter]
+    lower = np.block([[state.factor.lower, np.zeros_like(w)], [w.T, lower[np.ix_(enter, enter)]]])
     factor = linalg.CholeskyFactor(lower=lower, jitter_applied=jitter)
-    f_val = features.outputs() if f_val is None else f_val
     # Extended like the factor, not recomputed from targets.
-    residual = np.vstack([state.residual, y - np.reshape(f_val, (1, -1))])
+    residual = np.vstack([state.residual, y[enter] - features.outputs()[enter]])
     cache = state.factor_cache
     if features.factors is not None:
         cache = tuple(
-            (np.vstack([a, na]), np.vstack([d, nd]))
+            (np.vstack([a, na[enter]]), np.vstack([d, nd[enter]]))
             for (a, d), (na, nd) in zip(cache, features.factors)
         )
     return replace(
         state,
-        inputs=np.vstack([state.inputs, x]),
-        targets=np.vstack([state.targets, y]),
+        inputs=np.vstack([state.inputs, features.rows[enter]]),
+        targets=np.vstack([state.targets, y[enter]]),
         residual=residual,
         factor=factor,
         solved_residual=linalg.chol_solve(factor, residual),

@@ -8,17 +8,18 @@ k picks with their true labels into the labeled set, and evaluates.
 - Batch mode picks the top k of one scoring and retrains with SGD every
   cycle.
 - Sequential mode (look-ahead strategies only) picks one point at a
-  time: its true label enters the kernel state (``augment_state``, no
-  SGD) and the cycle's look-ahead batch is conditioned on it before the
-  next pick. SGD runs every ``retrain_every`` cycles and drops the state.
+  time, conditioning the cycle's look-ahead batch on its true label; the
+  picks then enter the kernel state as one block (``augment_state``, no
+  SGD). SGD runs every ``retrain_every`` cycles and drops the state.
 
 Cost model, for n subset candidates against L labels: each cycle pays
 one ``lookahead_batch`` pass (one gradient-factor pass over the subset,
 one triangular solve, the n x n covariance in row chunks at O(L n^2)).
 Batch linearized mlmoc/emoc reduce the chunks and hold no n x n array.
 Sequential mode forms the n x n covariance once per cycle; each pick then
-pays O(n^2 + L^2) and allocates no n x n array: scoring, a rank-one
-downdate in place (``lookahead.condition``) and ``augment_state``.
+pays O(n^2) and allocates no n x n array: scoring and a rank-one downdate
+in place (``lookahead.condition``). The k picks then enter the state in
+one ``augment_state`` call, which copies the (L + k)^2 factor once.
 """
 
 import time
@@ -278,16 +279,17 @@ def _run(config, train_data, test_data, on_cycle_end):
             degenerate_skipped = max(degenerate_skipped, int(np.sum(result.degenerate_flags)))
             picked = query_batch_topk(result, 1 if config.sequential else k)
             chosen += subset[candidates.live[picked] if config.sequential else picked].tolist()
-            if config.sequential:
-                i, y = picked[0], train_data.one_hot[chosen[-1]]
-                try:
-                    state = lookahead.augment_state(
-                        state, train_data.inputs[chosen[-1]], y, f_val=candidates.outputs[i]
-                    )
-                except DegenerateCandidateError:
-                    pass  # consumes budget but adds nothing to the regression
-                if len(chosen) < k:
-                    candidates = lookahead.condition(candidates, i, y)
+            if config.sequential and len(chosen) < k:
+                candidates = lookahead.condition(
+                    candidates, picked[0], train_data.one_hot[chosen[-1]]
+                )
+        if config.sequential:
+            try:
+                state = lookahead.augment_state(
+                    state, train_data.inputs[chosen], train_data.one_hot[chosen]
+                )
+            except DegenerateCandidateError:
+                pass  # every pick consumed budget but adds nothing to the regression
         query_seconds = time.perf_counter() - t0
 
         pool = pool.acquire(chosen)

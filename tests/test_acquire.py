@@ -77,7 +77,7 @@ class TestMlmoc:
             brute.append(_brute_change_score(params, x, y, cands[i], label, cands))
         brute = np.array(brute)
         np.testing.assert_allclose(result.scores, brute, rtol=1e-8)
-        assert result.argmax_index == int(np.argmax(brute))
+        assert np.argmax(result.scores) == np.argmax(brute)
 
     def test_duplicate_of_labeled_is_degenerate(self):
         params, x, y, state = _problem(seed=3)
@@ -630,12 +630,7 @@ class TestResultInvariants:
             base = acquire.AcquisitionResult.from_scores(scores)
             for c in (0.5, 3.0, 1e6):
                 scaled = acquire.AcquisitionResult.from_scores(c * scores)
-                assert scaled.argmax_index == base.argmax_index
-
-    def test_tie_breaks_to_lowest_index(self):
-        scores = np.array([1.0, 3.0, 3.0, 2.0])
-        assert acquire.AcquisitionResult.from_scores(scores).argmax_index == 1
-        assert acquire.AcquisitionResult.from_scores(np.ones(5)).argmax_index == 0
+                assert np.argmax(scaled.scores) == np.argmax(base.scores)
 
 
 class TestNaiveOracle:
@@ -737,11 +732,9 @@ class TestConditionedBatch:
         """Yield (conditioned, fresh) batches after each of PICKS picks."""
         batch = lookahead.lookahead_batch(state, cands)
         for _ in range(self.PICKS):
-            i = acquire.score_mlmoc(batch).argmax_index
+            i = int(np.argmax(acquire.score_mlmoc(batch).scores))
             try:
-                state = lookahead.augment_state(
-                    state, cands[i], labels[i], f_val=batch.outputs[i]
-                )
+                state = lookahead.augment_state(state, cands[i], labels[i])
             except DegenerateCandidateError:
                 pass
             batch = lookahead.condition(batch, i, labels[i])

@@ -129,6 +129,35 @@ class TestBuildState:
         with pytest.raises(ContractError):
             kernel.build_state_xy(params, np.zeros((0, 2)), np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("field", ["inputs", "targets"])
+    def test_non_finite_rejected(self, field):
+        params = _random_params((2, 4, 2), 0)
+        x, y = np.ones((3, 2)), data.one_hot_encode([0, 1, 0], 2)
+        {"inputs": x, "targets": y}[field][1, 0] = np.nan
+        with pytest.raises(ContractError):
+            kernel.build_state_xy(params, x, y)
+
+    def test_targets_must_match_output_width(self):
+        # (L, 1) targets used to broadcast against (L, 2) outputs into an
+        # (L, 2) residual next to (L, 1) targets.
+        params = _random_params((2, 4, 2), 0)
+        x = np.random.default_rng(1).standard_normal((3, 2))
+        with pytest.raises(ShapeError):
+            kernel.build_state_xy(params, x, np.ones((3, 1)))
+        with pytest.raises(ShapeError):
+            kernel.build_state_xy(params, x, np.ones((2, 2)))
+
+    def test_non_finite_query_rows_rejected(self):
+        params = _random_params((2, 4, 2), 0)
+        rng = np.random.default_rng(2)
+        state = kernel.build_state_xy(params, rng.standard_normal((3, 2)), np.eye(2)[[0, 1, 0]])
+        q = rng.standard_normal((4, 2))
+        q[2, 1] = np.inf
+        with pytest.raises(ContractError):
+            state.features(q)
+        with pytest.raises(ContractError):
+            state.kernel_rows(q)
+
     def test_gram_psd_after_jitter_many_configs(self):
         # The jitter ladder always produces a factorizable Gram matrix for
         # distinct inputs, across many random architectures.

@@ -38,6 +38,13 @@ class TestPredictLin:
         pred = lookahead.predict_lin(state, x)
         assert np.max(np.abs(pred - y)) < 1e-6
 
+    def test_non_finite_query_rejected(self):
+        _, _, _, state = _problem()
+        q = np.random.default_rng(1).standard_normal((4, 3))
+        q[1, 2] = np.nan
+        with pytest.raises(ContractError):
+            lookahead.predict_lin(state, q)
+
     def test_zero_residual_returns_raw_outputs(self):
         params, x, _, _ = _problem()
         y = np.atleast_2d(net.forward(params, x))  # residual becomes zero
@@ -480,8 +487,8 @@ class TestCondition:
 
     def test_picks_allocate_no_covariance_sized_array(self):
         # A 10-pick cycle as pool runs it: after the cycle's first score,
-        # scoring, augmenting and conditioning never raise traced memory
-        # by one (n, n) array.
+        # scoring, conditioning and the cycle's one augment_state never
+        # raise traced memory by one (n, n) array.
         params, x, y, state = _problem(l_size=20, seed=57)
         rng = np.random.default_rng(58)
         cands = rng.standard_normal((300, 3))
@@ -492,12 +499,15 @@ class TestCondition:
             result = acquire.score_mlmoc(batch)
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
+            picked_x, picked_y = [], []
             for _ in range(10):
-                i = result.argmax_index
-                state = lookahead.augment_state(state, cands[i], labels[i], batch.outputs[i])
+                i = int(np.argmax(result.scores))
+                picked_x.append(cands[i])
+                picked_y.append(labels[i])
                 batch = lookahead.condition(batch, i, labels[i])
                 cands, labels = np.delete(cands, i, axis=0), np.delete(labels, i, axis=0)
                 result = acquire.score_mlmoc(batch)
+            state = lookahead.augment_state(state, np.array(picked_x), np.array(picked_y))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -573,15 +583,13 @@ class TestAugmentState:
         direct = kernel.empirical_ntk(params, q, new.inputs)
         np.testing.assert_allclose(new.kernel_rows(q), direct, rtol=1e-12)
 
-    @pytest.mark.parametrize("cached_output", [False, True])
-    def test_one_factor_pass_gives_every_new_entry(self, monkeypatch, cached_output):
+    def test_one_factor_pass_gives_every_new_entry(self, monkeypatch):
         # The new factor row, pivot, residual row and factor-cache row all
         # come from one gradient-factor pass over x, bitwise equal to
         # separate evaluations of each.
         params, x, y, state = _problem(seed=38)
         xc = np.random.default_rng(39).standard_normal(3)
         yc = np.array([0.0, 1.0])
-        f_val = net.forward(params, xc) if cached_output else None
         calls = []
         original = net.grad_factors
 
@@ -590,7 +598,7 @@ class TestAugmentState:
             return original(params, rows)
 
         monkeypatch.setattr(net, "grad_factors", counting)
-        new = lookahead.augment_state(state, xc, yc, f_val=f_val)
+        new = lookahead.augment_state(state, xc, yc)
         assert calls == [1]
         monkeypatch.undo()
         w = solve_triangular(
@@ -603,6 +611,84 @@ class TestAugmentState:
         for (a, d), (na, nd) in zip(new.factor_cache, net.grad_factors(params, xc[None, :])):
             np.testing.assert_array_equal(a[-1], na[0])
             np.testing.assert_array_equal(d[-1], nd[0])
+
+    def test_one_factor_pass_per_block(self, monkeypatch):
+        # A block of k rows costs one k-row gradient-factor pass, and its
+        # factor-cache rows are bitwise those of that pass.
+        params, x, y, state = _problem(seed=40)
+        xc = np.random.default_rng(41).standard_normal((5, 3))
+        yc = np.eye(2)[[0, 1, 1, 0, 1]]
+        calls = []
+        original = net.grad_factors
+
+        def counting(params, rows):
+            calls.append(len(rows))
+            return original(params, rows)
+
+        monkeypatch.setattr(net, "grad_factors", counting)
+        new = lookahead.augment_state(state, xc, yc)
+        assert calls == [5]
+        monkeypatch.undo()
+        assert new.labeled_count == state.labeled_count + 5
+        for (a, d), (na, nd) in zip(new.factor_cache, net.grad_factors(params, xc)):
+            np.testing.assert_array_equal(a[-5:], na)
+            np.testing.assert_array_equal(d[-5:], nd)
+
+    def test_all_degenerate_block_raises(self):
+        params, x, y, state = _problem(seed=42)
+        block = np.vstack([x[3], x[0], x[3]])
+        with pytest.raises(DegenerateCandidateError):
+            lookahead.augment_state(state, block, y[[3, 0, 3]])
+
+    def test_block_labels_checked(self):
+        params, x, y, state = _problem(seed=43)
+        xc = np.random.default_rng(44).standard_normal((2, 3))
+        for bad in (np.array([1.0, 0.0]), np.ones((3, 2)), np.ones((2, 1))):
+            with pytest.raises(ShapeError):
+                lookahead.augment_state(state, xc, bad)
+        with pytest.raises(ContractError):
+            lookahead.augment_state(state, xc, np.array([[1.0, 0.0], [np.inf, 0.0]]))
+
+    def test_block_equals_rows_one_at_a_time(self):
+        # Random blocks, some rows repeating a labeled point or an earlier
+        # row of the block: the same rows enter, in order, as with one
+        # single-row call per row, and the states agree.
+        checked = 0
+        for seed in range(24):
+            rng = np.random.default_rng(seed + 100)
+            params, x, y, state = _problem(l_size=int(rng.integers(5, 16)), seed=seed, width=48)
+            k = int(rng.integers(1, 7))
+            xc = rng.standard_normal((k, 3))
+            for j in range(k):
+                if rng.random() < 0.25:
+                    xc[j] = x[rng.integers(len(x))]
+                elif j and rng.random() < 0.25:
+                    xc[j] = xc[rng.integers(j)]
+            yc = np.eye(2)[rng.integers(0, 2, k)]
+            rows = state
+            for j in range(k):
+                try:
+                    rows = lookahead.augment_state(rows, xc[j], yc[j])
+                except DegenerateCandidateError:
+                    pass
+            if rows is state:
+                with pytest.raises(DegenerateCandidateError):
+                    lookahead.augment_state(state, xc, yc)
+                continue
+            block = lookahead.augment_state(state, xc, yc)
+            np.testing.assert_array_equal(block.inputs, rows.inputs)
+            np.testing.assert_array_equal(block.targets, rows.targets)
+            assert rows.factor.jitter_applied == 0.0
+            q = rng.standard_normal((20, 3))
+            pairs = [
+                (block.factor.lower, rows.factor.lower),
+                (block.solved_residual, rows.solved_residual),
+                (lookahead.predict_lin(block, q), lookahead.predict_lin(rows, q)),
+            ]
+            for got, want in pairs:
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+            checked += 1
+        assert checked >= 20
 
     def test_lookahead_matches_actual_augment(self):
         params, x, y, state = _problem(seed=33)

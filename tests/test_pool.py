@@ -119,7 +119,7 @@ class TestSampleSubset:
 class TestTopK:
     def test_k1_is_argmax(self):
         result = acquire.AcquisitionResult.from_scores(np.array([0.1, 0.9, 0.5]))
-        assert pool.query_batch_topk(result, 1) == [result.argmax_index] == [1]
+        assert pool.query_batch_topk(result, 1) == [np.argmax(result.scores)] == [1]
 
     def test_all_equal_takes_first_k(self):
         result = acquire.AcquisitionResult.from_scores(np.ones(6))
@@ -425,7 +425,8 @@ class TestRunSequential:
         # The subset's kernel block is contracted once per cycle, not once
         # per pick and not once for scoring plus once for conditioning:
         # later picks condition the cycle's batch. The subset's gradient
-        # factors come from one pass per cycle too.
+        # factors come from one pass per cycle too. The k picks enter the
+        # state as one block, so their own k x k block is contracted once.
         blocks, factor_rows = [], []
         original_block, original_factors = kernel.FeatureBatch.add_block, net.grad_factors
 
@@ -442,10 +443,44 @@ class TestRunSequential:
         train, test = _toy_data()
         cfg = _tiny_config(strategy="mlmoc", sequential=True, cycles=3, query_batch_size=4)
         pool.run_sequential_al(cfg, train, test)
-        n = cfg.subset_size
+        n, k = cfg.subset_size, cfg.query_batch_size
         assert n <= linalg.CHUNK_ROWS
-        assert blocks == [(n, slice(0, n), slice(0, n))] * cfg.cycles
+        assert blocks == [(n, slice(0, n), slice(0, n)), (k, slice(0, k), slice(0, k))] * cfg.cycles
         assert factor_rows.count(n) == cfg.cycles
+
+    def test_picks_enter_the_state_once_per_cycle(self, monkeypatch):
+        # One augment_state call per cycle takes the cycle's picks in pick
+        # order; no pick gets a one-row gradient-factor pass of its own.
+        calls, factor_rows = [], []
+        original_augment, original_factors = lookahead.augment_state, net.grad_factors
+
+        def counting_augment(state, x, y):
+            calls.append((x, y))
+            return original_augment(state, x, y)
+
+        def counting_factors(params, x):
+            factor_rows.append(len(x))
+            return original_factors(params, x)
+
+        monkeypatch.setattr(lookahead, "augment_state", counting_augment)
+        monkeypatch.setattr(net, "grad_factors", counting_factors)
+        train, test = _toy_data()
+        k = 4
+        cfg = _tiny_config(
+            strategy="mlmoc", sequential=True, cycles=3, query_batch_size=k, retrain_every=0
+        )
+        seen = []
+        pool.run_sequential_al(
+            cfg, train, test, on_cycle_end=lambda c, p, prm, st: seen.append((p, st))
+        )
+        assert len(calls) == cfg.cycles
+        labeled = seen[-1][0].labeled_indices[cfg.initial_labeled :]
+        for cycle, (x, y) in enumerate(calls):
+            picks = list(labeled[cycle * k : (cycle + 1) * k])
+            np.testing.assert_array_equal(x, train.inputs[picks])
+            np.testing.assert_array_equal(y, train.one_hot[picks])
+        assert 1 not in factor_rows
+        assert seen[-1][1].labeled_count == cfg.initial_labeled + cfg.cycles * k
 
     def test_dispatch_checks_mode(self):
         train, test = _toy_data()
