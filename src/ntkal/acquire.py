@@ -24,8 +24,12 @@ mlmoc reads its pseudo-label's entry. With the linearized baseline the
 change norm factorizes into the column sums of |gains|, streamed
 without an n x n array, times the label shift's norm.
 
-Myopic baselines (entropy, margin, random) and a naive oracle that
-really retrains with SGD round out the comparison suite.
+Myopic baselines (entropy, margin, random) and two look-ahead baselines
+measured on the network itself round out the comparison suite: a naive
+oracle that really retrains a copy with SGD per candidate, and the
+single full-batch gradient step, scored in closed form from one step on
+the labeled set shared by every candidate plus a rank-one step per
+candidate.
 """
 
 from dataclasses import dataclass
@@ -34,7 +38,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import lookahead, net
-from .errors import ContractError
+from .errors import ContractError, DivergenceError, ShapeError
 
 __all__ = [
     "AcquisitionResult",
@@ -49,6 +53,7 @@ __all__ = [
     "random_score",
     "naive_sgd_oracle",
     "naive_change_scores",
+    "one_step_change_scores",
 ]
 
 
@@ -331,8 +336,9 @@ def naive_change_scores(params, labeled, candidates, retrain_cfg):
 
     The retraining analogue of mlmoc: for each candidate, pseudo-label it
     with the network argmax, retrain a copy, and sum the l2 output change
-    over the candidate batch. With one epoch and a full-size minibatch
-    this is the single-gradient-step look-ahead baseline.
+    over the candidate batch. The ``mlmoc-naive`` strategy; with one epoch
+    and a full-size minibatch it is the reference that
+    ``one_step_change_scores`` computes in closed form.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
     if len(candidates) == 0:
@@ -344,4 +350,71 @@ def naive_change_scores(params, labeled, candidates, retrain_cfg):
         retrained = naive_sgd_oracle(params, labeled, (x_cand, labels[i]), retrain_cfg)
         after = np.atleast_2d(net.forward(retrained, candidates))
         scores[i] = float(np.sum(np.linalg.norm(after - outputs, axis=1)))
+    return AcquisitionResult.from_scores(scores, labels)
+
+
+def one_step_change_scores(params, labeled, candidates, learning_rate):
+    """Most-likely-label change scores after one full-batch gradient step.
+
+    For each candidate, pseudo-labeled with the network argmax, the
+    summed l2 output change over the candidate batch after one SGD step
+    on the labeled set plus that candidate: ``naive_change_scores`` with
+    one epoch and a minibatch holding every row, up to rounding, without
+    retraining a copy per candidate.
+
+    The step is theta - lr * grad L_labeled - lr * grad l_c, every delta
+    taken at theta. The labeled part gives base parameters, formed once.
+    The candidate's own part is rank one per layer, lr / sqrt(n_l) *
+    outer(a_l(c), g_l(c)) for the weights and lr * beta * g_l(c) for the
+    biases, so at the reference rows the stepped layer's pre-activations
+    are the base layer's less lr * (a . a_l(c) / n_l + beta^2) g_l(c).
+    Layer 0's input is shared, so its base pre-activations are formed
+    once. Raises DivergenceError (epoch 1) when the loss of the labeled
+    set plus a candidate is non-finite, as ``net.train_sgd`` would.
+    """
+    x, _ = net._check_input(params, candidates)
+    if len(x) == 0:
+        raise ContractError("candidate set is empty")
+    y = np.asarray(labeled.one_hot, dtype=np.float64)
+    if y.shape[1] != params.config.output_dim:
+        raise ShapeError(
+            f"target dim {y.shape[1]} does not match network output "
+            f"{params.config.output_dim}"
+        )
+    cfg = params.config
+    acts, preacts = net._forward_trace(params, x)
+    outputs = acts[-1]
+    labels = _argmax_labels(outputs)
+    own = outputs - labels
+    lab_x, _ = net._check_input(params, labeled.inputs)
+    lab_acts, lab_preacts = net._forward_trace(params, lab_x)
+    residual = lab_acts[-1] - y
+    with np.errstate(over="ignore"):  # a blown-up loss reads inf
+        losses = 0.5 * float(np.sum(residual * residual)) + 0.5 * np.sum(own * own, axis=1)
+    diverged = np.flatnonzero(~np.isfinite(losses))
+    if diverged.size:
+        i = diverged[0]
+        raise DivergenceError(
+            f"training diverged at epoch 1: loss {losses[i]:.3e} on the labeled set "
+            f"plus candidate {i}",
+            epoch=1,
+        )
+
+    weights, biases = [], []
+    for l, g in enumerate(net._backprop(params, lab_preacts, residual)):
+        step = learning_rate * (lab_acts[l].T @ g) / np.sqrt(cfg.widths[l])
+        weights.append(params.weights[l] - step)
+        biases.append(params.biases[l] - learning_rate * cfg.beta * g.sum(axis=0))
+    base = net.MlpParams(cfg, tuple(weights), tuple(biases))
+    deltas = net._backprop(params, preacts, own)
+    first = net._layer(base, 0, x)
+    beta2 = cfg.beta**2
+    scores = np.zeros(len(x))
+    for i in range(len(x)):
+        h = first - np.outer(learning_rate * (x @ x[i] / cfg.widths[0] + beta2), deltas[0][i])
+        for l in range(1, cfg.n_layers):
+            a = net._act(cfg.nonlinearity, h)
+            shift = learning_rate * (a @ acts[l][i] / cfg.widths[l] + beta2)
+            h = net._layer(base, l, a) - np.outer(shift, deltas[l][i])
+        scores[i] = float(np.sum(np.linalg.norm(h - outputs, axis=1)))
     return AcquisitionResult.from_scores(scores, labels)

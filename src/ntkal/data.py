@@ -67,6 +67,8 @@ class Dataset:
 def one_hot_encode(labels, class_count):
     """One-hot rows in {0,1} for integer labels."""
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        raise ContractError("no labels to encode")
     if labels.min() < 0 or labels.max() >= class_count:
         raise ContractError("labels outside [0, class_count)")
     out = np.zeros((len(labels), class_count), dtype=np.float64)
@@ -139,6 +141,8 @@ def load_mnist_idx(images_path, labels_path):
         )
     if n_labels != n:
         raise FormatError(f"image/label count mismatch: {n} images, {n_labels} labels")
+    if n == 0:
+        raise FormatError("IDX files hold no examples")
     labels = np.frombuffer(label_payload[:n_labels], dtype=np.uint8).astype(np.int64)
     return make_dataset(images, labels, class_count=10, name="mnist")
 

@@ -84,10 +84,10 @@ def cholesky(a, jitter_policy=DEFAULT_JITTER):
     raised carrying the failing pivot index.
     """
     a = np.asarray(a, dtype=np.float64)
+    if a.shape == (0, 0):
+        return CholeskyFactor(lower=np.zeros((0, 0)), jitter_applied=0.0)
     _check_square_symmetric(a, "cholesky")
     n = a.shape[0]
-    if n == 0:
-        return CholeskyFactor(lower=np.zeros((0, 0)), jitter_applied=0.0)
     diag_scale = float(np.mean(np.diag(a)))
     last_info = 0
     for level in jitter_policy.ladder:

@@ -147,6 +147,24 @@ def _forward_trace(params, x):
     return acts, preacts
 
 
+def _backprop(params, preacts, g):
+    """Deltas at every layer's pre-activations, from g at the output's.
+
+    Entry l, shape (batch, n_{l+1}), is the derivative with respect to
+    the pre-activations of layer l; g is entry n_layers - 1, and each
+    entry below is (g @ W[l].T) / sqrt(n_l) * act'(h[l-1]) of the one
+    above. ``preacts`` is the trace of ``_forward_trace``.
+    """
+    cfg = params.config
+    deltas = [None] * cfg.n_layers
+    deltas[-1] = g
+    for l in range(cfg.n_layers - 1, 0, -1):
+        g = (g @ params.weights[l].T) / np.sqrt(cfg.widths[l])
+        g *= _act_deriv(cfg.nonlinearity, preacts[l - 1])
+        deltas[l - 1] = g
+    return deltas
+
+
 def forward(params, x):
     """Network outputs, shape (batch, C); a 1-D input returns a 1-D output."""
     x, single = _check_input(params, x)
@@ -168,15 +186,9 @@ def grad_factors(params, x):
     x, _ = _check_input(params, x)
     cfg = params.config
     acts, preacts = _forward_trace(params, x)
-    batch = x.shape[0]
-    g = np.zeros((batch, cfg.output_dim))
+    g = np.zeros((x.shape[0], cfg.output_dim))
     g[:, 0] = 1.0
-    deltas = [None] * cfg.n_layers
-    for l in range(cfg.n_layers - 1, -1, -1):
-        deltas[l] = g
-        if l > 0:
-            g = (g @ params.weights[l].T) / np.sqrt(cfg.widths[l])
-            g = g * _act_deriv(cfg.nonlinearity, preacts[l - 1])
+    deltas = _backprop(params, preacts, g)
     return [(acts[l], deltas[l]) for l in range(cfg.n_layers)]
 
 
@@ -264,14 +276,10 @@ def train_sgd(params, data, cfg):
                 initial_loss = batch_loss * n / len(g)
                 divergence_bar = 1e6 * max(initial_loss, 1e-12)
             loss += batch_loss
-            # Backprop fused with the update: the delta passed down from
-            # layer l is read from weights[l] before that layer is stepped.
-            for l in range(mlp.n_layers - 1, -1, -1):
+            # Every delta is taken before any layer is stepped.
+            for l, g in enumerate(_backprop(work, preacts, g)):
                 step = acts[l].T @ g
                 biases[l] -= lr * (mlp.beta * g.sum(axis=0))
-                if l > 0:
-                    g = (g @ weights[l].T) / scales[l]
-                    g *= _act_deriv(mlp.nonlinearity, preacts[l - 1])
                 step /= scales[l]
                 step *= lr
                 weights[l] -= step

@@ -20,6 +20,9 @@ Sequential mode forms the n x n covariance once per cycle; each pick then
 pays O(n^2) and allocates no n x n array: scoring and a rank-one downdate
 in place (``lookahead.condition``). The k picks then enter the state in
 one ``augment_state`` call, which copies the (L + k)^2 factor once.
+``mlmoc-1step`` makes one forward and backward pass over the labeled set
+and one over the subset, then a forward pass over the subset per
+candidate; ``mlmoc-naive`` retrains a copy of the network per candidate.
 """
 
 import time
@@ -240,9 +243,11 @@ def _score(config, cycle, params, pool, state, candidates):
     if strategy == "random":
         return acquire.random_score(_mix(config.seed, 2, cycle), len(candidates))
     labeled = pool.labeled_dataset()
+    if strategy == "mlmoc-1step":
+        return acquire.one_step_change_scores(
+            params, labeled, candidates, config.train.learning_rate
+        )
     retrain = replace(config.train, epochs=config.naive_epochs, warm_start=True)
-    if strategy == "mlmoc-1step":  # one full-batch gradient step
-        retrain = replace(retrain, epochs=1, minibatch_size=len(labeled) + 1)
     return acquire.naive_change_scores(params, labeled, candidates, retrain)
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from ntkal import acquire, data, kernel, linalg, lookahead, net
-from ntkal.errors import ContractError, DegenerateCandidateError
+from ntkal.errors import ContractError, DegenerateCandidateError, DivergenceError
 
 import oracles
 
@@ -692,6 +693,51 @@ class TestNaiveOracle:
         assert a.scores.shape == (3,)
         assert np.array_equal(a.scores, b.scores)
         assert np.all(a.scores >= 0.0)
+
+
+class TestOneStepChangeScores:
+    """The closed-form single step against really retraining one full-batch step."""
+
+    @staticmethod
+    def _sgd_step_scores(params, labeled, cands, lr):
+        cfg = net.TrainConfig(lr, epochs=1, minibatch_size=len(labeled) + 1)
+        return acquire.naive_change_scores(params, labeled, cands, cfg)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("nonlinearity", net.NONLINEARITIES)
+    def test_matches_sgd_step(self, nonlinearity, depth, beta, c):
+        rng = np.random.default_rng(10 * depth + c)
+        widths = (5, *(12,) * (depth - 1), c)
+        cfg = net.MlpConfig(widths, nonlinearity=nonlinearity, beta=beta, seed=depth)
+        params = net.init(cfg)
+        labeled = data.make_dataset(rng.standard_normal((9, 5)), rng.integers(0, c, 9), c)
+        # The last candidate repeats a labeled row.
+        cands = np.vstack([rng.standard_normal((6, 5)), labeled.inputs[2]])
+        got = acquire.one_step_change_scores(params, labeled, cands, 0.05)
+        want = self._sgd_step_scores(params, labeled, cands, 0.05)
+        assert np.array_equal(got.pseudo_labels, want.pseudo_labels)
+        assert not np.any(got.degenerate_flags)
+        np.testing.assert_allclose(got.scores, want.scores, rtol=1e-12, atol=0.0)
+
+    def test_non_finite_loss_raises_divergence(self):
+        params, x, y, _ = _problem(seed=31)
+        labeled = data.make_dataset(x, np.argmax(y, axis=1), 2)
+        # Finite outputs near 1e300, whose squared residuals overflow.
+        weights = (params.weights[0], params.weights[1] * 1e300)
+        blown = net.MlpParams(params.config, weights, params.biases)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match="loss inf") as exc_info:
+                acquire.one_step_change_scores(blown, labeled, x[:3], 0.05)
+        assert exc_info.value.epoch == 1
+
+    def test_empty_candidates_rejected(self):
+        params, x, y, _ = _problem(seed=32)
+        labeled = data.make_dataset(x, np.argmax(y, axis=1), 2)
+        with pytest.raises(ContractError):
+            acquire.one_step_change_scores(params, labeled, np.zeros((0, 2)), 0.05)
 
 
 class TestConditionedBatch:

@@ -8,6 +8,8 @@ import pytest
 
 from ntkal import cli
 
+import oracles
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL_CONFIG = """
@@ -197,6 +199,22 @@ class TestCmdRun:
     def test_invalid_run_values_exit_2_and_write_nothing(self, tmp_path, capsys, strategy, old, new):
         cfg = _write_config(tmp_path, strategy=strategy)
         cfg.write_text(cfg.read_text().replace(old, new))
+        assert cli.cmd_run(cfg, out_dir=tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+        assert "config error" in capsys.readouterr().err
+
+    def test_zero_count_mnist_exit_2(self, tmp_path, capsys):
+        for split in ("train", "t10k"):
+            oracles.write_idx_images(
+                tmp_path / f"{split}-images-idx3-ubyte", np.zeros((0, 28, 28), dtype=np.uint8)
+            )
+            oracles.write_idx_labels(
+                tmp_path / f"{split}-labels-idx1-ubyte", np.zeros(0, dtype=np.uint8)
+            )
+        cfg = _write_config(tmp_path)
+        cfg.write_text(
+            cfg.read_text().replace("kind = two_gaussians", f"kind = mnist\nmnist_dir = {tmp_path}")
+        )
         assert cli.cmd_run(cfg, out_dir=tmp_path / "o") == 2
         assert not (tmp_path / "o").exists()
         assert "config error" in capsys.readouterr().err

@@ -65,6 +65,13 @@ class TestIdx:
         with pytest.raises(FormatError, match="mismatch"):
             data.load_mnist_idx(ip, lp)
 
+    def test_zero_count_pair(self, tmp_path):
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        oracles.write_idx_images(ip, np.zeros((0, 2, 2), dtype=np.uint8))
+        oracles.write_idx_labels(lp, np.zeros(0, dtype=np.uint8))
+        with pytest.raises(FormatError, match="no examples"):
+            data.load_mnist_idx(ip, lp)
+
 
 class TestGenerators:
     def test_two_gaussians_overlapping_classes(self):
@@ -115,3 +122,11 @@ class TestSplitAndEncode:
         oh = data.one_hot_encode(labels, 6)
         assert np.array_equal(np.argmax(oh, axis=1), labels)
         assert np.array_equal(data.one_hot_encode(np.argmax(oh, axis=1), 6), oh)
+
+    def test_one_hot_of_no_labels_rejected(self):
+        with pytest.raises(ContractError, match="no labels"):
+            data.one_hot_encode([], 3)
+
+    def test_make_dataset_of_no_rows_rejected(self):
+        with pytest.raises(ContractError):
+            data.make_dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)

@@ -51,6 +51,11 @@ class TestCholesky:
 
 
 class TestCholSolve:
+    def test_empty_factor_solves_empty_rhs(self):
+        f = linalg.cholesky(np.zeros((0, 0)))
+        assert f.lower.shape == (0, 0) and f.jitter_applied == 0.0
+        assert linalg.chol_solve(f, np.zeros((0, 3))).shape == (0, 3)
+
     def test_identity_factor(self):
         f = linalg.cholesky(np.eye(3))
         b = np.arange(6.0).reshape(3, 2)

@@ -222,14 +222,43 @@ class TestRunBatch:
         assert records[0].degenerate_skipped > 0
         assert records[0].labeled_size == 6
 
-    @pytest.mark.parametrize(
-        "strategy", ["entropy", "margin", "emoc", "eer", "mlmoc-inf", "mlmoc-1step"]
-    )
+    @pytest.mark.parametrize("strategy", pool.STRATEGIES)
     def test_all_strategies_run(self, strategy):
         train, test = _toy_data(n=20)
         cfg = _tiny_config(strategy=strategy, cycles=1, subset_size=8, query_batch_size=2)
         records = pool.run_al(cfg, train, test)
         assert len(records) == 1
+
+    def test_one_step_matches_sgd_reference(self, monkeypatch):
+        # mlmoc-1step as is, and with its scorer replaced by really taking one
+        # full-batch SGD step at the configured learning rate.
+        train, test = _toy_data(n=20)
+        cfg = _tiny_config(strategy="mlmoc-1step", cycles=3, subset_size=8, query_batch_size=2)
+
+        def run():
+            labeled = []
+            records = pool.run_batch_al(
+                cfg, train, test, lambda cycle, p, *_: labeled.append(p.labeled_indices)
+            )
+            return _strip_timing(records), labeled
+
+        closed_form = run()
+        calls = []
+
+        def sgd_step(params, labeled, candidates, learning_rate):
+            calls.append((labeled, learning_rate))
+            retrain = net.TrainConfig(
+                cfg.train.learning_rate, epochs=1, minibatch_size=len(labeled) + 1
+            )
+            return acquire.naive_change_scores(params, labeled, candidates, retrain)
+
+        monkeypatch.setattr(acquire, "one_step_change_scores", sgd_step)
+        assert run() == closed_form
+        assert [rate for _, rate in calls] == [cfg.train.learning_rate] * cfg.cycles
+        assert len(calls[0][0]) == cfg.initial_labeled
+        # Each later cycle scores against the labels held at the end of the last.
+        for (labeled, _), indices in zip(calls[1:], closed_form[1]):
+            assert np.array_equal(labeled.inputs, train.inputs[list(indices)])
 
     def test_naive_strategy_runs(self):
         train, test = _toy_data(n=15)
