@@ -50,6 +50,13 @@ def _as_bool(raw):
     raise ValueError("expected a boolean")
 
 
+def _as_seed(raw):
+    seed = int(raw)
+    if seed < 0:
+        raise ValueError("expected a non-negative integer")
+    return seed
+
+
 def _as_int_list(raw):
     return [int(tok) for tok in raw.replace(",", " ").split()]
 
@@ -88,7 +95,7 @@ _GRAMMAR = {
         "n_per_class": (int, "500"),
         "noise": (float, "0.2"),
         "separation": (float, "4.0"),
-        "seed": (int, "0"),
+        "seed": (_as_seed, "0"),
         "test_n_per_class": (int, "0"),
         "mnist_dir": (str, ""),
         "pool_size": (int, "10000"),

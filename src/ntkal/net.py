@@ -73,8 +73,10 @@ class MlpConfig:
                 f"unknown nonlinearity {self.nonlinearity!r}; "
                 f"choose from {NONLINEARITIES}"
             )
-        if self.beta < 0:
-            raise ContractError("beta must be >= 0")
+        if not np.isfinite(self.beta) or self.beta < 0:
+            raise ContractError("beta must be finite and >= 0")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
 
     @property
     def input_dim(self):
@@ -213,6 +215,8 @@ class TrainConfig:
             raise ContractError("learning_rate must be finite and > 0")
         if self.minibatch_size < 1:
             raise ContractError("minibatch_size must be >= 1")
+        if self.shuffle_seed < 0:
+            raise ContractError("shuffle_seed must be >= 0")
         if not np.isfinite(self.lr_decay) or self.lr_decay <= 0:
             raise ContractError("lr_decay must be finite and > 0")
 

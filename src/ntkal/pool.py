@@ -175,6 +175,8 @@ class RunConfig:
             )
         if self.naive_epochs < 0:
             raise ContractError("naive_epochs must be >= 0")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
         if self.score_baseline not in acquire.BASELINES:
             raise ContractError(
                 f"unknown score_baseline {self.score_baseline!r}; "

@@ -401,6 +401,77 @@ class TestPerLabelTables:
         return replace(batch, sigma=batch.sigma * scale)
 
     @staticmethod
+    def _logits_scaled(batch, scale):
+        return replace(batch, outputs=scale * batch.outputs, shift_base=scale * batch.shift_base)
+
+    @classmethod
+    def _confident(cls, batch):
+        """Outputs near the one-hot of each candidate's argmax, gains scaled by 1e4."""
+        rng = np.random.default_rng(71)
+        confident = np.eye(3)[np.argmax(batch.shift_base, axis=1)]
+        confident += 1e-3 * rng.standard_normal(confident.shape)
+        batch = cls._scaled(batch, 1e4)
+        return replace(batch, shift_base=confident, outputs=40.0 * confident)
+
+    @staticmethod
+    def _tied(batch):
+        """Classes 1 and 2 carry equal logits everywhere."""
+        return replace(
+            batch,
+            outputs=batch.outputs[:, [0, 1, 1]].copy(),
+            shift_base=batch.shift_base[:, [0, 1, 1]].copy(),
+        )
+
+    @classmethod
+    def _saturated(cls):
+        """Logits scaled by 30 and gains by 1e3 to 1e4, over 10 classes."""
+        rng = np.random.default_rng(0)
+        params = net.init(net.MlpConfig((4, 24, 10), seed=0))
+        x = rng.standard_normal((20, 4))
+        y = data.one_hot_encode(rng.integers(0, 10, 20), 10)
+        state = kernel.build_state_xy(params, x, y)
+        batch = lookahead.lookahead_batch(state, rng.standard_normal((60, 4)))
+        batch = cls._scaled(batch, rng.uniform(1e3, 1e4, (60, 60)))
+        return cls._logits_scaled(batch, 30.0)
+
+    @staticmethod
+    def _band(batch):
+        """Largest |gain| and smallest non-maximum softmax mass of the shared logits."""
+        g = oracles.gains(batch)
+        a = batch.shift_base[:, None, :] + g[:, :, None] * batch.shift_base[None]
+        mass = np.sum(np.exp(a - np.max(a, axis=2, keepdims=True)), axis=2) - 1.0
+        return np.max(np.abs(g)), np.min(mass)
+
+    @classmethod
+    def _in_band(cls, batch, max_gain=1.0, min_mass=1.0):
+        """The batch with its gains scaled to a largest |gain| of ``max_gain``, then
+        its logits by the largest factor in [0, 1] (bisected) that keeps every
+        non-maximum mass at or above ``min_mass``."""
+        batch = cls._scaled(batch, max_gain / cls._band(batch)[0])
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if cls._band(cls._logits_scaled(batch, mid))[1] >= min_mass:
+                lo = mid
+            else:
+                hi = mid
+        return cls._logits_scaled(batch, lo)
+
+    @staticmethod
+    def _paths(monkeypatch, batch):
+        """The path each chunk of the batch's entropy table takes."""
+        paths, direct = [], acquire._direct_entropies
+
+        def spy(a, g):
+            values = direct(a, g)
+            paths.append("careful" if values is None else "direct")
+            return values
+
+        monkeypatch.setattr(acquire, "_direct_entropies", spy)
+        acquire.score_eer_lin(batch)
+        return paths
+
+    @staticmethod
     def _assert_agree(batch):
         got = acquire.score_eer_lin(batch).scores
         assert np.all(np.isfinite(got))
@@ -431,44 +502,25 @@ class TestPerLabelTables:
         # shared entry is ~1e4 while the corrected entry and every other
         # entry stay small, so the other entries' sum must not be taken by
         # subtracting the dominant entry from the total.
-        batch = self._batch()
-        rng = np.random.default_rng(71)
-        confident = np.eye(3)[np.argmax(batch.shift_base, axis=1)]
-        confident += 1e-3 * rng.standard_normal(confident.shape)
-        batch = self._scaled(batch, 1e4)
-        self._assert_agree(replace(batch, shift_base=confident, outputs=40.0 * confident))
+        self._assert_agree(self._confident(self._batch()))
 
     def test_near_one_hot_logits(self):
-        batch = self._batch()
-        batch = replace(batch, outputs=40.0 * batch.outputs, shift_base=40.0 * batch.shift_base)
+        batch = self._logits_scaled(self._batch(), 40.0)
         assert np.median(1.0 - acquire.softmax(batch.shift_base).max(axis=1)) < 1e-8
         self._assert_agree(batch)
 
     def test_tied_maxima(self):
-        # Classes 1 and 2 carry equal logits everywhere, so wherever one
-        # holds the maximum the other ties with it.
-        batch = self._batch()
-        batch = replace(
-            batch,
-            outputs=batch.outputs[:, [0, 1, 1]].copy(),
-            shift_base=batch.shift_base[:, [0, 1, 1]].copy(),
-        )
+        # Wherever class 1 or 2 holds the maximum the other ties with it.
+        batch = self._tied(self._batch())
         a = batch.shift_base[:, None, :] + oracles.gains(batch)[:, :, None] * batch.shift_base[None]
         assert np.any(np.argmax(a, axis=2) == 1)
         self._assert_agree(batch)
 
     def test_saturated_softmaxes_match_longdouble(self):
-        # Logits scaled by 30 and gains by 1e3 to 1e4: most candidates have
-        # every look-ahead softmax saturated, and their entropy sums (down
-        # to 1e-305 here) are sums of terms far below one ulp of 1.
-        rng = np.random.default_rng(0)
-        params = net.init(net.MlpConfig((4, 24, 10), seed=0))
-        x = rng.standard_normal((20, 4))
-        y = data.one_hot_encode(rng.integers(0, 10, 20), 10)
-        state = kernel.build_state_xy(params, x, y)
-        batch = lookahead.lookahead_batch(state, rng.standard_normal((60, 4)))
-        batch = self._scaled(batch, rng.uniform(1e3, 1e4, (60, 60)))
-        batch = replace(batch, outputs=30.0 * batch.outputs, shift_base=30.0 * batch.shift_base)
+        # Most candidates have every look-ahead softmax saturated, and their
+        # entropy sums (down to 1e-305 here) are sums of terms far below one
+        # ulp of 1.
+        batch = self._saturated()
         got = acquire.score_eer_lin(batch).scores
         want = oracles.eer_lin_scores_longdouble(batch)
         assert np.sum(np.abs(want) < 1e-6) > 30 and np.min(np.abs(want[want != 0.0])) < 1e-300
@@ -497,6 +549,67 @@ class TestPerLabelTables:
         n = len(batch.outputs)
         monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 8 * n * 3 * 7)
         assert n % 7 == 1
+        self._assert_agree(batch)
+
+    # Band edges, each batch scored as one chunk: its largest |gain| a hair
+    # inside or outside the bound, its smallest mass a hair above or below
+    # the floor.
+    _EDGES = {
+        "gain-inside": dict(max_gain=acquire._DIRECT_MAX_GAIN - 2.0**-40),
+        "gain-outside": dict(max_gain=acquire._DIRECT_MAX_GAIN + 2.0**-40),
+        "mass-inside": dict(min_mass=acquire._DIRECT_MIN_MASS * (1.0 + 2.0**-30)),
+        "mass-outside": dict(min_mass=acquire._DIRECT_MIN_MASS * (1.0 - 2.0**-30)),
+    }
+
+    def _edge(self, monkeypatch, case):
+        monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 1 << 30)
+        return self._in_band(self._batch(), **self._EDGES[case])
+
+    @pytest.mark.parametrize(
+        "case",
+        ["default", "all-rows", "two-classes", "tied-maxima", "large-gains", "near-one-hot",
+         "confident", "saturated", "gain-outside", "mass-outside"],
+    )
+    def test_careful_path_cases(self, monkeypatch, case):
+        # The test batches above: a tiny network on 20 labels gives gains up
+        # to 2.6-3.8 and softmax masses down to 1e-4, outside the band in
+        # every chunk.
+        if case == "saturated":
+            batch = self._saturated()
+        elif case in self._EDGES:
+            batch = self._edge(monkeypatch, case)
+        else:
+            batch = self._batch(c=2 if case == "two-classes" else 3,
+                                candidates_only=case != "all-rows")
+            batch = {
+                "tied-maxima": self._tied,
+                "large-gains": partial(self._scaled, scale=-1e2),
+                "near-one-hot": partial(self._logits_scaled, scale=40.0),
+                "confident": self._confident,
+            }.get(case, lambda b: b)(batch)
+        paths = self._paths(monkeypatch, batch)
+        assert paths and set(paths) == {"careful"}
+
+    @pytest.mark.parametrize(
+        "case",
+        ["default", "all-rows", "two-classes", "ten-classes", "tied-maxima", "several-chunks",
+         "gain-inside", "mass-inside"],
+    )
+    def test_direct_path_matches_per_label_formulas(self, monkeypatch, case):
+        # The test batches with their gains scaled to the self-gains' -1 and
+        # their logits flattened into the band; the default batch keeps its
+        # two degenerate columns.
+        if case in self._EDGES:
+            batch = self._edge(monkeypatch, case)
+        else:
+            c = {"two-classes": 2, "ten-classes": 10}.get(case, 3)
+            batch = self._batch(c=c, candidates_only=case not in ("all-rows", "several-chunks"))
+            batch = self._in_band(self._tied(batch) if case == "tied-maxima" else batch)
+        if case == "several-chunks":
+            monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 8 * len(batch.outputs) * 3 * 7)
+        paths = self._paths(monkeypatch, batch)
+        assert paths and set(paths) == {"direct"}
+        assert case != "several-chunks" or len(paths) == 25  # 169 columns, 7 a chunk
         self._assert_agree(batch)
 
 

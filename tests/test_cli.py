@@ -189,11 +189,18 @@ class TestCmdRun:
             ("random", "seeds = 0", "seeds = 0\nsequential = true"),
             # 6 + 3 * 2 = 12 labels from a pool of 10 points.
             ("mlmoc", "n_per_class = 30", "n_per_class = 5"),
+            ("random", "nonlinearity = relu", "nonlinearity = relu\nbeta = nan"),
+            ("random", "nonlinearity = relu", "nonlinearity = relu\nbeta = inf"),
+            ("random", "seeds = 0", "seeds = 0 -2"),
+            ("random", "nonlinearity = relu", "nonlinearity = relu\nseed = -1"),
+            ("random", "minibatch_size = 8", "minibatch_size = 8\nshuffle_seed = -1"),
+            ("random", "separation = 3.0\nseed = 0", "separation = 3.0\nseed = -1"),
         ],
         ids=[
             "unknown-baseline", "eer-unknown-baseline", "negative-naive-epochs",
             "inf-identity", "nan-learning-rate", "inf-lr-decay", "sequential-random",
-            "budget-beyond-pool",
+            "budget-beyond-pool", "nan-beta", "inf-beta", "negative-run-seed",
+            "negative-mlp-seed", "negative-shuffle-seed", "negative-data-seed",
         ],
     )
     def test_invalid_run_values_exit_2_and_write_nothing(self, tmp_path, capsys, strategy, old, new):
@@ -234,6 +241,13 @@ class TestCmdRun:
         assert cli.cmd_run(cfg, seed=7, out_dir=out) == 0
         rows = (out / "records.csv").read_text().strip().splitlines()[1:]
         assert all(row.split(",")[6] == "7" for row in rows)
+
+    def test_negative_seed_override_exit_2_and_write_nothing(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        code = cli.main(["run", "--config", str(cfg), "--seed", "-3", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
+        assert "config error" in capsys.readouterr().err
 
     def test_main_entry(self, tmp_path):
         cfg = _write_config(tmp_path)

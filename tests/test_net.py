@@ -65,6 +65,17 @@ class TestInit:
         with pytest.raises(ContractError):
             net.MlpConfig((3, 2), nonlinearity="tanh")
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ContractError, match="beta"):
+            net.MlpConfig((3, 2), beta=beta)
+
+    def test_negative_seeds_rejected(self):
+        with pytest.raises(ContractError, match="seed"):
+            net.MlpConfig((3, 2), seed=-1)
+        with pytest.raises(ContractError, match="shuffle_seed"):
+            net.TrainConfig(learning_rate=0.1, epochs=1, shuffle_seed=-1)
+
 
 class TestForward:
     def test_zero_params_zero_output(self):

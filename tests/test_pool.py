@@ -521,6 +521,53 @@ class TestRunSequential:
             )
 
 
+class TestEntropyTablePaths:
+    """eer runs are the same whichever path each chunk of the entropy table takes."""
+
+    @staticmethod
+    def _blobs(n, seed, c=4):
+        # c unit-variance blobs on a circle of radius 1.5: weakly separated
+        # classes keep many look-ahead softmaxes inside the direct band.
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, c, n)
+        angles = 2.0 * np.pi * np.arange(c) / c
+        centers = 1.5 * np.column_stack([np.cos(angles), np.sin(angles)])
+        return data.make_dataset(centers[labels] + rng.standard_normal((n, 2)), labels, c)
+
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_band_closed_gives_identical_runs(self, monkeypatch, sequential):
+        train, test = self._blobs(60, 0), self._blobs(40, 1)
+        extra = dict(retrain_every=2) if sequential else {}
+        cfg = _tiny_config(
+            strategy="eer", sequential=sequential, cycles=3,
+            mlp=net.MlpConfig((2, 16, 4), seed=0), **extra,
+        )
+        # One candidate column per chunk, so each column picks its own path.
+        monkeypatch.setattr(acquire, "_TABLE_CHUNK_BYTES", 1)
+        paths, direct = [], acquire._direct_entropies
+
+        def spy(a, g):
+            values = direct(a, g)
+            paths.append(values is not None)
+            return values
+
+        monkeypatch.setattr(acquire, "_direct_entropies", spy)
+
+        def run():
+            picks = []
+            records = (pool.run_sequential_al if sequential else pool.run_batch_al)(
+                cfg, train, test, lambda cycle, p, *_: picks.append(p.labeled_indices)
+            )
+            return _strip_timing(records), picks
+
+        open_band = run()
+        assert any(paths) and not all(paths)
+        monkeypatch.setattr(acquire, "_DIRECT_MAX_GAIN", -1.0)
+        paths.clear()
+        assert run() == open_band
+        assert paths and not any(paths)
+
+
 class TestRunConfigValidation:
     def test_unknown_strategy_lists_valid_names(self):
         with pytest.raises(ContractError, match="mlmoc"):
@@ -536,3 +583,7 @@ class TestRunConfigValidation:
         for strategy in ("random", "entropy", "margin", "mlmoc-naive", "mlmoc-1step"):
             with pytest.raises(ContractError, match="sequential mode"):
                 _tiny_config(strategy=strategy, sequential=True)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractError, match="seed"):
+            _tiny_config(seed=-1)
