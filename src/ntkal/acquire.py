@@ -4,38 +4,38 @@ The look-ahead family (mlmoc, emoc, eer_lin) scores each unlabeled
 candidate by the effect that hypothetically labeling it would have on
 the predictions at every candidate of the batch (the reference set),
 using the block-structured linearized look-ahead of
-``lookahead.lookahead_batch`` instead of retraining.
-Because the per-candidate prediction change is rank one (per-query gain
-times a per-label shift), whole candidate batches are scored with a
-handful of matrix products. Each takes a kernel state and candidate rows
-and scores the batch it builds with ``score_mlmoc``, ``score_emoc`` or
-``score_eer_lin``; sequential querying calls those directly on a batch
-kept up to date in place with ``lookahead.condition``.
+``lookahead.lookahead_batch`` instead of retraining. One rule scores all
+three: an (n, C) table of that effect per candidate and label, averaged
+as score_i = sum_l weights[i, l] * table[i, l], with a fixed score at
+degenerate candidates. mlmoc and emoc tabulate summed l2 prediction
+changes and score 0 where degenerate; emoc weights the labels by the
+softmax of the network output, mlmoc puts all weight on its argmax.
+eer_lin weights minus the summed softmax entropies of the look-ahead
+predictions by the softmax, and scores minus the current entropy sum
+where degenerate. ``score_*`` score a LookaheadBatch; sequential
+querying calls them on a batch conditioned in place.
 
-emoc and eer_lin sum over all C hypothetical labels. Labeling candidate
-i with l moves reference r to a - gains[r, i] * e_l, where
-a = shift_base[r] + gains[r, i] * shift_base[i] is shared by every label,
-so each label differs from a in one entry. The raw-baseline change
-norms and the softmax entropies of all C labels therefore come from
-O(C) sums over a plus one corrected entry per label: an (n, C) table
-at O(m n C) cost, built over chunks of gain columns, derived from the
-dense posterior covariance Sigma and small enough to stay in cache.
-The entropies take one of two paths per chunk. Inside a band of small
-gains and unsaturated softmaxes, each label's entropy follows directly
-from exp-sums of a relative to its maximum, at one exp and one log per
-entry, within a first-order error bound of 2.5e-13 relative at C = 10
+With the linearized baseline the change norm factorizes into the column
+sums of |gains|, streamed without an n x n array, times the label
+shift's norm. Otherwise, labeling candidate i with l moves reference r
+to a - gains[r, i] * e_l, where a = shift_base[r] + gains[r, i] *
+shift_base[i] is shared by every label, so each label differs from a in
+one entry. The raw-baseline change norms and the softmax entropies of
+all C labels therefore come from O(C) sums over a plus one corrected
+entry per label, built over chunks of gain columns of the dense
+posterior covariance Sigma small enough to stay in cache. The entropies
+take one of two paths per chunk. Inside a band of small gains and
+unsaturated softmaxes, each label's entropy follows directly from
+exp-sums of a relative to its maximum, at one exp and one log per entry,
+within a first-order error bound of 2.5e-13 relative at C = 10
 (``_direct_entropies``). Outside it a careful path (``_entropies``) stays
-accurate on saturated softmaxes and large gains, at a few selects per
-entry. mlmoc reads its pseudo-label's entry. With the linearized
-baseline the change norm factorizes into the column sums of |gains|,
-streamed without an n x n array, times the label shift's norm.
+accurate on saturated softmaxes and large gains.
 
 Myopic baselines (entropy, margin, random) and two look-ahead baselines
 measured on the network itself round out the comparison suite: a naive
-oracle that really retrains a copy with SGD per candidate, and the
-single full-batch gradient step, scored in closed form from one step on
-the labeled set shared by every candidate plus a rank-one step per
-candidate.
+oracle that really retrains a copy with SGD per candidate, and one
+full-batch gradient step, scored in closed form from a step on the
+labeled set shared by all candidates plus a rank-one step per candidate.
 """
 
 from dataclasses import dataclass
@@ -261,33 +261,26 @@ def _label_table(ctx, kind):
     return sums
 
 
-def _change_table(ctx, baseline, labels=None):
-    """Reference-summed l2 change norms, (n, C) over all labels or (n,) at ``labels``.
+def _change_table(ctx, baseline, weights):
+    """Reference-summed l2 change norms per candidate and label, (n, C).
 
-    With the linearized baseline the change at reference point r is exactly
-    gains[r] * shift, so the sum factorizes into the column sums of |gains|
-    times the shift norm. The raw baseline adds the constant offset between
-    linearized and raw current predictions, and is tabulated over all labels
-    even when ``labels`` picks one.
+    The linearized change at reference r is gains[r] * shift, so the sum
+    factorizes into the column sums of |gains| times the shift norm. Each
+    norm reduces C entries, so those where ``weights`` is zero, which the
+    expectation never reads, are left 0: mlmoc's one-hot weights take n
+    norms, not n C. The raw baseline adds the constant offset between
+    linearized and raw predictions, and gives every label at once.
     """
     if baseline == "raw":
-        table = _label_table(ctx, "l2")
-        return table if labels is None else table[np.arange(len(table)), labels]
+        return _label_table(ctx, "l2")
     if baseline != "linearized":
         raise ContractError(f"unknown baseline {baseline!r}")
-    eye = np.eye(ctx.shift_base.shape[1])
-    if labels is None:
-        shift = ctx.shift_base[:, None, :] - eye  # (n, C, C)
-    else:
-        shift = ctx.shift_base - eye[labels]
-    shift_norms = np.linalg.norm(shift, axis=-1)
     abs_sums = ctx.abs_gain_sums()
-    return (abs_sums if labels is not None else abs_sums[:, None]) * shift_norms
-
-
-def _expectation(probs, table):
-    """sum_l probs[:, l] * table[:, l], added label by label."""
-    return np.sum(np.ascontiguousarray((probs * table).T), axis=0)
+    norms = np.zeros(weights.shape)
+    for l, e in enumerate(np.eye(weights.shape[1])):
+        rows = np.flatnonzero(weights[:, l])
+        norms[rows, l] = np.linalg.norm(ctx.shift_base[rows] - e, axis=-1)
+    return abs_sums[:, None] * norms
 
 
 def _argmax_labels(outputs):
@@ -297,42 +290,43 @@ def _argmax_labels(outputs):
     return labels
 
 
-def mlmoc(state, candidates, baseline="linearized"):
-    """Most-likely model output change.
+def _expected_scores(ctx, table, weights, degenerate_score):
+    """The look-ahead rule: sum_l weights[:, l] * table[:, l], added label by label
+    so that one-hot weights read one entry exactly, and ``degenerate_score`` at
+    degenerate candidates; the pseudo-labels are the argmax one-hots."""
+    scores = np.sum(np.ascontiguousarray((weights * table).T), axis=0)
+    scores = np.where(ctx.degenerate, degenerate_score, scores)
+    return AcquisitionResult.from_scores(scores, _argmax_labels(ctx.outputs), ctx.degenerate)
 
-    Each candidate is scored with its most likely pseudo-label (argmax of
-    the current network output): the summed l2 prediction change over the
-    candidate batch if that label were added. ``baseline`` picks what the
-    change is measured against: the current linearized predictions
-    (default, so a no-op augmentation scores exactly zero) or the raw
-    network outputs.
-    """
+
+def mlmoc(state, candidates, baseline="linearized"):
+    """Most-likely model output change: the summed l2 prediction change over
+    the candidate batch if a candidate were labeled with its argmax. It is
+    measured against the current linearized predictions (``baseline``
+    "linearized", so a no-op augmentation scores exactly zero) or "raw"
+    network outputs."""
     return score_mlmoc(lookahead.lookahead_batch(state, candidates), baseline)
 
 
 def score_mlmoc(ctx, baseline="linearized"):
-    """mlmoc scores of a LookaheadBatch."""
+    """mlmoc scores of a LookaheadBatch: the change table at the argmax label."""
     labels = _argmax_labels(ctx.outputs)
-    scores = _change_table(ctx, baseline, np.argmax(ctx.outputs, axis=1))
-    scores = np.where(ctx.degenerate, 0.0, scores)
-    return AcquisitionResult.from_scores(scores, labels, ctx.degenerate)
+    return _expected_scores(ctx, _change_table(ctx, baseline, labels), labels, 0.0)
 
 
 def emoc(state, candidates, baseline="linearized"):
     """Expected model output change over all hypothetical labels.
 
     The expectation weights each class label by the softmax of the current
-    network output at the candidate; per-label changes are evaluated with
-    the same block correction as mlmoc, all labels at once.
+    network output at the candidate; each label's change is mlmoc's for it.
     """
     return score_emoc(lookahead.lookahead_batch(state, candidates), baseline)
 
 
 def score_emoc(ctx, baseline="linearized"):
-    """emoc scores of a LookaheadBatch."""
-    table = _change_table(ctx, baseline)
-    scores = np.where(ctx.degenerate, 0.0, _expectation(softmax(ctx.outputs), table))
-    return AcquisitionResult.from_scores(scores, _argmax_labels(ctx.outputs), ctx.degenerate)
+    """emoc scores of a LookaheadBatch: the change table's softmax expectation."""
+    probs = softmax(ctx.outputs)
+    return _expected_scores(ctx, _change_table(ctx, baseline, probs), probs, 0.0)
 
 
 def eer_lin(state, candidates):
@@ -341,18 +335,14 @@ def eer_lin(state, candidates):
     Look-ahead predictions are mapped to probabilities with a softmax at
     temperature 1; the score is minus the expected (over the candidate's
     softmax label distribution) sum of predictive entropies. Degenerate
-    candidates leave the model unchanged, so they score the current
-    entropy sum, negated.
-    """
+    candidates leave the model unchanged and score minus the current sum."""
     return score_eer_lin(lookahead.lookahead_batch(state, candidates))
 
 
 def score_eer_lin(ctx):
-    """eer_lin scores of a LookaheadBatch."""
-    current_entropy = float(np.sum(entropy(softmax(ctx.shift_base))))
-    expected = _expectation(softmax(ctx.outputs), _label_table(ctx, "entropy"))
-    scores = np.where(ctx.degenerate, -current_entropy, -expected)
-    return AcquisitionResult.from_scores(scores, _argmax_labels(ctx.outputs), ctx.degenerate)
+    """eer_lin scores of a LookaheadBatch: the negated entropy table's softmax expectation."""
+    current = -float(np.sum(entropy(softmax(ctx.shift_base))))
+    return _expected_scores(ctx, -_label_table(ctx, "entropy"), softmax(ctx.outputs), current)
 
 
 def entropy_score(outputs):

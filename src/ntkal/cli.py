@@ -207,7 +207,11 @@ def cmd_run(config_path, seed=None, out_dir="."):
         return 2
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a parent that cannot hold a directory
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     all_records = []
     run_summaries = []
     for cfg in configs:
@@ -421,10 +425,10 @@ def cmd_report(csv_paths, out_path):
         records = []
         for path in csv_paths:
             records.extend(read_records_csv(path))
+        render_accuracy_svg(records, out_path)
     except (FormatError, OSError) as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return 2
-    render_accuracy_svg(records, out_path)
     print(f"wrote {out_path}")
     return 0
 

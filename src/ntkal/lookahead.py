@@ -261,10 +261,12 @@ def augment_state(state, x, y):
     ``_degenerate`` flags against the labeled set and the rows entered
     before it is skipped. Predictions match a cold rebuild on the enlarged
     set. Raises DegenerateCandidateError when no row enters, ShapeError for
-    labels of another shape and ContractError for non-finite x or y.
+    labels of another shape and ContractError for no rows or non-finite x or y.
     """
     features = state.features(x)
     k, classes = len(features.rows), state.targets.shape[1]
+    if k == 0:
+        raise ContractError("no rows to augment with")
     y = _label(y, k, classes) if np.ndim(x) == 2 else _label(y, classes)[None, :]
     _, self_k, w, schur, _ = _schur_rows(state, features)
     s = features.add_block(slice(0, k), slice(0, k), np.zeros((k, k))) - w.T @ w

@@ -54,23 +54,20 @@ _LOOKAHEAD_SCORERS = {"mlmoc": "mlmoc", "emoc": "emoc", "eer": "eer_lin", "mlmoc
 STRATEGIES = ("random", "entropy", "margin", *_LOOKAHEAD_SCORERS, "mlmoc-naive", "mlmoc-1step")
 
 
-def _index_array(indices):
-    """A tuple of dataset indices as an integer array."""
-    return np.fromiter(indices, dtype=np.intp, count=len(indices))
-
-
 @dataclass(frozen=True)
 class Pool:
-    """Disjoint labeled/unlabeled index sets over a backing dataset."""
+    """Disjoint labeled/unlabeled index sets over a dataset, kept as read-only intp arrays."""
 
     dataset: Dataset
-    labeled_indices: tuple
-    unlabeled_indices: tuple
+    labeled_indices: np.ndarray
+    unlabeled_indices: np.ndarray
 
     def __post_init__(self):
-        both = np.concatenate(
-            [_index_array(self.labeled_indices), _index_array(self.unlabeled_indices)]
-        )
+        for name in ("labeled_indices", "unlabeled_indices"):
+            indices = np.array(getattr(self, name), dtype=np.intp).reshape(-1)
+            indices.flags.writeable = False
+            object.__setattr__(self, name, indices)
+        both = np.concatenate([self.labeled_indices, self.unlabeled_indices])
         n = len(self.dataset)
         if both.size and not 0 <= both.min() <= both.max() < n:
             raise ContractError(f"indices must lie in [0, {n})")
@@ -90,24 +87,20 @@ class Pool:
         labeled = np.sort(rng.choice(n, size=initial_labeled, replace=False))
         unlabeled = np.ones(n, dtype=bool)
         unlabeled[labeled] = False
-        return cls(dataset, tuple(labeled.tolist()), tuple(np.flatnonzero(unlabeled).tolist()))
+        return cls(dataset, labeled, np.flatnonzero(unlabeled))
 
     def acquire(self, indices):
         """Move dataset indices from the unlabeled to the labeled set."""
         moving = np.asarray(indices, dtype=np.intp).reshape(-1)
-        unlabeled = _index_array(self.unlabeled_indices)
+        unlabeled = self.unlabeled_indices
         missing = moving[~np.isin(moving, unlabeled)]
         if missing.size:
             raise ContractError(f"index {missing[0]} is not unlabeled")
         remaining = unlabeled[~np.isin(unlabeled, moving)]
-        return Pool(
-            self.dataset,
-            self.labeled_indices + tuple(moving.tolist()),
-            tuple(remaining.tolist()),
-        )
+        return Pool(self.dataset, np.concatenate([self.labeled_indices, moving]), remaining)
 
     def labeled_dataset(self):
-        return self.dataset.subset(list(self.labeled_indices))
+        return self.dataset.subset(self.labeled_indices)
 
 
 @dataclass(frozen=True)
@@ -173,6 +166,8 @@ class RunConfig:
                 f"sequential mode needs a look-ahead strategy "
                 f"({', '.join(_LOOKAHEAD_SCORERS)}), got {self.strategy!r}"
             )
+        if self.train.epochs < 1:
+            raise ContractError("train epochs must be >= 1")
         if self.naive_epochs < 0:
             raise ContractError("naive_epochs must be >= 0")
         if self.seed < 0:
@@ -198,10 +193,11 @@ def _mix(*parts):
 def sample_subset(pool, size, seed):
     """Uniform sample (without replacement) of unlabeled dataset indices.
 
-    Returns the whole unlabeled set when it has at most ``size`` points.
-    Output is sorted, so candidate order follows dataset order.
+    Returns the pool's own read-only unlabeled array when it has at most
+    ``size`` points. Output is sorted, so candidate order follows dataset
+    order.
     """
-    unlabeled = np.array(pool.unlabeled_indices, dtype=np.intp)
+    unlabeled = pool.unlabeled_indices
     if size >= len(unlabeled):
         return unlabeled
     rng = np.random.default_rng(seed)
@@ -213,12 +209,12 @@ def query_batch_topk(result, k):
     """Top-k candidate positions by score; ties break toward low index.
 
     Degenerate candidates are passed over unless fewer than k others
-    remain.
+    remain. A k outside [0, candidate count] raises ContractError.
     """
     scores = result.scores
     n = len(scores)
-    if k > n:
-        raise ContractError(f"k={k} exceeds candidate count {n}")
+    if not 0 <= k <= n:
+        raise ContractError(f"k={k} is outside [0, {n}], the candidate count")
     order = np.lexsort((np.arange(n), -scores))
     # A stable sort on the flags moves degenerate candidates behind the others.
     return order[np.argsort(result.degenerate_flags[order], kind="stable")[:k]].tolist()

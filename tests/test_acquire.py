@@ -298,6 +298,30 @@ class TestChunkedScoring:
         else:
             np.testing.assert_allclose(result.scores, want, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("form", ["unformed", "dense", "conditioned"])
+    @pytest.mark.parametrize("baseline", acquire.BASELINES)
+    def test_mlmoc_is_the_emoc_table_at_the_argmax_label(self, form, baseline):
+        # One rule scores both: emoc adds the table's softmax-weighted
+        # entries label by label, mlmoc reads the argmax label's entry,
+        # bit for bit; both score 0 where degenerate.
+        batch = self._batch(dense=form != "unformed")
+        if form == "conditioned":
+            batch = lookahead.condition(batch, 5, np.eye(3)[1])
+        probs = acquire.softmax(batch.outputs)
+        assert batch.degenerate.any() and np.all(probs > 0.0)
+        table = acquire._change_table(batch, baseline, probs)
+        expected = probs[:, 0] * table[:, 0]
+        for l in range(1, 3):
+            expected = expected + probs[:, l] * table[:, l]
+        top = np.argmax(batch.outputs, axis=1)
+        at_top = table[np.arange(len(top)), top]
+        m, e = acquire.score_mlmoc(batch, baseline), acquire.score_emoc(batch, baseline)
+        np.testing.assert_array_equal(m.scores, np.where(batch.degenerate, 0.0, at_top))
+        np.testing.assert_array_equal(e.scores, np.where(batch.degenerate, 0.0, expected))
+        for result in (m, e):
+            np.testing.assert_array_equal(result.pseudo_labels, np.eye(3)[top])
+            np.testing.assert_array_equal(result.degenerate_flags, batch.degenerate)
+
     @staticmethod
     def _memory_problem(seed, candidates_only):
         # 1,500 candidates, or 1,800 with 300 more stacked onto them.

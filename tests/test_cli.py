@@ -195,12 +195,15 @@ class TestCmdRun:
             ("random", "nonlinearity = relu", "nonlinearity = relu\nseed = -1"),
             ("random", "minibatch_size = 8", "minibatch_size = 8\nshuffle_seed = -1"),
             ("random", "separation = 3.0\nseed = 0", "separation = 3.0\nseed = -1"),
+            ("random", "epochs = 10", "epochs = 0"),
+            ("random", "epochs = 10", "epochs = -2"),
         ],
         ids=[
             "unknown-baseline", "eer-unknown-baseline", "negative-naive-epochs",
             "inf-identity", "nan-learning-rate", "inf-lr-decay", "sequential-random",
             "budget-beyond-pool", "nan-beta", "inf-beta", "negative-run-seed",
             "negative-mlp-seed", "negative-shuffle-seed", "negative-data-seed",
+            "zero-epochs", "negative-epochs",
         ],
     )
     def test_invalid_run_values_exit_2_and_write_nothing(self, tmp_path, capsys, strategy, old, new):
@@ -248,6 +251,17 @@ class TestCmdRun:
         assert code == 2
         assert not (tmp_path / "o").exists()
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["taken", "taken/o"])
+    def test_unwritable_out_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch, out):
+        # --out names an existing file, or a directory under one.
+        cfg = _write_config(tmp_path)
+        (tmp_path / "taken").write_text("kept\n")
+        runs = []
+        monkeypatch.setattr(cli.pool, "run_al", lambda *args: runs.append(args))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+        assert "output error" in capsys.readouterr().err
+        assert runs == [] and (tmp_path / "taken").read_text() == "kept\n"
 
     def test_main_entry(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -377,6 +391,14 @@ class TestReport:
         assert "href" not in svg
         assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
         assert svg.startswith("<svg")
+
+    def test_out_in_missing_dir_exit_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "r.csv"
+        cli.write_records_csv(self._fake_records(["mlmoc"], [0]), csv_path)
+        out = tmp_path / "missing" / "x.svg"
+        assert cli.main(["report", "--in", str(csv_path), "--out", str(out)]) == 2
+        assert "report error" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     def test_empty_csv_rejected(self, tmp_path):
         csv = tmp_path / "e.csv"

@@ -568,6 +568,13 @@ class TestAugmentState:
         with pytest.raises(ContractError):
             lookahead.augment_state(state, xc, np.array([1.0, 0.0]))
 
+    def test_empty_block_rejected(self):
+        # As lookahead_batch rejects an empty candidate set: no rows is a
+        # contract error, not rows inside the labeled span.
+        _, _, _, state = _problem(seed=20)
+        with pytest.raises(ContractError, match="no rows"):
+            lookahead.augment_state(state, np.zeros((0, 3)), np.zeros((0, 2)))
+
     def test_rejects_duplicate(self):
         params, x, y, state = _problem(seed=29)
         with pytest.raises(DegenerateCandidateError):

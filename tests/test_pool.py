@@ -50,12 +50,12 @@ class TestPool:
         assert len(q.labeled_indices) == 8
         assert not set(move) & set(q.unlabeled_indices)
         assert set(q.labeled_indices) | set(q.unlabeled_indices) == set(range(len(ds)))
-        assert q.unlabeled_indices == p.unlabeled_indices[3:]
+        np.testing.assert_array_equal(q.unlabeled_indices, p.unlabeled_indices[3:])
         scattered = q.unlabeled_indices[::7]
         r = q.acquire(scattered)
-        assert r.labeled_indices[-len(scattered):] == scattered
-        assert r.unlabeled_indices == tuple(
-            i for i in q.unlabeled_indices if i not in scattered
+        np.testing.assert_array_equal(r.labeled_indices[-len(scattered):], scattered)
+        np.testing.assert_array_equal(
+            r.unlabeled_indices, [i for i in q.unlabeled_indices if i not in scattered]
         )
 
     def test_acquire_rejects_labeled(self):
@@ -85,13 +85,21 @@ class TestPool:
         with pytest.raises(ContractError):
             pool.Pool(ds, labeled, unlabeled)
 
-    def test_fields_are_python_int_tuples(self):
+    def test_fields_are_read_only_intp_arrays(self):
         ds, _ = _toy_data()
-        p = pool.Pool.initial(ds, 5, seed=0)
-        q = p.acquire(np.array(p.unlabeled_indices[4:6]))
-        for indices in (p.labeled_indices, q.labeled_indices, q.unlabeled_indices):
-            assert type(indices) is tuple
-            assert all(type(i) is int for i in indices)
+        given = np.array([3, 1])
+        p = pool.Pool(ds, given, (0, 2, 4))
+        given[0] = 5  # the pool holds its own copy
+        q = p.acquire([p.unlabeled_indices[1]])
+        r = pool.Pool.initial(ds, 5, seed=0)
+        for indices in (p.labeled_indices, q.labeled_indices, q.unlabeled_indices,
+                        r.labeled_indices, r.unlabeled_indices):
+            assert type(indices) is np.ndarray and indices.dtype == np.intp
+            assert indices.ndim == 1 and not indices.flags.writeable
+            with pytest.raises(ValueError):
+                indices[0] = 7
+        assert p.labeled_indices.tolist() == [3, 1]
+        assert q.labeled_indices.tolist() == [3, 1, 2] and q.unlabeled_indices.tolist() == [0, 4]
 
 
 class TestSampleSubset:
@@ -133,6 +141,16 @@ class TestTopK:
         result = acquire.AcquisitionResult.from_scores(np.ones(3))
         with pytest.raises(ContractError):
             pool.query_batch_topk(result, 4)
+
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_k_rejected(self, k):
+        # A slice [:k] would silently return n - |k| positions.
+        result = acquire.AcquisitionResult.from_scores(np.ones(3))
+        with pytest.raises(ContractError, match="outside"):
+            pool.query_batch_topk(result, k)
+
+    def test_zero_k_picks_nothing(self):
+        assert pool.query_batch_topk(acquire.AcquisitionResult.from_scores(np.ones(3)), 0) == []
 
     def test_degenerate_excluded_until_needed(self):
         result = acquire.AcquisitionResult.from_scores(
@@ -238,7 +256,7 @@ class TestRunBatch:
         def run():
             labeled = []
             records = pool.run_batch_al(
-                cfg, train, test, lambda cycle, p, *_: labeled.append(p.labeled_indices)
+                cfg, train, test, lambda cycle, p, *_: labeled.append(p.labeled_indices.tolist())
             )
             return _strip_timing(records), labeled
 
@@ -364,7 +382,7 @@ class TestRunSequential:
             seq_cfg, train, test, on_cycle_end=lambda c, p, prm, st: seq_pools.append(p)
         )
         for bp, sp in zip(batch_pools, seq_pools):
-            assert bp.labeled_indices == sp.labeled_indices
+            np.testing.assert_array_equal(bp.labeled_indices, sp.labeled_indices)
 
     def test_growth_is_k_per_cycle(self):
         train, test = _toy_data()
@@ -438,7 +456,7 @@ class TestRunSequential:
                     )
                 except DegenerateCandidateError:
                     pass
-            assert tuple(labeled) == cycle_pool.labeled_indices
+            assert labeled == cycle_pool.labeled_indices.tolist()
             if cycle == 1:
                 state = None
 
@@ -556,7 +574,7 @@ class TestEntropyTablePaths:
         def run():
             picks = []
             records = (pool.run_sequential_al if sequential else pool.run_batch_al)(
-                cfg, train, test, lambda cycle, p, *_: picks.append(p.labeled_indices)
+                cfg, train, test, lambda cycle, p, *_: picks.append(p.labeled_indices.tolist())
             )
             return _strip_timing(records), picks
 
