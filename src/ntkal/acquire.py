@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
-from . import lookahead, net
+from . import linalg, lookahead, net
 from .errors import ContractError, DivergenceError, ShapeError
 
 __all__ = [
@@ -345,19 +345,23 @@ def score_eer_lin(ctx):
     return _expected_scores(ctx, -_label_table(ctx, "entropy"), softmax(ctx.outputs), current)
 
 
+def _candidate_rows(rows):
+    """Candidate rows as a 2-D float64 array; ContractError if empty or non-finite."""
+    rows = linalg.as_matrix(rows)
+    if rows.size == 0:
+        raise ContractError("candidate set is empty")
+    return rows
+
+
 def entropy_score(outputs):
     """Predictive entropy of softmax(outputs) per candidate row."""
-    outputs = np.atleast_2d(np.asarray(outputs, dtype=np.float64))
-    if len(outputs) == 0:
-        raise ContractError("candidate set is empty")
+    outputs = _candidate_rows(outputs)
     return AcquisitionResult.from_scores(entropy(softmax(outputs)), _argmax_labels(outputs))
 
 
 def margin_score(outputs):
     """Negative top-2 softmax gap (small gap = high score)."""
-    outputs = np.atleast_2d(np.asarray(outputs, dtype=np.float64))
-    if len(outputs) == 0:
-        raise ContractError("candidate set is empty")
+    outputs = _candidate_rows(outputs)
     probs = np.sort(softmax(outputs), axis=1)
     gap = probs[:, -1] - probs[:, -2] if probs.shape[1] > 1 else probs[:, -1]
     return AcquisitionResult.from_scores(-gap, _argmax_labels(outputs))
@@ -400,9 +404,7 @@ def naive_change_scores(params, labeled, candidates, retrain_cfg):
     and a full-size minibatch it is the reference that
     ``one_step_change_scores`` computes in closed form.
     """
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    if len(candidates) == 0:
-        raise ContractError("candidate set is empty")
+    candidates = _candidate_rows(candidates)
     outputs = np.atleast_2d(net.forward(params, candidates))
     labels = _argmax_labels(outputs)
     scores = np.zeros(len(candidates))
@@ -429,12 +431,11 @@ def one_step_change_scores(params, labeled, candidates, learning_rate):
     biases, so at the reference rows the stepped layer's pre-activations
     are the base layer's less lr * (a . a_l(c) / n_l + beta^2) g_l(c).
     Layer 0's input is shared, so its base pre-activations are formed
-    once. Raises DivergenceError (epoch 1) when the loss of the labeled
-    set plus a candidate is non-finite, as ``net.train_sgd`` would.
+    once. Empty or non-finite candidate sets raise ContractError; a
+    non-finite loss of the labeled set plus a candidate raises
+    DivergenceError (epoch 1), as ``net.train_sgd`` would.
     """
-    x, _ = net._check_input(params, candidates)
-    if len(x) == 0:
-        raise ContractError("candidate set is empty")
+    x, _ = net._check_input(params, _candidate_rows(candidates))
     y = np.asarray(labeled.one_hot, dtype=np.float64)
     if y.shape[1] != params.config.output_dim:
         raise ShapeError(

@@ -6,6 +6,7 @@ are immutable value objects; every generator is a pure function of its
 arguments.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -102,52 +103,47 @@ def _read_be32(f, what):
     return struct.unpack(">I", raw)[0]
 
 
+def _read_idx(path, kind, want_magic, fields):
+    """Header counts and uint8 payload of one IDX file of the given kind."""
+    with open(path, "rb") as f:
+        magic = _read_be32(f, f"{kind} magic")
+        if magic != want_magic:
+            raise FormatError(f"bad {kind} magic: got 0x{magic:08x}, want 0x{want_magic:08x}")
+        counts = [_read_be32(f, field) for field in fields]
+        payload = f.read()
+    need = math.prod(counts)
+    if len(payload) < need:
+        raise FormatError(f"truncated {kind} payload: have {len(payload)} bytes, need {need}")
+    return counts, np.frombuffer(payload[:need], dtype=np.uint8)
+
+
 def load_mnist_idx(images_path, labels_path):
     """Parse an IDX image/label file pair into a Dataset.
 
     Pixels are scaled to [0, 1] and images flattened row-major, so 28x28
     digits become 784-dimensional inputs.
     """
-    with open(images_path, "rb") as f:
-        magic = _read_be32(f, "image magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(
-                f"bad image magic: got 0x{magic:08x}, want 0x{IDX_IMAGE_MAGIC:08x}"
-            )
-        n = _read_be32(f, "image count")
-        rows = _read_be32(f, "row count")
-        cols = _read_be32(f, "col count")
-        payload = f.read()
-    if len(payload) < n * rows * cols:
-        raise FormatError(
-            f"truncated image payload: have {len(payload)} bytes, "
-            f"need {n * rows * cols}"
-        )
-    pixels = np.frombuffer(payload[: n * rows * cols], dtype=np.uint8)
+    (n, rows, cols), pixels = _read_idx(
+        images_path, "image", IDX_IMAGE_MAGIC, ("image count", "row count", "col count")
+    )
     images = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
-
-    with open(labels_path, "rb") as f:
-        magic = _read_be32(f, "label magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(
-                f"bad label magic: got 0x{magic:08x}, want 0x{IDX_LABEL_MAGIC:08x}"
-            )
-        n_labels = _read_be32(f, "label count")
-        label_payload = f.read()
-    if len(label_payload) < n_labels:
-        raise FormatError(
-            f"truncated label payload: have {len(label_payload)} bytes, "
-            f"need {n_labels}"
-        )
+    (n_labels,), labels = _read_idx(labels_path, "label", IDX_LABEL_MAGIC, ("label count",))
     if n_labels != n:
         raise FormatError(f"image/label count mismatch: {n} images, {n_labels} labels")
     if n == 0:
         raise FormatError("IDX files hold no examples")
-    labels = np.frombuffer(label_payload[:n_labels], dtype=np.uint8).astype(np.int64)
-    return make_dataset(images, labels, class_count=10, name="mnist")
+    return make_dataset(images, labels.astype(np.int64), class_count=10, name="mnist")
 
 
 # --- synthetic 2-D generators ------------------------------------------
+
+
+def _two_classes(rng, x0, x1, name):
+    """Dataset of class-0 rows x0 and class-1 rows x1, shuffled with rng."""
+    inputs = np.vstack([x0, x1])
+    labels = np.repeat([0, 1], [len(x0), len(x1)])
+    perm = rng.permutation(len(inputs))
+    return make_dataset(inputs[perm], labels[perm], 2, name=name)
 
 
 def gen_two_gaussians(n_per_class, separation, seed):
@@ -158,10 +154,7 @@ def gen_two_gaussians(n_per_class, separation, seed):
     half = separation / 2.0
     x0 = rng.standard_normal((n_per_class, 2)) + np.array([-half, 0.0])
     x1 = rng.standard_normal((n_per_class, 2)) + np.array([half, 0.0])
-    inputs = np.vstack([x0, x1])
-    labels = np.repeat([0, 1], n_per_class)
-    perm = rng.permutation(len(inputs))
-    return make_dataset(inputs[perm], labels[perm], 2, name="two_gaussians")
+    return _two_classes(rng, x0, x1, "two_gaussians")
 
 
 def gen_spirals(n_per_class, noise, seed):
@@ -176,7 +169,4 @@ def gen_spirals(n_per_class, noise, seed):
         x = t * np.cos(t + phase) + rng.standard_normal(n_per_class) * noise
         y = t * np.sin(t + phase) + rng.standard_normal(n_per_class) * noise
         arms.append(np.column_stack([x, y]) / np.pi)
-    inputs = np.vstack(arms)
-    labels = np.repeat([0, 1], n_per_class)
-    perm = rng.permutation(len(inputs))
-    return make_dataset(inputs[perm], labels[perm], 2, name="spirals")
+    return _two_classes(rng, *arms, "spirals")

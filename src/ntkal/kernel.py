@@ -163,9 +163,7 @@ class FeatureBatch:
         return _contract(self.factors, self.factors, rows, cols, st.params.config, out)
 
 
-def build_state_xy(
-    params, inputs, targets, kernel_fn=None, jitter_policy=linalg.DEFAULT_JITTER
-):
+def build_state_xy(params, inputs, targets, kernel_fn=None):
     """Assemble a KernelState from raw input/target arrays.
 
     An empirical-kernel state keeps the labeled set's gradient factors, so
@@ -186,7 +184,7 @@ def build_state_xy(
         gram = kernel_fn(params, x, x)
     # Contracting G G^T can leave the Gram asymmetric at machine precision.
     gram = 0.5 * (gram + gram.T)
-    factor = linalg.cholesky(gram, jitter_policy)
+    factor = linalg.cholesky(gram)
     outputs = net.forward(params, x) if cache is None else net.factor_outputs(params, cache)
     residual = y - np.atleast_2d(outputs)
     solved = linalg.chol_solve(factor, residual)
@@ -202,7 +200,7 @@ def build_state_xy(
     )
 
 
-def build_state(params, labeled, **kwargs):
+def build_state(params, labeled, kernel_fn=None):
     """KernelState for a labeled Dataset (inputs + one-hot targets)."""
     one_hot = labeled.one_hot
     rows_ok = np.all(np.sum(one_hot, axis=1) == 1.0) and np.all(
@@ -210,7 +208,7 @@ def build_state(params, labeled, **kwargs):
     )
     if not rows_ok:
         raise ContractError("labeled targets must be one-hot rows in {0,1}")
-    return build_state_xy(params, labeled.inputs, one_hot, **kwargs)
+    return build_state_xy(params, labeled.inputs, one_hot, kernel_fn)
 
 
 # --- analytic wide-limit kernel ------------------------------------------

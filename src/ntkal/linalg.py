@@ -15,7 +15,7 @@ from scipy.linalg import solve_triangular
 from .errors import ContractError, NotPositiveDefiniteError, ShapeError
 
 __all__ = [
-    "JitterPolicy",
+    "JITTER_LADDER",
     "CholeskyFactor",
     "as_matrix",
     "cholesky",
@@ -30,18 +30,9 @@ SYMMETRY_RTOL = 1e-10
 CHUNK_ROWS = 256
 
 
-@dataclass(frozen=True)
-class JitterPolicy:
-    """Escalating diagonal regularization for nearly-singular Gram matrices.
-
-    Each ladder entry is multiplied by the mean diagonal of the input and
-    added to the diagonal until the factorization succeeds.
-    """
-
-    ladder: tuple = (0.0, 1e-10, 1e-8, 1e-6)
-
-
-DEFAULT_JITTER = JitterPolicy()
+# Diagonal jitter levels, as fractions of the mean diagonal, that
+# ``cholesky`` tries in order until the factorization succeeds.
+JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -76,12 +67,12 @@ def _check_square_symmetric(a, op):
         raise ContractError(f"{op} needs a symmetric matrix")
 
 
-def cholesky(a, jitter_policy=DEFAULT_JITTER):
+def cholesky(a):
     """Lower Cholesky factor of ``a``, escalating jitter until it succeeds.
 
-    The jitter ladder is scaled by the mean diagonal of ``a``. If even the
-    largest jitter leaves a non-positive pivot, NotPositiveDefiniteError is
-    raised carrying the failing pivot index.
+    The levels of ``JITTER_LADDER``, read at call time, are scaled by the
+    mean diagonal of ``a``. If even the largest leaves a non-positive
+    pivot, NotPositiveDefiniteError is raised carrying the pivot index.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape == (0, 0):
@@ -90,7 +81,7 @@ def cholesky(a, jitter_policy=DEFAULT_JITTER):
     n = a.shape[0]
     diag_scale = float(np.mean(np.diag(a)))
     last_info = 0
-    for level in jitter_policy.ladder:
+    for level in JITTER_LADDER:
         jitter = level * diag_scale
         work = np.array(a, order="F")
         if jitter != 0.0:
@@ -102,8 +93,8 @@ def cholesky(a, jitter_policy=DEFAULT_JITTER):
             raise ContractError(f"cholesky: illegal value in argument {-info}")
         last_info = info
     raise NotPositiveDefiniteError(
-        f"matrix is not positive definite after jitter ladder "
-        f"{jitter_policy.ladder} (scaled by mean diag {diag_scale:.3e}); "
+        f"matrix is not positive definite after JITTER_LADDER "
+        f"{JITTER_LADDER} (scaled by mean diag {diag_scale:.3e}); "
         f"first non-positive pivot at index {last_info}",
         pivot=last_info,
     )

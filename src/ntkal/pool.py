@@ -64,7 +64,7 @@ class Pool:
 
     def __post_init__(self):
         for name in ("labeled_indices", "unlabeled_indices"):
-            indices = np.array(getattr(self, name), dtype=np.intp).reshape(-1)
+            indices = _index_array(getattr(self, name))
             indices.flags.writeable = False
             object.__setattr__(self, name, indices)
         both = np.concatenate([self.labeled_indices, self.unlabeled_indices])
@@ -91,7 +91,7 @@ class Pool:
 
     def acquire(self, indices):
         """Move dataset indices from the unlabeled to the labeled set."""
-        moving = np.asarray(indices, dtype=np.intp).reshape(-1)
+        moving = _index_array(indices)
         unlabeled = self.unlabeled_indices
         missing = moving[~np.isin(moving, unlabeled)]
         if missing.size:
@@ -101,6 +101,17 @@ class Pool:
 
     def labeled_dataset(self):
         return self.dataset.subset(self.labeled_indices)
+
+
+def _index_array(values):
+    """A 1-D intp copy of index values; ContractError unless their dtype is integer.
+
+    Empty input passes whatever its dtype, as ``np.array(())`` is float64.
+    """
+    values = np.asarray(values)
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        raise ContractError(f"indices must be integers, got dtype {values.dtype}")
+    return values.astype(np.intp).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -193,13 +204,15 @@ def _mix(*parts):
 def sample_subset(pool, size, seed):
     """Uniform sample (without replacement) of unlabeled dataset indices.
 
-    Returns the pool's own read-only unlabeled array when it has at most
-    ``size`` points. Output is sorted, so candidate order follows dataset
-    order.
+    Returns every unlabeled index when there are at most ``size``. Output
+    is sorted, so candidate order follows dataset order. A negative size
+    raises ContractError.
     """
+    if size < 0:
+        raise ContractError(f"subset size {size} is negative")
     unlabeled = pool.unlabeled_indices
     if size >= len(unlabeled):
-        return unlabeled
+        return np.sort(unlabeled)
     rng = np.random.default_rng(seed)
     picked = rng.choice(len(unlabeled), size=size, replace=False)
     return np.sort(unlabeled[picked])
@@ -215,9 +228,7 @@ def query_batch_topk(result, k):
     n = len(scores)
     if not 0 <= k <= n:
         raise ContractError(f"k={k} is outside [0, {n}], the candidate count")
-    order = np.lexsort((np.arange(n), -scores))
-    # A stable sort on the flags moves degenerate candidates behind the others.
-    return order[np.argsort(result.degenerate_flags[order], kind="stable")[:k]].tolist()
+    return np.lexsort((np.arange(n), -scores, result.degenerate_flags))[:k].tolist()
 
 
 def _score(config, cycle, params, pool, state, candidates):

@@ -27,13 +27,16 @@ quantity the package computes another way, so tests can cross-check it.
   epoch. ``net.train_sgd`` fuses these and must return the same bits.
 - ``write_idx_images`` / ``write_idx_labels``: IDX writers, so the MNIST
   loader can be tested on round-tripped files.
+- ``jitter_ladder``: a context that swaps ``linalg.JITTER_LADDER``, so a
+  test can force a jittered or an unjittered factorization.
 """
 
+import contextlib
 import struct
 
 import numpy as np
 
-from ntkal import acquire, data, net
+from ntkal import acquire, data, linalg, net
 from ntkal.errors import DivergenceError, ShapeError
 
 
@@ -244,3 +247,14 @@ def write_idx_labels(path, labels_u8):
     with open(path, "wb") as f:
         f.write(struct.pack(">II", data.IDX_LABEL_MAGIC, len(labels_u8)))
         f.write(labels_u8.tobytes())
+
+
+@contextlib.contextmanager
+def jitter_ladder(ladder):
+    """Run the block with ``linalg.JITTER_LADDER`` set to ``ladder``."""
+    saved = linalg.JITTER_LADDER
+    linalg.JITTER_LADDER = tuple(ladder)
+    try:
+        yield
+    finally:
+        linalg.JITTER_LADDER = saved

@@ -120,9 +120,8 @@ class TestScoresMatchAugmentedState:
         params = net.init(net.MlpConfig((2, 3, 2), seed=seed))
         x = rng.standard_normal((30, 2))
         y = data.one_hot_encode(rng.integers(0, 2, 30), 2)
-        state = kernel.build_state_xy(
-            params, x, y, jitter_policy=linalg.JitterPolicy(ladder)
-        )
+        with oracles.jitter_ladder(ladder):
+            state = kernel.build_state_xy(params, x, y)
         assert state.labeled_count > params.config.param_count
         return state, rng.standard_normal((40, 2))
 
@@ -140,7 +139,7 @@ class TestScoresMatchAugmentedState:
 
     def test_rank_deficient_flags_agree_with_augment(self):
         for seed in range(20):
-            state, cands = self._state(seed, linalg.DEFAULT_JITTER.ladder)
+            state, cands = self._state(seed, linalg.JITTER_LADDER)
             result = acquire.mlmoc(state, cands)
             for i, x in enumerate(cands):
                 try:
@@ -752,6 +751,22 @@ class TestMyopicBaselines:
         result = acquire.margin_score(outputs)
         assert abs(result.scores[0] - expected) < 1e-12
 
+    @pytest.mark.parametrize("outputs", [[], np.zeros((0, 3)), np.zeros((3, 0))])
+    @pytest.mark.parametrize("scorer", [acquire.entropy_score, acquire.margin_score])
+    def test_empty_outputs_rejected(self, scorer, outputs):
+        with pytest.raises(ContractError, match="empty"):
+            scorer(outputs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scorer", [acquire.entropy_score, acquire.margin_score])
+    def test_non_finite_outputs_rejected(self, scorer, bad):
+        outputs = np.zeros((3, 4))
+        outputs[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ContractError, match="non-finite"):
+                scorer(outputs)
+
     def test_random_deterministic(self):
         a = acquire.random_score(123, 10)
         b = acquire.random_score(123, 10)
@@ -876,6 +891,23 @@ class TestOneStepChangeScores:
         with pytest.raises(ContractError):
             acquire.one_step_change_scores(params, labeled, np.zeros((0, 2)), 0.05)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "scorer",
+        [
+            partial(acquire.one_step_change_scores, learning_rate=0.05),
+            partial(acquire.naive_change_scores, retrain_cfg=net.TrainConfig(0.05, epochs=1)),
+        ],
+        ids=["one_step", "naive"],
+    )
+    def test_non_finite_candidates_rejected(self, scorer, bad):
+        params, x, y, _ = _problem(seed=33)
+        labeled = data.make_dataset(x, np.argmax(y, axis=1), 2)
+        cands = x[:3].copy()
+        cands[1, 0] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            scorer(params, labeled, cands)
+
 
 class TestConditionedBatch:
     """lookahead.condition against a fresh lookahead_batch on the augmented state.
@@ -943,6 +975,6 @@ class TestConditionedBatch:
 
     def test_rank_deficient_flags_match_fresh_batch(self):
         for seed in range(10):
-            problem = self._rank_deficient(seed, linalg.DEFAULT_JITTER.ladder)
+            problem = self._rank_deficient(seed, linalg.JITTER_LADDER)
             for conditioned, fresh in self._walk(*problem):
                 np.testing.assert_array_equal(conditioned.degenerate, fresh.degenerate)

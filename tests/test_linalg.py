@@ -25,7 +25,7 @@ class TestCholesky:
         assert np.array_equal(np.triu(f.lower, k=1), np.zeros((6, 6)))
 
     def test_indefinite_fails_with_pivot(self):
-        with pytest.raises(NotPositiveDefiniteError) as exc_info:
+        with pytest.raises(NotPositiveDefiniteError, match="JITTER_LADDER") as exc_info:
             linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert exc_info.value.pivot == 2
 

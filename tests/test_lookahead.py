@@ -254,7 +254,8 @@ class TestCovarianceInPlace:
         x = rng.standard_normal((15, 4))
         y = data.one_hot_encode(rng.integers(0, 2, 15), 2)
         ladder = (1e-3,) if jittered else (0.0,)
-        state = kernel.build_state_xy(params, x, y, jitter_policy=linalg.JitterPolicy(ladder))
+        with oracles.jitter_ladder(ladder):
+            state = kernel.build_state_xy(params, x, y)
         assert (state.factor.jitter_applied > 0.0) == jittered
         return params, x, state, rng
 
@@ -365,7 +366,8 @@ def _labeled_state(rng, n, jittered):
     x = rng.standard_normal((15, 4))
     y = data.one_hot_encode(rng.integers(0, 2, 15), 2)
     ladder = (1e-3,) if jittered else (0.0,)
-    state = kernel.build_state_xy(params, x, y, jitter_policy=linalg.JitterPolicy(ladder))
+    with oracles.jitter_ladder(ladder):
+        state = kernel.build_state_xy(params, x, y)
     assert (state.factor.jitter_applied > 0.0) == jittered
     return state, rng.standard_normal((n, 4)), 0
 
@@ -797,9 +799,8 @@ class TestDirectRefactorization:
         # forced one adds 2.6e-6 to its diagonal.
         params, labeled, cand, state = _trained_problem(100, 50, width=16)
         if ladder is not None:
-            state = kernel.build_state(
-                params, labeled, jitter_policy=linalg.JitterPolicy(ladder)
-            )
+            with oracles.jitter_ladder(ladder):
+                state = kernel.build_state(params, labeled)
             assert state.factor.jitter_applied > 0.0
         result = acquire.mlmoc(state, cand)
         healthy = ~result.degenerate_flags

@@ -78,12 +78,38 @@ class TestPool:
 
     @pytest.mark.parametrize(
         "labeled, unlabeled",
-        [((0, 0), (1, 2)), ((0, 1), (2, 2)), ((0, -1), (2,)), ((0,), (10**6,))],
+        [
+            ((0, 0), (1, 2)), ((0, 1), (2, 2)), ((0, -1), (2,)), ((0,), (10**6,)),
+            # Non-integer dtypes are refused, not cast.
+            ((1.7,), (2.2,)), ((True,), (2,)), ((0,), np.array([2.0, 3.0])), ((0,), (1, 2.5)),
+        ],
     )
     def test_repeated_or_outside_indices_rejected(self, labeled, unlabeled):
         ds, _ = _toy_data()
         with pytest.raises(ContractError):
             pool.Pool(ds, labeled, unlabeled)
+
+    @pytest.mark.parametrize("moving", [[3.9], [True], np.array([3.0])])
+    def test_acquire_rejects_non_integer_indices(self, moving):
+        ds, _ = _toy_data()
+        p = pool.Pool(ds, (0,), (1, 2, 3))
+        with pytest.raises(ContractError, match="integers"):
+            p.acquire(moving)
+
+    def test_empty_index_sequences_accepted(self):
+        ds, _ = _toy_data()
+        for empty in ((), [], np.array(())):
+            p = pool.Pool(ds, (0, 1), empty)
+            assert p.unlabeled_indices.dtype == np.intp and p.unlabeled_indices.size == 0
+            q = pool.Pool(ds, (0,), (1, 2)).acquire(empty)
+            assert q.labeled_indices.tolist() == [0] and q.unlabeled_indices.tolist() == [1, 2]
+
+    def test_tuple_of_numpy_integers_accepted(self):
+        # The form the benchmark builds pools in: a tuple of an index array.
+        ds, _ = _toy_data()
+        labeled = np.array([4, 0, 9], dtype=np.int64)
+        p = pool.Pool(ds, tuple(labeled), np.array([1, 2], dtype=np.int32))
+        assert p.labeled_indices.tolist() == [4, 0, 9] and p.unlabeled_indices.tolist() == [1, 2]
 
     def test_fields_are_read_only_intp_arrays(self):
         ds, _ = _toy_data()
@@ -108,6 +134,18 @@ class TestSampleSubset:
         p = pool.Pool.initial(ds, 10, seed=0)
         subset = pool.sample_subset(p, 10_000, seed=1)
         assert set(subset) == set(p.unlabeled_indices)
+
+    def test_covering_size_returns_sorted_indices(self):
+        ds, _ = _toy_data()
+        p = pool.Pool(ds, (0,), (5, 3, 1))
+        assert pool.sample_subset(p, 10, seed=0).tolist() == [1, 3, 5]
+        assert pool.sample_subset(p, 3, seed=0).tolist() == [1, 3, 5]
+
+    def test_negative_size_rejected(self):
+        ds, _ = _toy_data()
+        p = pool.Pool.initial(ds, 10, seed=0)
+        with pytest.raises(ContractError, match="negative"):
+            pool.sample_subset(p, -1, seed=0)
 
     def test_deterministic(self):
         ds, _ = _toy_data()
