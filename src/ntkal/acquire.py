@@ -431,10 +431,13 @@ def one_step_change_scores(params, labeled, candidates, learning_rate):
     biases, so at the reference rows the stepped layer's pre-activations
     are the base layer's less lr * (a . a_l(c) / n_l + beta^2) g_l(c).
     Layer 0's input is shared, so its base pre-activations are formed
-    once. Empty or non-finite candidate sets raise ContractError; a
-    non-finite loss of the labeled set plus a candidate raises
-    DivergenceError (epoch 1), as ``net.train_sgd`` would.
+    once. A learning rate that ``net.TrainConfig`` rejects, and empty or
+    non-finite candidate sets, raise ContractError; a non-finite loss of
+    the labeled set plus a candidate raises DivergenceError (epoch 1), as
+    ``net.train_sgd`` would.
     """
+    if not np.isfinite(learning_rate) or learning_rate <= 0:
+        raise ContractError("learning_rate must be finite and > 0")
     x, _ = net._check_input(params, _candidate_rows(candidates))
     y = np.asarray(labeled.one_hot, dtype=np.float64)
     if y.shape[1] != params.config.output_dim:

@@ -8,7 +8,7 @@ arguments.
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,25 +26,38 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
+def _index_array(values, what="indices"):
+    """A 1-D intp copy of integer values; ContractError unless their dtype is integer.
+
+    Empty input passes whatever its dtype, as ``np.array(())`` is float64.
+    """
+    values = np.asarray(values)
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        raise ContractError(f"{what} must be integers, got dtype {values.dtype}")
+    return values.astype(np.intp).reshape(-1)
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled classification data: inputs, integer labels, one-hot targets."""
+    """Labeled classification data: inputs, integer labels and the one-hot
+    targets derived from them, so the two cannot disagree."""
 
     inputs: np.ndarray  # (N, n_0) float64
-    labels: np.ndarray  # (N,) int64 in [0, class_count)
-    one_hot: np.ndarray  # (N, class_count) float64
+    labels: np.ndarray  # (N,) intp in [0, class_count)
     class_count: int
     name: str = ""
+    one_hot: np.ndarray = field(init=False)  # (N, class_count) float64
 
     def __post_init__(self):
         if self.inputs.ndim != 2 or len(self.inputs) < 1:
             raise ContractError("dataset needs a nonempty 2-D input matrix")
-        if len(self.labels) != len(self.inputs):
-            raise ContractError("label count does not match input count")
+        labels = _index_array(self.labels, "labels")
+        if np.ndim(self.labels) != 1 or len(labels) != len(self.inputs):
+            raise ContractError("labels must be a 1-D array with one label per input row")
         if not np.all(np.isfinite(self.inputs)):
             raise ContractError("dataset inputs contain non-finite values")
-        if self.labels.min() < 0 or self.labels.max() >= self.class_count:
-            raise ContractError("labels outside [0, class_count)")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "one_hot", one_hot_encode(labels, self.class_count))
 
     def __len__(self):
         return len(self.inputs)
@@ -55,19 +68,13 @@ class Dataset:
 
     def subset(self, indices):
         """New Dataset restricted to ``indices`` (order preserved)."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(
-            inputs=self.inputs[idx],
-            labels=self.labels[idx],
-            one_hot=self.one_hot[idx],
-            class_count=self.class_count,
-            name=self.name,
-        )
+        idx = _index_array(indices)
+        return Dataset(self.inputs[idx], self.labels[idx], self.class_count, self.name)
 
 
 def one_hot_encode(labels, class_count):
-    """One-hot rows in {0,1} for integer labels."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """One-hot rows in {0,1} for integer labels; ContractError for another dtype."""
+    labels = _index_array(labels, "labels")
     if labels.size == 0:
         raise ContractError("no labels to encode")
     if labels.min() < 0 or labels.max() >= class_count:
@@ -79,15 +86,7 @@ def one_hot_encode(labels, class_count):
 
 def make_dataset(inputs, labels, class_count, name=""):
     """Assemble a Dataset from raw inputs and integer labels."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    return Dataset(
-        inputs=inputs,
-        labels=labels,
-        one_hot=one_hot_encode(labels, class_count),
-        class_count=class_count,
-        name=name,
-    )
+    return Dataset(np.asarray(inputs, dtype=np.float64), labels, class_count, name)
 
 
 # --- IDX binary format -------------------------------------------------
@@ -132,7 +131,7 @@ def load_mnist_idx(images_path, labels_path):
         raise FormatError(f"image/label count mismatch: {n} images, {n_labels} labels")
     if n == 0:
         raise FormatError("IDX files hold no examples")
-    return make_dataset(images, labels.astype(np.int64), class_count=10, name="mnist")
+    return make_dataset(images, labels, class_count=10, name="mnist")
 
 
 # --- synthetic 2-D generators ------------------------------------------

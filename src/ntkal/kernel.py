@@ -13,12 +13,18 @@ without ever forming the length-P feature vectors:
 
     k(x, y) = sum_l ( <a_l(x), a_l(y)>/n_l + beta^2 ) * <d_l(x), d_l(y)>
 
+Every symmetric block, k(q, q) - W^T W, is contracted by one loop,
+``FeatureBatch.gram_chunks``: row chunks of its upper triangle, each
+diagonal block mirrored from its own upper triangle. The labeled Gram
+that a state factorizes, the candidates' posterior covariance that
+``lookahead`` reads and the block ``augment_state`` adds all come from it.
+
 The module also carries the analytic wide-limit kernel for relu/erf
 networks, used as a drop-in replacement to study how look-ahead behaves
 when the kernel ignores the trained parameters.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +39,11 @@ __all__ = [
     "build_state_xy",
     "infinite_ntk_fc",
 ]
+
+
+# Rows of an (m, n) kernel block contracted at a time, so that a pass
+# over one needs only (CHUNK_ROWS, n) temporaries besides it.
+CHUNK_ROWS = 256
 
 
 def _contract(factors_a, factors_b, rows, cols, config, out):
@@ -54,33 +65,25 @@ def _contract(factors_a, factors_b, rows, cols, config, out):
 
 
 def _contract_factors(factors_a, factors_b, config):
-    """Gram block from two factorized gradient stacks.
-
-    Row chunks are accumulated in place into the preallocated output.
-    When both stacks are the same object the block is symmetric: each
-    chunk is contracted from its diagonal onwards and mirrored.
-    """
-    symmetric = factors_a is factors_b
-    m, n = len(factors_a[0][0]), len(factors_b[0][0])
-    gram = np.zeros((m, n))
-    for start in range(0, m, linalg.CHUNK_ROWS):
-        stop = start + linalg.CHUNK_ROWS
-        rows = slice(start, stop)
-        cols = slice(start, n) if symmetric else slice(0, n)
-        _contract(factors_a, factors_b, rows, cols, config, gram[rows, cols])
-        if symmetric:
-            gram[stop:, rows] = gram[rows, stop:].T
+    """Cross Gram block of two factorized gradient stacks, contracted in row chunks."""
+    gram = np.zeros((len(factors_a[0][0]), len(factors_b[0][0])))
+    for start in range(0, len(gram), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        _contract(factors_a, factors_b, rows, slice(None), config, gram[rows])
     return gram
 
 
 def empirical_ntk(params, a, b=None):
     """Gram matrix of first-logit gradients, shape (len(a), len(b)).
 
-    ``b=None`` or ``b is a`` reuses ``a`` (symmetric case, one factor pass).
+    ``b=None`` or ``b is a`` reuses ``a``: one factor pass, and the exactly
+    symmetric ``FeatureBatch.gram``. Non-finite rows raise ContractError.
     """
-    factors_a = net.grad_factors(params, np.atleast_2d(a))
-    factors_b = factors_a if b is None or b is a else net.grad_factors(params, np.atleast_2d(b))
-    return _contract_factors(factors_a, factors_b, params.config)
+    features = FeatureBatch(params, a)
+    if b is None or b is a:
+        return features.gram()
+    other = FeatureBatch(params, b)
+    return _contract_factors(features.factors, other.factors, params.config)
 
 
 @dataclass(frozen=True)
@@ -106,49 +109,55 @@ class KernelState:
         return self.inputs.shape[0]
 
     def features(self, q):
-        """One gradient-factor pass over query rows q (``linalg.as_matrix``); see FeatureBatch."""
-        q = linalg.as_matrix(q)
-        factors = None if self.kernel_fn is not None else tuple(net.grad_factors(self.params, q))
-        return FeatureBatch(self, q, factors)
+        """One gradient-factor pass over query rows q under this state's kernel; see FeatureBatch."""
+        return FeatureBatch(self.params, q, self.kernel_fn)
 
     def kernel_rows(self, q):
         """Cross-kernel k(q, X), shape (len(q), L)."""
-        return self.features(q).cross()
+        return self.features(q).cross(self)
 
 
 @dataclass(frozen=True)
 class FeatureBatch:
-    """Query rows q of a KernelState and what one gradient-factor pass gives:
-    k(q, X), k(q, q), any block k(q_i, q_j) and the network outputs. A
-    ``kernel_fn`` state has no factors; it calls kernel_fn and ``forward``.
+    """Query rows q under a network's kernel and what one gradient-factor
+    pass over them gives: k(q, X) against a state, k(q, q), its symmetric
+    blocks and the network outputs. Constructing one makes the pass, after
+    ``linalg.as_matrix`` checks the rows. A ``kernel_fn`` batch has no
+    factors; it calls kernel_fn and ``forward``.
     """
 
-    state: KernelState
+    params: net.MlpParams
     rows: np.ndarray  # (n, n_0)
-    factors: tuple  # per-layer (activation, delta) of the rows, or None
+    kernel_fn: object = None  # None means the empirical kernel of params
+    factors: tuple = field(init=False)  # per-layer (activation, delta) of the rows, or None
+
+    def __post_init__(self):
+        rows = linalg.as_matrix(self.rows)
+        object.__setattr__(self, "rows", rows)
+        factors = None if self.kernel_fn is not None else tuple(net.grad_factors(self.params, rows))
+        object.__setattr__(self, "factors", factors)
 
     def outputs(self):
         """Network outputs at the rows, bitwise equal to ``net.forward``."""
         if self.factors is None:
-            return np.atleast_2d(net.forward(self.state.params, self.rows))
-        return net.factor_outputs(self.state.params, self.factors)
+            return np.atleast_2d(net.forward(self.params, self.rows))
+        return net.factor_outputs(self.params, self.factors)
 
-    def cross(self):
-        """k(q, X), shape (n, L)."""
-        st = self.state
+    def cross(self, state):
+        """k(q, X) against a state's labeled rows X, shape (n, L)."""
         if self.factors is None:
-            return st.kernel_fn(st.params, self.rows, st.inputs)
-        return _contract_factors(self.factors, st.factor_cache, st.params.config)
+            return self.kernel_fn(self.params, self.rows, state.inputs)
+        return _contract_factors(self.factors, state.factor_cache, self.params.config)
 
     def diag(self):
         """k(q_i, q_i), shape (n,)."""
-        st, cfg, q = self.state, self.state.params.config, self.rows
+        cfg, q = self.params.config, self.rows
         if self.factors is None:
             # One call per diagonal block of CHUNK_ROWS rows. infinite_ntk_fc
             # gives coincident rows the diagonal recursion's value, so this
             # equals one-row calls bitwise.
-            chunks = np.split(q, range(linalg.CHUNK_ROWS, len(q), linalg.CHUNK_ROWS))
-            return np.concatenate([np.diagonal(st.kernel_fn(st.params, c, c)) for c in chunks])
+            chunks = np.split(q, range(CHUNK_ROWS, len(q), CHUNK_ROWS))
+            return np.concatenate([np.diagonal(self.kernel_fn(self.params, c, c)) for c in chunks])
         diag, b2 = 0.0, cfg.beta * cfg.beta
         for l, (a, d) in enumerate(self.factors):
             diag = diag + (np.sum(a * a, axis=1) / cfg.widths[l] + b2) * np.sum(d * d, axis=1)
@@ -156,18 +165,47 @@ class FeatureBatch:
 
     def add_block(self, rows, cols, out):
         """Add k(q[rows], q[cols]), for two slices of the rows, to out."""
-        st = self.state
         if self.factors is None:
-            out += st.kernel_fn(st.params, self.rows[rows], self.rows[cols])
+            out += self.kernel_fn(self.params, self.rows[rows], self.rows[cols])
             return out
-        return _contract(self.factors, self.factors, rows, cols, st.params.config, out)
+        return _contract(self.factors, self.factors, rows, cols, self.params.config, out)
+
+    def gram_chunks(self, w=None, out=None):
+        """Upper-triangle row chunks (start, stop, G[start:stop, start:]) of
+        G = k(q, q) - W^T W, with no W term when ``w`` is None.
+
+        A chunk is formed in place in a given zeroed (n, n) ``out``, or else
+        in a new array that the caller may overwrite. Diagonal blocks are
+        taken from their upper triangle, so a mirror below the diagonal is
+        exact.
+        """
+        n = len(self.rows)
+        for start in range(0, n, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, n)
+            rows, cols = slice(start, stop), slice(start, n)
+            chunk = np.zeros((stop - start, n - start)) if out is None else out[rows, cols]
+            self.add_block(rows, cols, chunk)
+            if w is not None:
+                chunk -= w[:, rows].T @ w[:, cols]
+            diag = chunk[:, : stop - start]
+            diag[...] = np.triu(diag) + np.triu(diag, 1).T
+            yield start, stop, chunk
+
+    def gram(self, w=None):
+        """G of ``gram_chunks`` as one exactly symmetric (n, n) array: each
+        chunk formed in place, then mirrored."""
+        gram = np.zeros((len(self.rows),) * 2)
+        for start, stop, chunk in self.gram_chunks(w, gram):
+            gram[stop:, start:stop] = chunk[:, stop - start :].T
+        return gram
 
 
 def build_state_xy(params, inputs, targets, kernel_fn=None):
     """Assemble a KernelState from raw input/target arrays.
 
-    An empirical-kernel state keeps the labeled set's gradient factors, so
-    later kernel rows cost one factor pass over the query rows only. Raises
+    The labeled Gram is ``FeatureBatch.gram`` of the labeled rows. An
+    empirical-kernel state keeps their gradient factors, so later kernel
+    rows cost one factor pass over the query rows only. Raises
     ContractError for non-finite rows, ShapeError unless y is (L, outputs).
     """
     x, y = linalg.as_matrix(inputs), linalg.as_matrix(targets)
@@ -175,40 +213,24 @@ def build_state_xy(params, inputs, targets, kernel_fn=None):
         raise ContractError("labeled set is empty")
     if y.shape != (len(x), params.config.output_dim):
         raise ShapeError(f"targets {y.shape}, expected ({len(x)}, {params.config.output_dim})")
-
-    cache = None
-    if kernel_fn is None:
-        cache = tuple(net.grad_factors(params, x))
-        gram = _contract_factors(cache, cache, params.config)
-    else:
-        gram = kernel_fn(params, x, x)
-    # Contracting G G^T can leave the Gram asymmetric at machine precision.
-    gram = 0.5 * (gram + gram.T)
-    factor = linalg.cholesky(gram)
-    outputs = net.forward(params, x) if cache is None else net.factor_outputs(params, cache)
-    residual = y - np.atleast_2d(outputs)
-    solved = linalg.chol_solve(factor, residual)
+    features = FeatureBatch(params, x, kernel_fn)
+    factor = linalg.cholesky(features.gram())
+    residual = y - features.outputs()
     return KernelState(
         params=params,
-        inputs=x,
+        inputs=features.rows,
         targets=y,
         residual=residual,
         factor=factor,
-        solved_residual=solved,
+        solved_residual=linalg.chol_solve(factor, residual),
         kernel_fn=kernel_fn,
-        factor_cache=cache,
+        factor_cache=features.factors,
     )
 
 
 def build_state(params, labeled, kernel_fn=None):
     """KernelState for a labeled Dataset (inputs + one-hot targets)."""
-    one_hot = labeled.one_hot
-    rows_ok = np.all(np.sum(one_hot, axis=1) == 1.0) and np.all(
-        np.isin(one_hot, (0.0, 1.0))
-    )
-    if not rows_ok:
-        raise ContractError("labeled targets must be one-hot rows in {0,1}")
-    return build_state_xy(params, labeled.inputs, one_hot, kernel_fn)
+    return build_state_xy(params, labeled.inputs, labeled.one_hot, kernel_fn)
 
 
 # --- analytic wide-limit kernel ------------------------------------------

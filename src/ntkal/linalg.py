@@ -25,11 +25,6 @@ __all__ = [
 # Relative tolerance used when checking that an input is symmetric.
 SYMMETRY_RTOL = 1e-10
 
-# Rows of an (m, n) kernel-sized array processed at a time, so that a
-# pass over one needs only (CHUNK_ROWS, n) temporaries besides it.
-CHUNK_ROWS = 256
-
-
 # Diagonal jitter levels, as fractions of the mean diagonal, that
 # ``cholesky`` tries in order until the factorization succeeds.
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)

@@ -19,16 +19,18 @@ the pivot ``augment_state`` adds. ``lookahead_batch`` evaluates this for a
 whole candidate batch, the candidates also being the reference points r,
 from one gradient-factor pass over them and one triangular solve. The
 numerator is minus the posterior covariance Sigma(r, c) = k(r, c) -
-W_r^T W_c. One loop contracts Sigma in row chunks of its upper triangle
-into one of two sinks: the reduce sink sums |Sigma| per column, which is
-all that linearized mlmoc and emoc read, so their pass holds no (n, n)
-array; the dense sink forms Sigma whole (``LookaheadBatch.dense``) for
-``condition``, eer_lin and the raw baseline, which derive gain columns
-from it where they read them. Gains are never stored.
-``augment_state`` extends the Cholesky factor by a block of k labeled
-rows: their W and the factor of their own block S = K - W^T W, taken in
-row order by the rank-one downdates of ``condition``. A cycle's picks
-cost one factor pass, one solve and one copy of the state.
+W_r^T W_c. ``kernel.FeatureBatch.gram_chunks``, the one loop that
+contracts and symmetrizes a Gram block, yields Sigma in row chunks of its
+upper triangle, and this module only consumes them: the reduce sink sums
+|Sigma| per column, which is all that linearized mlmoc and emoc read, so
+their pass holds no (n, n) array; ``LookaheadBatch.dense`` takes Sigma
+whole (``FeatureBatch.gram``) for ``condition``, eer_lin and the raw
+baseline, which derive gain columns from it where they read them. Gains
+are never stored. ``augment_state`` extends the Cholesky factor by a
+block of k labeled rows: their W and the factor of their own block
+S = K - W^T W (``FeatureBatch.gram`` too), taken in row order by the
+rank-one downdates of ``condition``. A cycle's picks cost one factor
+pass, one solve and one copy of the state.
 
 Once a candidate x* is really labeled, ``condition`` updates the batch
 in O(n^2) instead of a fresh ``lookahead_batch`` on the augmented state.
@@ -74,7 +76,7 @@ DEGENERATE_U_SCALE = 1e-10
 def predict_lin(state, q):
     """Converged linearized prediction at query rows q, shape (len(q), C)."""
     features = state.features(q)
-    return features.outputs() + features.cross() @ state.solved_residual
+    return features.outputs() + features.cross(state) @ state.solved_residual
 
 
 def _degenerate(schur, self_k):
@@ -87,7 +89,7 @@ def _schur_rows(state, features):
     Schur complement k(c,c) - |W_c|^2 and the degeneracy flags of the rows
     of a FeatureBatch. The augmented jittered Gram's pivot is schur + jitter.
     """
-    k_cl = features.cross()
+    k_cl = features.cross(state)
     self_k = features.diag()
     w = solve_triangular(state.factor.lower, k_cl.T, lower=True, check_finite=False)
     schur = self_k - np.einsum("ln,ln->n", w, w)
@@ -106,38 +108,11 @@ def _label(y, *shape):
     return y
 
 
-def _covariance_chunks(features, w, sigma=None):
-    """Upper-triangle row chunks (start, stop, Sigma[start:stop, start:]) of Sigma = K - W^T W.
-
-    A chunk is formed in place in a given zeroed (n, n) ``sigma``, or else
-    in a new array that the sink may overwrite. Diagonal blocks are taken
-    from their upper triangle, so a mirror below the diagonal is exact.
-    """
-    n = len(features.rows)
-    for start in range(0, n, linalg.CHUNK_ROWS):
-        stop = min(start + linalg.CHUNK_ROWS, n)
-        rows, cols = slice(start, stop), slice(start, n)
-        chunk = np.zeros((stop - start, n - start)) if sigma is None else sigma[rows, cols]
-        features.add_block(rows, cols, chunk)
-        chunk -= w[:, rows].T @ w[:, cols]
-        diag = chunk[:, : stop - start]
-        diag[...] = np.triu(diag) + np.triu(diag, 1).T
-        yield start, stop, chunk
-
-
-def _dense_sink(features, w):
-    """Sigma as one (n, n) array: each chunk formed in place, then mirrored."""
-    sigma = np.zeros((len(features.rows),) * 2)
-    for start, stop, chunk in _covariance_chunks(features, w, sigma):
-        sigma[stop:, start:stop] = chunk[:, stop - start :].T
-    return sigma
-
-
 def _reduce_sink(features, w):
     """sum(|Sigma|, axis=0); a chunk's columns right of its diagonal block
     also stand for their mirror, whose column sums are their row sums."""
     sums = np.zeros(len(features.rows))
-    for start, stop, chunk in _covariance_chunks(features, w):
+    for start, stop, chunk in features.gram_chunks(w):
         np.abs(chunk, out=chunk)
         sums[start:] += np.sum(chunk, axis=0)
         sums[start:stop] += np.sum(chunk[:, stop - start :], axis=1)
@@ -174,7 +149,8 @@ class LookaheadBatch:
         """This batch holding Sigma, without its factors and W; itself if it already does."""
         if self.sigma is not None:
             return self
-        sigma = _dense_sink(*self.covariance).T  # symmetric; Fortran order for dger
+        features, w = self.covariance
+        sigma = features.gram(w).T  # symmetric; Fortran order for dger
         return replace(self, covariance=None, sigma=sigma)
 
     def gain_rows(self, cols):
@@ -269,7 +245,7 @@ def augment_state(state, x, y):
         raise ContractError("no rows to augment with")
     y = _label(y, k, classes) if np.ndim(x) == 2 else _label(y, classes)[None, :]
     _, self_k, w, schur, _ = _schur_rows(state, features)
-    s = features.add_block(slice(0, k), slice(0, k), np.zeros((k, k))) - w.T @ w
+    s = features.gram(w)
     s[np.diag_indices(k)] = schur
     jitter, lower, enter = state.factor.jitter_applied, np.zeros((k, k)), np.zeros(k, bool)
     for j in range(k):

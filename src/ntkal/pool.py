@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import acquire, kernel, lookahead, net
-from .data import Dataset
+from .data import Dataset, _index_array
 from .errors import ContractError, DegenerateCandidateError
 
 __all__ = [
@@ -101,17 +101,6 @@ class Pool:
 
     def labeled_dataset(self):
         return self.dataset.subset(self.labeled_indices)
-
-
-def _index_array(values):
-    """A 1-D intp copy of index values; ContractError unless their dtype is integer.
-
-    Empty input passes whatever its dtype, as ``np.array(())`` is float64.
-    """
-    values = np.asarray(values)
-    if values.size and not np.issubdtype(values.dtype, np.integer):
-        raise ContractError(f"indices must be integers, got dtype {values.dtype}")
-    return values.astype(np.intp).reshape(-1)
 
 
 @dataclass(frozen=True)

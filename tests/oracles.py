@@ -10,6 +10,9 @@ quantity the package computes another way, so tests can cross-check it.
 - ``empirical_ntk_features``: the kernel as literal dots of those flat
   gradients, which ``kernel.empirical_ntk``'s layerwise contraction must
   reproduce.
+- ``empirical_ntk_blocks``: the kernel as each layer's products over the
+  whole block, summed, with no row chunks and no mirror, against which
+  ``kernel.FeatureBatch.gram_chunks`` is checked.
 - ``gains``: the (n, n) look-ahead gains of a batch, divided out of its
   dense posterior covariance whole; the package reads them in chunks.
 - ``change_norms``: reference-summed change norms of a look-ahead batch
@@ -92,6 +95,18 @@ def empirical_ntk_features(params, a, b=None):
     fb = fa if symmetric else np.stack([grad_first_logit(params, row) for row in b_arr])
     return np.array(
         [[float(np.dot(fa[i], fb[j])) for j in range(len(fb))] for i in range(len(fa))]
+    )
+
+
+def empirical_ntk_blocks(params, a, b=None):
+    """k(a, b) as sum_l (A_l B_l^T / n_l + beta^2) * (D_l E_l^T) over whole
+    blocks of ``net.grad_factors``; ``b=None`` means ``a``."""
+    cfg = params.config
+    fa = net.grad_factors(params, np.atleast_2d(a))
+    fb = fa if b is None else net.grad_factors(params, np.atleast_2d(b))
+    return sum(
+        (aa @ ab.T / cfg.widths[l] + cfg.beta**2) * (da @ db.T)
+        for l, ((aa, da), (ab, db)) in enumerate(zip(fa, fb))
     )
 
 

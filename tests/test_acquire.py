@@ -359,7 +359,7 @@ class TestChunkedScoring:
         state = kernel.build_state_xy(params, x, y)
         cands = rng.standard_normal((n, 32))
         row_bytes = 8 * (
-            2 * state.labeled_count + 2 * sum(params.config.widths) + 4 * linalg.CHUNK_ROWS
+            2 * state.labeled_count + 2 * sum(params.config.widths) + 4 * kernel.CHUNK_ROWS
         )
         tracemalloc.start()
         try:
@@ -890,6 +890,18 @@ class TestOneStepChangeScores:
         labeled = data.make_dataset(x, np.argmax(y, axis=1), 2)
         with pytest.raises(ContractError):
             acquire.one_step_change_scores(params, labeled, np.zeros((0, 2)), 0.05)
+
+    @pytest.mark.parametrize("learning_rate", [np.nan, -0.5, 0.0, np.inf])
+    def test_learning_rate_rejected_as_train_config_does(self, learning_rate):
+        # NaN used to give all-NaN scores, -0.5 an ascent step, 0 all-zero
+        # scores and inf a RuntimeWarning.
+        params, x, y, _ = _problem(seed=32)
+        labeled = data.make_dataset(x, np.argmax(y, axis=1), 2)
+        message = "learning_rate must be finite and > 0"
+        with pytest.raises(ContractError, match=message):
+            net.TrainConfig(learning_rate, epochs=1)
+        with pytest.raises(ContractError, match=message):
+            acquire.one_step_change_scores(params, labeled, x[:3], learning_rate)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize(

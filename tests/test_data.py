@@ -130,3 +130,24 @@ class TestSplitAndEncode:
     def test_make_dataset_of_no_rows_rejected(self):
         with pytest.raises(ContractError):
             data.make_dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: data.make_dataset(np.zeros((2, 2)), [0.7, 1.2], 2),
+            lambda: data.one_hot_encode([1.9, 0.2], 2),
+            lambda: data.make_dataset(np.zeros((2, 2)), [True, False], 2),
+            lambda: data.gen_two_gaussians(2, 1.0, 0).subset([0.5, 1.7]),
+        ],
+        ids=["fractional_labels", "fractional_one_hot", "bool_labels", "fractional_subset"],
+    )
+    def test_non_integer_labels_and_indices_rejected(self, build):
+        # Each used to be truncated: to labels [0, 1], to one-hot rows
+        # [[0, 1], [1, 0]], to labels [1, 0] and to rows 0 and 1.
+        with pytest.raises(ContractError, match="must be integers"):
+            build()
+
+    @pytest.mark.parametrize("labels", [[0, 1, 1], [[0, 1], [1, 0]]], ids=["count", "2-D"])
+    def test_labels_must_be_one_per_row(self, labels):
+        with pytest.raises(ContractError, match="one label per input row"):
+            data.make_dataset(np.zeros((4, 2)), labels, 2)

@@ -62,6 +62,17 @@ class TestEmpiricalNtk:
         with pytest.raises(ShapeError):
             kernel.empirical_ntk(params, np.zeros((2, 5)))
 
+    def test_non_finite_rows_rejected(self):
+        # As KernelState.features, build_state_xy and lookahead_batch do;
+        # a NaN row used to give a NaN Gram.
+        params = _random_params((3, 4, 2), 0)
+        bad = np.ones((3, 3))
+        bad[1, 2] = np.nan
+        with pytest.raises(ContractError):
+            kernel.empirical_ntk(params, bad)
+        with pytest.raises(ContractError):
+            kernel.empirical_ntk(params, np.ones((2, 3)), bad)
+
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_chunked_contraction_matches_whole_block_products(self, symmetric):
@@ -69,14 +80,9 @@ class TestEmpiricalNtk:
         # each layer's products over the whole block, summed.
         params = net.init(net.MlpConfig((6, 32, 24, 3), seed=9))
         rng = np.random.default_rng(10)
-        a = rng.standard_normal((2 * linalg.CHUNK_ROWS + 37, 6))
+        a = rng.standard_normal((2 * kernel.CHUNK_ROWS + 37, 6))
         b = a if symmetric else rng.standard_normal((50, 6))
-        cfg = params.config
-        fa, fb = net.grad_factors(params, a), net.grad_factors(params, b)
-        want = sum(
-            (aa @ ab.T / cfg.widths[l] + cfg.beta**2) * (da @ db.T)
-            for l, ((aa, da), (ab, db)) in enumerate(zip(fa, fb))
-        )
+        want = oracles.empirical_ntk_blocks(params, a, b)
         got = kernel.empirical_ntk(params, a, b)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         if symmetric:
@@ -113,16 +119,44 @@ class TestBuildState:
         assert state.factor.jitter_applied > 0.0
 
     def test_dataset_must_be_one_hot(self):
+        # A Dataset derives its one-hot targets from its labels, so the
+        # state fits the classes that accuracy is measured against; targets
+        # that disagree with the labels cannot be passed in.
         params = _random_params((2, 4, 2), 0)
-        ds = data.gen_two_gaussians(5, 1.0, 0)
-        soft = data.Dataset(
-            inputs=ds.inputs,
-            labels=ds.labels,
-            one_hot=np.full((10, 2), 0.5),
-            class_count=2,
-        )
-        with pytest.raises(ContractError):
-            kernel.build_state(params, soft)
+        inputs, labels = np.random.default_rng(1).standard_normal((4, 2)), [0, 0, 1, 1]
+        ds = data.Dataset(inputs, labels, class_count=2)
+        np.testing.assert_array_equal(ds.one_hot, [[1, 0], [1, 0], [0, 1], [0, 1]])
+        state = kernel.build_state(params, ds)
+        np.testing.assert_array_equal(state.targets, ds.one_hot)
+        with pytest.raises(TypeError):
+            data.Dataset(inputs, labels, one_hot=np.eye(2)[[1, 1, 0, 0]], class_count=2)
+
+    @pytest.mark.parametrize("kind", ["hand", "infinite"])
+    def test_kernel_fn_gram_is_the_whole_call(self, monkeypatch, kind):
+        # A kernel_fn state's Gram comes from the upper-triangle chunk loop,
+        # one kernel_fn call per chunk, over more rows than two chunks. It
+        # must be exactly symmetric and equal one whole kernel_fn call:
+        # exactly for an elementwise hand kernel, to rounding for the
+        # wide-limit kernel.
+        params = net.init(net.MlpConfig((6, 16, 16, 3), nonlinearity="relu"))
+        rng = np.random.default_rng(11)
+        n = 2 * kernel.CHUNK_ROWS + 37
+        x = rng.uniform(0.0, 1.0, (n, 6))
+
+        def kernel_fn(p, a, b):
+            if kind == "hand":  # 1 + min of the row sums, a PSD kernel
+                return 1.0 + np.minimum.outer(a.sum(axis=1), b.sum(axis=1))
+            return kernel.infinite_ntk_fc(p.config, a, b)
+
+        grams, original = [], linalg.cholesky
+        monkeypatch.setattr(linalg, "cholesky", lambda a: grams.append(a) or original(a))
+        y = data.one_hot_encode(rng.integers(0, 3, n), 3)
+        kernel.build_state_xy(params, x, y, kernel_fn=kernel_fn)
+        (gram,) = grams
+        want = kernel_fn(params, x, x)
+        np.testing.assert_array_equal(gram, gram.T)
+        rtol = 0.0 if kind == "hand" else 1e-14
+        np.testing.assert_allclose(gram, want, rtol=rtol, atol=0.0)
 
     def test_empty_rejected(self):
         params = _random_params((2, 4, 2), 0)
@@ -239,7 +273,7 @@ class TestInfiniteNtk:
         cfg = net.MlpConfig((20, 16, 16, 3), nonlinearity=nonlinearity)
         params = net.init(cfg)
         rng = np.random.default_rng(6)
-        x = rng.uniform(0.0, 1.0, (2 * linalg.CHUNK_ROWS + 37, 20))
+        x = rng.uniform(0.0, 1.0, (2 * kernel.CHUNK_ROWS + 37, 20))
         x[300] = x[10]
         calls = []
 
@@ -251,7 +285,7 @@ class TestInfiniteNtk:
         state = kernel.build_state_xy(params, x[:8], y, kernel_fn=kernel_fn)
         calls.clear()
         diag = state.features(x).diag()
-        assert calls == [linalg.CHUNK_ROWS, linalg.CHUNK_ROWS, 37]
+        assert calls == [kernel.CHUNK_ROWS, kernel.CHUNK_ROWS, 37]
         per_row = [kernel.infinite_ntk_fc(cfg, row[None, :], row[None, :])[0, 0] for row in x]
         np.testing.assert_array_equal(diag, per_row)
 

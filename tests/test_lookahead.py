@@ -261,8 +261,8 @@ class TestCovarianceInPlace:
 
     @staticmethod
     def _dense_gains(params, x, state, cands):
-        w = np.linalg.solve(state.factor.lower, kernel.empirical_ntk(params, x, cands))
-        sigma = kernel.empirical_ntk(params, cands, cands) - w.T @ w
+        w = np.linalg.solve(state.factor.lower, oracles.empirical_ntk_blocks(params, x, cands))
+        sigma = oracles.empirical_ntk_blocks(params, cands) - w.T @ w
         u = state.features(cands).diag() - np.sum(w * w, axis=0) + state.factor.jitter_applied
         return -sigma / u
 
@@ -305,14 +305,14 @@ class TestCovarianceInPlace:
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
     def test_covariance_is_formed_in_the_block(self, n, candidates_only, order):
         # The chunk loop yields the upper triangle in row chunks, diagonal
-        # blocks included; the dense sink's mirror must complete every
+        # blocks included; the dense form's mirror must complete every
         # block, exactly. W may come in either memory order.
         params, x, state, rng = self._state(False)
         cands = self._candidates(rng, n, candidates_only)
         features = state.features(cands)
         w = np.asarray(lookahead._schur_rows(state, features)[2], order=order)
-        want = kernel.empirical_ntk(params, cands) - w.T @ w
-        sigma = lookahead._dense_sink(features, w)
+        want = oracles.empirical_ntk_blocks(params, cands) - w.T @ w
+        sigma = features.gram(w)
         np.testing.assert_array_equal(sigma, sigma.T)
         np.testing.assert_allclose(sigma, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
@@ -330,11 +330,12 @@ class TestCovarianceInPlace:
 
         monkeypatch.setattr(kernel.FeatureBatch, "add_block", recording)
         _, _, state, rng = self._state(False)
+        blocks.clear()  # the labeled Gram's block
         cands = self._candidates(rng, 300, candidates_only, 270)
         batch = lookahead.lookahead_batch(state, cands)
         assert blocks == []
         dense = batch.dense()
-        n, chunk = len(cands), linalg.CHUNK_ROWS
+        n, chunk = len(cands), kernel.CHUNK_ROWS
         assert blocks == [
             (slice(start, min(start + chunk, n)), slice(start, n)) for start in range(0, n, chunk)
         ]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ntkal import acquire, data, kernel, linalg, lookahead, net, pool
+from ntkal import acquire, data, kernel, lookahead, net, pool
 from ntkal.errors import ContractError, DegenerateCandidateError
 
 
@@ -512,6 +512,8 @@ class TestRunSequential:
         # later picks condition the cycle's batch. The subset's gradient
         # factors come from one pass per cycle too. The k picks enter the
         # state as one block, so their own k x k block is contracted once.
+        # Each cycle first rebuilds the state from the retrained network,
+        # which contracts the labeled Gram as one block.
         blocks, factor_rows = [], []
         original_block, original_factors = kernel.FeatureBatch.add_block, net.grad_factors
 
@@ -529,8 +531,11 @@ class TestRunSequential:
         cfg = _tiny_config(strategy="mlmoc", sequential=True, cycles=3, query_batch_size=4)
         pool.run_sequential_al(cfg, train, test)
         n, k = cfg.subset_size, cfg.query_batch_size
-        assert n <= linalg.CHUNK_ROWS
-        assert blocks == [(n, slice(0, n), slice(0, n)), (k, slice(0, k), slice(0, k))] * cfg.cycles
+        labeled = [cfg.initial_labeled + cycle * k for cycle in range(cfg.cycles)]
+        assert max(labeled + [n]) <= kernel.CHUNK_ROWS
+        assert blocks == [
+            (size, slice(0, size), slice(0, size)) for l in labeled for size in (l, n, k)
+        ]
         assert factor_rows.count(n) == cfg.cycles
 
     def test_picks_enter_the_state_once_per_cycle(self, monkeypatch):
