@@ -17,7 +17,11 @@ querying calls them on a batch conditioned in place.
 
 With the linearized baseline the change norm factorizes into the column
 sums of |gains|, streamed without an n x n array, times the label
-shift's norm. Otherwise, labeling candidate i with l moves reference r
+shift's norm. Given the pick count k of a batch-mode query, the sums
+come from a float32 sink with a stated error bound, and only candidates
+that could cross the k-th boundary are summed again in float64, so the
+top k scores, the ones that leave the scorer, are the float64 ones.
+Otherwise, labeling candidate i with l moves reference r
 to a - gains[r, i] * e_l, where a = shift_base[r] + gains[r, i] *
 shift_base[i] is shared by every label, so each label differs from a in
 one entry. The raw-baseline change norms and the softmax entropies of
@@ -38,6 +42,7 @@ full-batch gradient step, scored in closed form from a step on the
 labeled set shared by all candidates plus a rank-one step per candidate.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,14 +78,19 @@ class AcquisitionResult:
 
     @classmethod
     def from_scores(cls, scores, pseudo_labels=None, degenerate_flags=None):
+        """Raises ShapeError unless the scores are 1-D and the flags and
+        pseudo-labels have one entry or row per score."""
         scores = np.asarray(scores, dtype=np.float64)
-        if degenerate_flags is None:
-            degenerate_flags = np.zeros(len(scores), dtype=bool)
-        return cls(
-            scores=scores,
-            pseudo_labels=pseudo_labels,
-            degenerate_flags=np.asarray(degenerate_flags, dtype=bool),
-        )
+        if scores.ndim != 1:
+            raise ShapeError(f"scores have shape {scores.shape}, expected 1-D")
+        n = len(scores)
+        flags = np.zeros(n, bool) if degenerate_flags is None else degenerate_flags
+        flags = np.asarray(flags, dtype=bool)
+        if flags.shape != (n,):
+            raise ShapeError(f"degenerate flags have shape {flags.shape} for {n} scores")
+        if pseudo_labels is not None and len(pseudo_labels) != n:
+            raise ShapeError(f"{len(pseudo_labels)} pseudo-labels for {n} scores")
+        return cls(scores=scores, pseudo_labels=pseudo_labels, degenerate_flags=flags)
 
 
 def softmax(logits):
@@ -261,25 +271,30 @@ def _label_table(ctx, kind):
     return sums
 
 
-def _change_table(ctx, baseline, weights):
+def _change_table(ctx, baseline, weights, picks=None):
     """Reference-summed l2 change norms per candidate and label, (n, C).
 
     The linearized change at reference r is gains[r] * shift, so the sum
     factorizes into the column sums of |gains| times the shift norm. Each
     norm reduces C entries, so those where ``weights`` is zero, which the
     expectation never reads, are left 0: mlmoc's one-hot weights take n
-    norms, not n C. The raw baseline adds the constant offset between
-    linearized and raw predictions, and gives every label at once.
+    norms, not n C. A score is then a column sum times sum_l weights_l *
+    norm_l, so given ``picks`` the column sums are exact only where they
+    can decide the top ``picks`` scores (``LookaheadBatch.abs_gain_sums``).
+    The raw baseline adds the constant offset between linearized and raw
+    predictions, and gives every label at once.
     """
+    if picks is not None and (not isinstance(picks, numbers.Integral) or picks < 0):
+        raise ContractError(f"picks must be an integer >= 0, got {picks!r}")
     if baseline == "raw":
         return _label_table(ctx, "l2")
     if baseline != "linearized":
         raise ContractError(f"unknown baseline {baseline!r}")
-    abs_sums = ctx.abs_gain_sums()
     norms = np.zeros(weights.shape)
     for l, e in enumerate(np.eye(weights.shape[1])):
         rows = np.flatnonzero(weights[:, l])
         norms[rows, l] = np.linalg.norm(ctx.shift_base[rows] - e, axis=-1)
+    abs_sums = ctx.abs_gain_sums(picks, np.sum(weights * norms, axis=1))
     return abs_sums[:, None] * norms
 
 
@@ -299,34 +314,41 @@ def _expected_scores(ctx, table, weights, degenerate_score):
     return AcquisitionResult.from_scores(scores, _argmax_labels(ctx.outputs), ctx.degenerate)
 
 
-def mlmoc(state, candidates, baseline="linearized"):
+def mlmoc(state, candidates, baseline="linearized", picks=None):
     """Most-likely model output change: the summed l2 prediction change over
     the candidate batch if a candidate were labeled with its argmax. It is
     measured against the current linearized predictions (``baseline``
     "linearized", so a no-op augmentation scores exactly zero) or "raw"
-    network outputs."""
-    return score_mlmoc(lookahead.lookahead_batch(state, candidates), baseline)
+    network outputs.
+
+    With ``picks`` k, only the top k scores are float64 exact: the others
+    may carry float32 rounding but stay below them, so
+    ``pool.query_batch_topk(result, k)`` picks as without it. It takes
+    effect on the linearized baseline of an empirical-kernel state.
+    """
+    return score_mlmoc(lookahead.lookahead_batch(state, candidates), baseline, picks)
 
 
-def score_mlmoc(ctx, baseline="linearized"):
+def score_mlmoc(ctx, baseline="linearized", picks=None):
     """mlmoc scores of a LookaheadBatch: the change table at the argmax label."""
     labels = _argmax_labels(ctx.outputs)
-    return _expected_scores(ctx, _change_table(ctx, baseline, labels), labels, 0.0)
+    return _expected_scores(ctx, _change_table(ctx, baseline, labels, picks), labels, 0.0)
 
 
-def emoc(state, candidates, baseline="linearized"):
+def emoc(state, candidates, baseline="linearized", picks=None):
     """Expected model output change over all hypothetical labels.
 
     The expectation weights each class label by the softmax of the current
     network output at the candidate; each label's change is mlmoc's for it.
+    ``picks`` as in ``mlmoc``.
     """
-    return score_emoc(lookahead.lookahead_batch(state, candidates), baseline)
+    return score_emoc(lookahead.lookahead_batch(state, candidates), baseline, picks)
 
 
-def score_emoc(ctx, baseline="linearized"):
+def score_emoc(ctx, baseline="linearized", picks=None):
     """emoc scores of a LookaheadBatch: the change table's softmax expectation."""
     probs = softmax(ctx.outputs)
-    return _expected_scores(ctx, _change_table(ctx, baseline, probs), probs, 0.0)
+    return _expected_scores(ctx, _change_table(ctx, baseline, probs, picks), probs, 0.0)
 
 
 def eer_lin(state, candidates):

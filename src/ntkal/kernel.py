@@ -24,6 +24,7 @@ networks, used as a drop-in replacement to study how look-ahead behaves
 when the kernel ignores the trained parameters.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,8 +164,17 @@ class FeatureBatch:
             diag = diag + (np.sum(a * a, axis=1) / cfg.widths[l] + b2) * np.sum(d * d, axis=1)
         return diag
 
+    def astype(self, dtype):
+        """This empirical-kernel batch with its factors cast to ``dtype``,
+        without a new factor pass."""
+        batch = copy.copy(self)
+        factors = tuple((a.astype(dtype), d.astype(dtype)) for a, d in self.factors)
+        object.__setattr__(batch, "factors", factors)
+        return batch
+
     def add_block(self, rows, cols, out):
-        """Add k(q[rows], q[cols]), for two slices of the rows, to out."""
+        """Add k(q[rows], q[cols]), for slices or index arrays of the rows, to out,
+        in the dtype of out."""
         if self.factors is None:
             out += self.kernel_fn(self.params, self.rows[rows], self.rows[cols])
             return out
@@ -175,15 +185,17 @@ class FeatureBatch:
         G = k(q, q) - W^T W, with no W term when ``w`` is None.
 
         A chunk is formed in place in a given zeroed (n, n) ``out``, or else
-        in a new array that the caller may overwrite. Diagonal blocks are
-        taken from their upper triangle, so a mirror below the diagonal is
-        exact.
+        in a new array that the caller may overwrite, of the factors' dtype
+        (float64 for a ``kernel_fn`` batch); ``w`` should share it. Diagonal
+        blocks are taken from their upper triangle, so a mirror below the
+        diagonal is exact.
         """
         n = len(self.rows)
+        dtype = np.float64 if self.factors is None else self.factors[0][0].dtype
         for start in range(0, n, CHUNK_ROWS):
             stop = min(start + CHUNK_ROWS, n)
             rows, cols = slice(start, stop), slice(start, n)
-            chunk = np.zeros((stop - start, n - start)) if out is None else out[rows, cols]
+            chunk = np.zeros((stop - start, n - start), dtype) if out is None else out[rows, cols]
             self.add_block(rows, cols, chunk)
             if w is not None:
                 chunk -= w[:, rows].T @ w[:, cols]

@@ -23,7 +23,11 @@ W_r^T W_c. ``kernel.FeatureBatch.gram_chunks``, the one loop that
 contracts and symmetrizes a Gram block, yields Sigma in row chunks of its
 upper triangle, and this module only consumes them: the reduce sink sums
 |Sigma| per column, which is all that linearized mlmoc and emoc read, so
-their pass holds no (n, n) array; ``LookaheadBatch.dense`` takes Sigma
+their pass holds no (n, n) array. Given a pick count k, the sink runs in
+float32 at about sgemm's flop rate, each sum held by a stated error bound,
+and only the columns that could cross the k-th boundary are summed again
+in float64, as m rows of Sigma at O(m n (L + sum of widths));
+``LookaheadBatch.dense`` takes Sigma
 whole (``FeatureBatch.gram``) for ``condition``, eer_lin and the raw
 baseline, which derive gain columns from it where they read them. Gains
 are never stored. ``augment_state`` extends the Cholesky factor by a
@@ -56,7 +60,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import blas, solve_triangular
 
-from . import linalg
+from . import kernel, linalg
 from .errors import ContractError, DegenerateCandidateError, ShapeError
 
 __all__ = [
@@ -71,6 +75,11 @@ __all__ = [
 # fraction of its self-kernel is numerically inside the labeled span:
 # adding it cannot change a fixed-kernel regression.
 DEGENERATE_U_SCALE = 1e-10
+
+# float32's unit roundoff, and the multiple of sqrt(d) in the float32 reduce
+# sink's error bound; see _sink_halfwidths.
+_U32 = 2.0**-24
+_SQRT_D_MULTIPLE = 1.5
 
 
 def predict_lin(state, q):
@@ -109,13 +118,67 @@ def _label(y, *shape):
 
 
 def _reduce_sink(features, w):
-    """sum(|Sigma|, axis=0); a chunk's columns right of its diagonal block
-    also stand for their mirror, whose column sums are their row sums."""
+    """sum(|Sigma|, axis=0) in float64, from chunks in the dtype of the factors
+    and W; a chunk's columns right of its diagonal block also stand for their
+    mirror, whose column sums are their row sums."""
     sums = np.zeros(len(features.rows))
     for start, stop, chunk in features.gram_chunks(w):
         np.abs(chunk, out=chunk)
-        sums[start:] += np.sum(chunk, axis=0)
-        sums[start:stop] += np.sum(chunk[:, stop - start :], axis=1)
+        sums[start:] += np.sum(chunk, axis=0, dtype=np.float64)
+        sums[start:stop] += np.sum(chunk[:, stop - start :], axis=1, dtype=np.float64)
+    return sums
+
+
+def _sink_halfwidths(batch, w, widths):
+    """Half-widths h bounding how far the float32 reduce sink's column sums
+    of |Sigma| lie from the float64 ones.
+
+    A float32 entry of Sigma is contracted from the factors and W rounded to
+    float32, by inner products of length at most d = max(L, widths) and a
+    few operations per layer. The worst-case analysis (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3) bounds its error e(r, c) by
+    about d u32 (|k|(r, c) + |W_r|^T |W_c|), with |k| the kernel of the
+    factors' absolute values. Cauchy-Schwarz, within each layer and then
+    over the layers, gives |k|(r, c) <= sqrt(k(r,r) k(c,c)), and
+    |W_r|^T |W_c| <= |W_r| |W_c|. Modeled as independent and mean-zero,
+    rounding errors grow as sqrt(d) u instead of d u: the sqrt(d) rule of
+    Higham & Mary ("Mixed precision algorithms in numerical linear
+    algebra", Acta Numerica 31, 2022). So
+
+        h_c = kappa u32 (sqrt(k(c,c)) sum_r sqrt(k(r,r)) + |W_c| sum_r |W_r|),
+        kappa = 1.5 sqrt(d),
+
+    with |W_c|^2 = k(c,c) - schur_c, bounds sum_r |e(r, c)|, which bounds the
+    error of column c's sum of |Sigma|. The rule is a model, not a proof. The
+    realized sum_r |e(r, c)| stayed below 0.15 sqrt(d) u32 times the bracket
+    on every state measured (L from 15 to 1000, MLPs from 4-24-2 to
+    784-256-10, and a jittered rank-deficient state), so kappa leaves a 10x
+    margin; a test holds it to 5x.
+    """
+    kappa = _SQRT_D_MULTIPLE * np.sqrt(max(len(w), *widths))
+    k_norms = np.sqrt(np.maximum(batch.self_k, 0.0))
+    w_norms = np.sqrt(np.maximum(batch.self_k - batch.schur, 0.0))
+    return kappa * _U32 * (k_norms * np.sum(k_norms) + w_norms * np.sum(w_norms))
+
+
+def _undecided(lo, hi, picks, live):
+    """The live candidates whose interval [lo, hi] reaches t, the picks-th
+    largest lower bound among them (the smallest when fewer are live): every
+    candidate that the top picks could hold. A NaN bound counts as reaching."""
+    if picks == 0 or not live.any():
+        return np.zeros_like(live)
+    ranked = np.sort(np.nan_to_num(lo[live], nan=-np.inf))[::-1]
+    return live & ~(hi < ranked[min(picks, len(ranked)) - 1])
+
+
+def _row_sums(features, w, idx):
+    """sum(|Sigma[idx]|, axis=1) in float64, CHUNK_ROWS rows of Sigma at a time;
+    by symmetry, the column sums of ``idx``."""
+    sums = np.empty(len(idx))
+    for start in range(0, len(idx), kernel.CHUNK_ROWS):
+        rows = idx[start : start + kernel.CHUNK_ROWS]
+        block = features.add_block(rows, slice(None), -(w[:, rows].T @ w))
+        sums[start : start + len(rows)] = np.sum(np.abs(block, out=block), axis=1)
     return sums
 
 
@@ -160,12 +223,34 @@ class LookaheadBatch:
         rows /= -_pivots(self, cols)[:, None]
         return rows
 
-    def abs_gain_sums(self):
+    def abs_gain_sums(self, picks=None, scale=1.0):
         """sum(|gains|, axis=0): unformed, through the reduce sink; dense, |Sigma|
         through one (N, 64) buffer, whose whole columns sum the live rows as
-        dead rows are zero."""
+        dead rows are zero.
+
+        Given ``picks``, an unformed empirical-kernel batch sums only as
+        exactly as the top ``picks`` of ``scale`` * sums need, for a
+        nonnegative per-candidate ``scale``. Its sink runs in float32, and
+        each sum lies within +-h of ``_sink_halfwidths``. Among non-degenerate
+        candidates, with t the picks-th largest lower bound of the scaled
+        interval, each one whose upper bound reaches t is summed again in
+        float64 (``_row_sums``). Each other one keeps its float32 sum, whose
+        scaled value lies below t and so below those of the top picks. The
+        top ``picks`` of scale * sums are then the float64 ones, in the same
+        order, up to ties within float64 rounding. Other batches ignore
+        ``picks``.
+        """
         if self.sigma is None:
-            return _reduce_sink(*self.covariance) / _pivots(self)
+            features, w = self.covariance
+            pivots = _pivots(self)
+            if picks is None or features.factors is None:
+                return _reduce_sink(features, w) / pivots
+            sums = _reduce_sink(features.astype(np.float32), w.astype(np.float32)) / pivots
+            half = _sink_halfwidths(self, w, features.params.config.widths) / pivots
+            lo, hi = scale * (sums - half), scale * (sums + half)
+            idx = np.flatnonzero(_undecided(lo, hi, picks, ~self.degenerate))
+            sums[idx] = _row_sums(features, w, idx) / pivots[idx]
+            return sums
         n, step = len(self.sigma), 64  # a (1000, 64) buffer stays in cache
         buf, sums = np.empty((n, min(n, step)), order="F"), np.empty(n)
         for start in range(0, n, step):

@@ -15,7 +15,9 @@ k picks with their true labels into the labeled set, and evaluates.
 Cost model, for n subset candidates against L labels: each cycle pays
 one ``lookahead_batch`` pass (one gradient-factor pass over the subset,
 one triangular solve, the n x n covariance in row chunks at O(L n^2)).
-Batch linearized mlmoc/emoc reduce the chunks and hold no n x n array.
+Batch linearized mlmoc/emoc reduce the chunks and hold no n x n array;
+given the pick count k, they reduce them in float32 and sum again in
+float64 only the candidates whose error bounds reach the k-th boundary.
 Sequential mode forms the n x n covariance once per cycle; each pick then
 pays O(n^2) and allocates no n x n array: scoring and a rank-one downdate
 in place (``lookahead.condition``). The k picks then enter the state in
@@ -233,6 +235,8 @@ def _score(config, cycle, params, pool, state, candidates):
         kwargs = {} if name == "eer_lin" else {"baseline": config.score_baseline}
         if isinstance(candidates, lookahead.LookaheadBatch):
             return getattr(acquire, "score_" + name)(candidates, **kwargs)
+        if name != "eer_lin":
+            kwargs["picks"] = config.query_batch_size  # only the top k leave the scorer
         return getattr(acquire, name)(state, candidates, **kwargs)
     if strategy == "entropy":
         return acquire.entropy_score(net.forward(params, candidates))

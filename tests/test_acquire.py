@@ -5,9 +5,10 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from ntkal import acquire, data, kernel, linalg, lookahead, net
-from ntkal.errors import ContractError, DegenerateCandidateError, DivergenceError
+from ntkal import acquire, data, kernel, linalg, lookahead, net, pool
+from ntkal.errors import ContractError, DegenerateCandidateError, DivergenceError, ShapeError
 
 import oracles
 
@@ -352,6 +353,8 @@ class TestChunkedScoring:
         # One pass holds per-candidate arrays (k(c, X), W and the gradient
         # factors) and a few (CHUNK_ROWS, n) chunks of Sigma, but no (n, n)
         # array: at n = 4000 the gains alone would be 2.5 times the bound.
+        # The pick path adds float32 copies of W and the factors, and a
+        # float64 block of at most CHUNK_ROWS rescored rows of Sigma.
         rng = np.random.default_rng(63)
         params = net.init(net.MlpConfig((32, 64, 3), seed=63))
         x = rng.standard_normal((200, 32))
@@ -361,13 +364,14 @@ class TestChunkedScoring:
         row_bytes = 8 * (
             2 * state.labeled_count + 2 * sum(params.config.widths) + 4 * kernel.CHUNK_ROWS
         )
-        tracemalloc.start()
-        try:
-            acquire.mlmoc(state, cands)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < n * row_bytes
+        for picks in (None, 10):
+            tracemalloc.start()
+            try:
+                acquire.mlmoc(state, cands, picks=picks)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * row_bytes, picks
 
     @pytest.mark.parametrize("candidates_only", [True, False])
     @pytest.mark.parametrize("scorer", ["eer_lin", "emoc-raw"])
@@ -394,6 +398,137 @@ class TestChunkedScoring:
             tracemalloc.stop()
         assert peak < 1.8 * gains_bytes
         assert scoring_peak < 32 * acquire._TABLE_CHUNK_BYTES
+
+
+class TestPickPath:
+    """Linearized mlmoc and emoc given a pick count k: the float32 sink, its
+    bound and the float64 rescoring at the k-th boundary pick exactly what
+    the float64 scores pick, element for element."""
+
+    @staticmethod
+    def _state(seed, l_size=100, widths=(8, 64, 3)):
+        rng = np.random.default_rng(seed)
+        params = net.init(net.MlpConfig(widths, seed=seed))
+        x = rng.standard_normal((l_size, widths[0]))
+        y = data.one_hot_encode(rng.integers(0, widths[-1], l_size), widths[-1])
+        return kernel.build_state_xy(params, x, y), rng
+
+    @staticmethod
+    def _tie(seed):
+        # The candidate just outside the top k becomes a copy of one inside,
+        # moved by 1e-9: the float64 scores of the two differ by 1e-10 to
+        # 1e-9 relative, far below the float32 sink's error.
+        state, rng = TestPickPath._state(seed)
+        cands = rng.standard_normal((200, 8))
+        order = pool.query_batch_topk(acquire.mlmoc(state, cands), 200)
+        i, j = order[19], order[20]
+        cands[j] = cands[i] + 1e-9 * rng.standard_normal(8)
+        order = pool.query_batch_topk(acquire.mlmoc(state, cands), 200)
+        first, second = sorted([order.index(i), order.index(j)])
+        assert second == first + 1
+        return state, cands, second, order[first], order[second]
+
+    def test_near_tie_at_the_boundary(self):
+        flipped = 0
+        for seed in range(8):
+            state, cands, k, inside, outside = self._tie(seed)
+            want = acquire.mlmoc(state, cands)
+            got = acquire.mlmoc(state, cands, picks=k)
+            assert pool.query_batch_topk(got, k) == pool.query_batch_topk(want, k)
+            gap = (want.scores[inside] - want.scores[outside]) / want.scores[inside]
+            assert 0.0 < gap < 1e-8
+            # Rescored at full precision, both sides of the boundary.
+            np.testing.assert_allclose(
+                got.scores[[inside, outside]], want.scores[[inside, outside]], rtol=1e-13
+            )
+            features, w = lookahead.lookahead_batch(state, cands).covariance
+            sums = lookahead._reduce_sink(features.astype(np.float32), w.astype(np.float32))
+            flipped += sums[inside] < sums[outside]
+        assert flipped > 0  # float32 sums alone would swap a boundary pick
+
+    @pytest.mark.parametrize("scorer", [acquire.mlmoc, acquire.emoc])
+    @pytest.mark.parametrize("k", ["1", "n", "above-live"])
+    def test_picks_match_float64_over_random_states(self, scorer, k):
+        for seed in range(4):
+            state, rng = self._state(10 + seed, l_size=40 + 60 * seed)
+            cands = rng.standard_normal((300, 8))
+            cands[-5:] = state.inputs[:5]  # degenerate: inside the labeled span
+            want = scorer(state, cands)
+            live = int(np.sum(~want.degenerate_flags))
+            assert live == 295
+            picks = {"1": 1, "n": len(cands), "above-live": live + 2}[k]
+            got = scorer(state, cands, picks=picks)
+            assert pool.query_batch_topk(got, picks) == pool.query_batch_topk(want, picks)
+            np.testing.assert_array_equal(got.degenerate_flags, want.degenerate_flags)
+            np.testing.assert_array_equal(got.pseudo_labels, want.pseudo_labels)
+            if k != "1":  # every live candidate is picked, so every one is rescored
+                np.testing.assert_allclose(got.scores, want.scores, rtol=1e-13, atol=0.0)
+
+    def test_only_the_top_scores_are_float64(self):
+        state, rng = self._state(20)
+        cands = rng.standard_normal((300, 8))
+        want, got = acquire.mlmoc(state, cands), acquire.mlmoc(state, cands, picks=5)
+        rel = np.abs(got.scores - want.scores) / want.scores
+        top = pool.query_batch_topk(want, 5)
+        assert np.all(rel[top] < 1e-13)
+        assert 5 <= np.sum(rel < 1e-13) < 100
+        # The others carry float32 rounding and sit below the fifth score.
+        assert 1e-9 < np.max(rel) < 1e-4
+        others = np.setdiff1d(np.arange(300), top)
+        assert np.max(got.scores[others]) < np.min(got.scores[top])
+
+    @pytest.mark.parametrize("beta", [1.0, np.float64(0.5)])
+    def test_pick_path_chunks_are_float32(self, monkeypatch, beta):
+        # NumPy 2 would promote a float32 chunk to float64 silently, for
+        # instance through an np.float64 scalar; the float64 path stays float64.
+        rng = np.random.default_rng(21)
+        params = net.init(net.MlpConfig((8, 32, 32, 3), beta=beta, seed=21))
+        x = rng.standard_normal((50, 8))
+        state = kernel.build_state_xy(params, x, data.one_hot_encode(rng.integers(0, 3, 50), 3))
+        cands = rng.standard_normal((600, 8))
+        dtypes, chunks = [], kernel.FeatureBatch.gram_chunks
+
+        def recording(self, w=None, out=None):
+            for start, stop, chunk in chunks(self, w, out):
+                dtypes.append(chunk.dtype)
+                yield start, stop, chunk
+
+        monkeypatch.setattr(kernel.FeatureBatch, "gram_chunks", recording)
+        acquire.mlmoc(state, cands, picks=3)
+        assert dtypes == [np.float32] * 3
+        dtypes.clear()
+        acquire.mlmoc(state, cands)
+        assert dtypes == [np.float64] * 3
+
+    def test_other_batches_ignore_picks(self):
+        state, rng = self._state(23)
+        cands = rng.standard_normal((100, 8))
+        dense = lookahead.lookahead_batch(state, cands).dense()
+        for baseline in acquire.BASELINES:
+            for score in (acquire.score_mlmoc, acquire.score_emoc):
+                np.testing.assert_array_equal(
+                    score(dense, baseline, picks=4).scores, score(dense, baseline).scores
+                )
+        raw = acquire.mlmoc(state, cands, baseline="raw", picks=4)
+        np.testing.assert_array_equal(raw.scores, acquire.mlmoc(state, cands, "raw").scores)
+
+    @pytest.mark.parametrize("picks", [-1, 2.0, "3"])
+    def test_bad_picks_rejected(self, picks):
+        state, rng = self._state(24)
+        with pytest.raises(ContractError, match="picks"):
+            acquire.mlmoc(state, rng.standard_normal((10, 8)), picks=picks)
+
+    def test_zero_picks_keeps_every_float32_sum(self, monkeypatch):
+        state, rng = self._state(25)
+        rescored, row_sums = [], lookahead._row_sums
+
+        def counting(features, w, idx):
+            rescored.append(len(idx))
+            return row_sums(features, w, idx)
+
+        monkeypatch.setattr(lookahead, "_row_sums", counting)
+        result = acquire.mlmoc(state, rng.standard_normal((50, 8)), picks=0)
+        assert rescored == [0] and pool.query_batch_topk(result, 0) == []
 
 
 class TestPerLabelTables:
@@ -807,8 +942,11 @@ class TestNaiveOracle:
 
     def test_kernel_lookahead_correlates_with_real_retraining(self):
         # Per-reference output changes from the block look-ahead track the
-        # changes from actually retraining, pooled over candidates.
-        correlations = []
+        # changes from actually retraining, pooled over candidates. From the
+        # same retrainings, mlmoc ranks the candidates as their summed output
+        # changes over the candidates do (Spearman's rho per seed, averaged),
+        # on either baseline.
+        correlations, rank_rho = [], {baseline: [] for baseline in acquire.BASELINES}
         for seed in range(10):
             rng = np.random.default_rng(seed)
             ds = data.gen_spirals(60, 0.1, seed)
@@ -823,7 +961,7 @@ class TestNaiveOracle:
             state = kernel.build_state(params, labeled)
             base = np.atleast_2d(net.forward(params, ref))
             outs = net.forward(params, cands)
-            k_changes, n_changes = [], []
+            k_changes, n_changes, retrained_scores = [], [], []
             for i, xc in enumerate(cands):
                 yc = np.zeros(2)
                 yc[np.argmax(outs[i])] = 1.0
@@ -831,9 +969,18 @@ class TestNaiveOracle:
                 retrained = acquire.naive_sgd_oracle(params, labeled, (xc, yc), tc)
                 after = np.atleast_2d(net.forward(retrained, ref))
                 n_changes.append((after - base).ravel())
+                change = net.forward(retrained, cands) - outs
+                retrained_scores.append(np.sum(np.linalg.norm(change, axis=1)))
             r = np.corrcoef(np.concatenate(k_changes), np.concatenate(n_changes))[0, 1]
             correlations.append(r)
+            for baseline, rhos in rank_rho.items():
+                scores = acquire.mlmoc(state, cands, baseline).scores
+                rhos.append(stats.spearmanr(scores, retrained_scores)[0])
         assert np.mean(correlations) > 0.5
+        # Measured means: 0.81 raw (0.52 to 0.93 per seed), 0.60 linearized
+        # (0.01 to 0.92).
+        assert np.mean(rank_rho["raw"]) > 0.7
+        assert np.mean(rank_rho["linearized"]) > 0.45
 
     def test_naive_change_scores_shape_and_determinism(self):
         params, x, y, _ = _problem(seed=27)

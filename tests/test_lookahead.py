@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from ntkal import acquire, data, kernel, linalg, lookahead, net
+from ntkal import acquire, data, kernel, linalg, lookahead, net, pool
 from ntkal.errors import ContractError, DegenerateCandidateError, ShapeError
 
 import oracles
@@ -814,9 +814,10 @@ class TestDirectRefactorization:
         # the labeled span; width 12 (134 parameters) leaves some outside.
         params, _, cand, state = _trained_problem(200, 50, width=4)
         assert np.all(lookahead.lookahead_batch(state, cand).degenerate)
-        result = acquire.mlmoc(state, cand)
-        assert np.all(result.degenerate_flags)
-        assert np.all(result.scores == 0.0)
+        for picks in (None, 5):
+            result = acquire.mlmoc(state, cand, picks=picks)
+            assert np.all(result.degenerate_flags)
+            assert np.all(result.scores == 0.0)
 
         params, _, cand, state = _trained_problem(200, 100, width=12)
         flags = lookahead.lookahead_batch(state, cand).degenerate
@@ -849,3 +850,64 @@ class TestDirectRefactorization:
             change = lookahead.predict_lin(aug, cand) - before
             explicit[i] = np.sum(np.linalg.norm(change, axis=1))
         assert np.max(_relative_gaps(result.scores, explicit, healthy)) <= 1e-8
+
+
+def _float32_sink_errors(batch):
+    """sum_r |Sigma32(r, c) - Sigma(r, c)| per column c, over the reduce sink's
+    chunks and mirrors, with Sigma32 the float32 chunks of the pick path."""
+    features, w = batch.covariance
+    rounded = features.astype(np.float32).gram_chunks(w.astype(np.float32))
+    errors = np.zeros(len(features.rows))
+    for (start, stop, exact), (_, _, chunk) in zip(features.gram_chunks(w), rounded):
+        e = np.abs(chunk - exact)
+        errors[start:] += np.sum(e, axis=0)
+        errors[start:stop] += np.sum(e[:, stop - start :], axis=1)
+    return errors
+
+
+class TestFloat32SinkBound:
+    """The half-widths of ``_sink_halfwidths`` against the float32 sink's realized error."""
+
+    @pytest.mark.parametrize(
+        "l_size, u_size, width, dim",
+        [(20, 400, 32, 8), (200, 600, 64, 16), (1000, 300, 64, 32), (300, 300, 512, 4)],
+    )
+    def test_bound_holds_with_margin(self, l_size, u_size, width, dim):
+        for seed in range(2):
+            params, _, cand, state = _trained_problem(l_size, u_size, width, seed, dim)
+            self._check(state, cand)
+
+    def test_bound_holds_on_the_near_degenerate_problem(self, near_degenerate_problem):
+        _, _, cand, state = near_degenerate_problem
+        self._check(state, cand)
+
+    @staticmethod
+    def _check(state, cand):
+        batch = lookahead.lookahead_batch(state, cand)
+        w = batch.covariance[1]
+        half = lookahead._sink_halfwidths(batch, w, state.params.config.widths)
+        realized = _float32_sink_errors(batch)
+        assert np.all(realized > 0.0)
+        assert np.min(half / realized) >= 5.0
+
+    def test_near_degenerate_picks_are_exact(self, near_degenerate_problem, monkeypatch):
+        # Jitter and rank deficiency leave Sigma far below the kernel terms
+        # that bound its rounding (schur / k(c, c) near 1e-10), so even the
+        # top pick leaves 88 of the 89 live candidates to rescoring: correct,
+        # not fast.
+        _, _, cand, state = near_degenerate_problem
+        rescored, row_sums = [], lookahead._row_sums
+
+        def counting(features, w, idx):
+            rescored.append(len(idx))
+            return row_sums(features, w, idx)
+
+        monkeypatch.setattr(lookahead, "_row_sums", counting)
+        want = acquire.mlmoc(state, cand)
+        live = int(np.sum(~want.degenerate_flags))
+        for k in (1, 10, live, len(cand)):
+            got = acquire.mlmoc(state, cand, picks=k)
+            assert pool.query_batch_topk(got, k) == pool.query_batch_topk(want, k)
+            assert rescored[-1] >= min(k, live)
+        assert rescored[0] > live // 2
+

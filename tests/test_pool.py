@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ntkal import acquire, data, kernel, lookahead, net, pool
-from ntkal.errors import ContractError, DegenerateCandidateError
+from ntkal.errors import ContractError, DegenerateCandidateError, ShapeError
 
 
 def _tiny_config(strategy="random", sequential=False, **overrides):
@@ -189,6 +189,22 @@ class TestTopK:
 
     def test_zero_k_picks_nothing(self):
         assert pool.query_batch_topk(acquire.AcquisitionResult.from_scores(np.ones(3)), 0) == []
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            dict(degenerate_flags=np.zeros(2, bool)),
+            dict(degenerate_flags=np.zeros((3, 1), bool)),
+            dict(pseudo_labels=np.eye(2)),
+        ],
+    )
+    def test_misaligned_result_rejected(self, extra):
+        # Flags or pseudo-labels of another length than the scores would
+        # otherwise reach query_batch_topk's lexsort as a bare ValueError.
+        with pytest.raises(ShapeError):
+            acquire.AcquisitionResult.from_scores(np.ones(3), **extra)
+        with pytest.raises(ShapeError, match="1-D"):
+            acquire.AcquisitionResult.from_scores(np.ones((3, 1)))
 
     def test_degenerate_excluded_until_needed(self):
         result = acquire.AcquisitionResult.from_scores(
