@@ -42,7 +42,6 @@ full-batch gradient step, scored in closed form from a step on the
 labeled set shared by all candidates plus a rank-one step per candidate.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,8 +283,8 @@ def _change_table(ctx, baseline, weights, picks=None):
     The raw baseline adds the constant offset between linearized and raw
     predictions, and gives every label at once.
     """
-    if picks is not None and (not isinstance(picks, numbers.Integral) or picks < 0):
-        raise ContractError(f"picks must be an integer >= 0, got {picks!r}")
+    if picks is not None:
+        net._integer(picks, "picks", 0)
     if baseline == "raw":
         return _label_table(ctx, "l2")
     if baseline != "linearized":
@@ -324,7 +323,7 @@ def mlmoc(state, candidates, baseline="linearized", picks=None):
     With ``picks`` k, only the top k scores are float64 exact: the others
     may carry float32 rounding but stay below them, so
     ``pool.query_batch_topk(result, k)`` picks as without it. It takes
-    effect on the linearized baseline of an empirical-kernel state.
+    effect on the linearized baseline.
     """
     return score_mlmoc(lookahead.lookahead_batch(state, candidates), baseline, picks)
 

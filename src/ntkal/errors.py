@@ -42,9 +42,5 @@ class DegenerateCandidateError(NtkalError):
     """
 
 
-class UnsupportedActivationError(NtkalError, ValueError):
-    """No closed-form wide-limit recursion exists for this nonlinearity."""
-
-
 class FormatError(NtkalError, ValueError):
     """A file or stream does not match its documented format."""

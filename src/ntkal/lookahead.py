@@ -60,7 +60,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import blas, solve_triangular
 
-from . import kernel, linalg
+from . import kernel, linalg, net
 from .errors import ContractError, DegenerateCandidateError, ShapeError
 
 __all__ = [
@@ -228,22 +228,21 @@ class LookaheadBatch:
         through one (N, 64) buffer, whose whole columns sum the live rows as
         dead rows are zero.
 
-        Given ``picks``, an unformed empirical-kernel batch sums only as
-        exactly as the top ``picks`` of ``scale`` * sums need, for a
-        nonnegative per-candidate ``scale``. Its sink runs in float32, and
-        each sum lies within +-h of ``_sink_halfwidths``. Among non-degenerate
-        candidates, with t the picks-th largest lower bound of the scaled
-        interval, each one whose upper bound reaches t is summed again in
-        float64 (``_row_sums``). Each other one keeps its float32 sum, whose
-        scaled value lies below t and so below those of the top picks. The
-        top ``picks`` of scale * sums are then the float64 ones, in the same
-        order, up to ties within float64 rounding. Other batches ignore
-        ``picks``.
+        Given ``picks``, an unformed batch sums only as exactly as the top
+        ``picks`` of ``scale`` * sums need, for a nonnegative per-candidate
+        ``scale``. Its sink runs in float32, and each sum lies within +-h of
+        ``_sink_halfwidths``. Among non-degenerate candidates, with t the
+        picks-th largest lower bound of the scaled interval, each one whose
+        upper bound reaches t is summed again in float64 (``_row_sums``).
+        Each other one keeps its float32 sum, whose scaled value lies below t
+        and so below those of the top picks. The top ``picks`` of scale * sums
+        are then the float64 ones, in the same order, up to ties within
+        float64 rounding. A dense batch ignores ``picks``.
         """
         if self.sigma is None:
             features, w = self.covariance
             pivots = _pivots(self)
-            if picks is None or features.factors is None:
+            if picks is None:
                 return _reduce_sink(features, w) / pivots
             sums = _reduce_sink(features.astype(np.float32), w.astype(np.float32)) / pivots
             half = _sink_halfwidths(self, w, features.params.config.widths) / pivots
@@ -290,11 +289,12 @@ def condition(batch, i, y):
     kernel. The dense Sigma (``batch.dense()``) is updated in place and
     shared with the returned batch, so a dense ``batch`` is spent. A degenerate
     pick leaves the state unchanged, so it is only dropped. Needs at least
-    two candidates and raises ContractError otherwise; raises ShapeError
-    for a label without C entries and ContractError for a non-finite one.
+    two candidates and an integer i among them, and raises ContractError
+    otherwise; raises ShapeError for a label without C entries and
+    ContractError for a non-finite one.
     """
     n, classes = batch.outputs.shape
-    if not 0 <= i < n:
+    if not 0 <= net._integer(i, "candidate index") < n:
         raise ContractError(f"candidate index {i} out of range for {n} candidates")
     if n < 2:
         raise ContractError("conditioning the last candidate leaves an empty batch")
@@ -346,12 +346,10 @@ def augment_state(state, x, y):
     factor = linalg.CholeskyFactor(lower=lower, jitter_applied=jitter)
     # Extended like the factor, not recomputed from targets.
     residual = np.vstack([state.residual, y[enter] - features.outputs()[enter]])
-    cache = state.factor_cache
-    if features.factors is not None:
-        cache = tuple(
-            (np.vstack([a, na[enter]]), np.vstack([d, nd[enter]]))
-            for (a, d), (na, nd) in zip(cache, features.factors)
-        )
+    cache = tuple(
+        (np.vstack([a, na[enter]]), np.vstack([d, nd[enter]]))
+        for (a, d), (na, nd) in zip(state.factor_cache, features.factors)
+    )
     return replace(
         state,
         inputs=np.vstack([state.inputs, features.rows[enter]]),

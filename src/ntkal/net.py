@@ -14,6 +14,7 @@ activation/delta form used for fast Gram computation; the flat vectors
 are never formed.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,16 @@ __all__ = [
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 NONLINEARITIES = ("relu", "erf", "identity")
+
+
+def _integer(value, name, minimum=None):
+    """``value`` as an int; ContractError unless it is an integer other than a
+    bool, and at least ``minimum`` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ContractError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def _act(name, h):
@@ -63,11 +74,9 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        object.__setattr__(self, "widths", tuple(_integer(w, "widths", 1) for w in self.widths))
         if len(self.widths) < 2:
             raise ContractError("need at least input and output widths")
-        if any(w < 1 for w in self.widths):
-            raise ContractError(f"all widths must be >= 1, got {self.widths}")
         if self.nonlinearity not in NONLINEARITIES:
             raise ContractError(
                 f"unknown nonlinearity {self.nonlinearity!r}; "
@@ -75,8 +84,7 @@ class MlpConfig:
             )
         if not np.isfinite(self.beta) or self.beta < 0:
             raise ContractError("beta must be finite and >= 0")
-        if self.seed < 0:
-            raise ContractError("seed must be >= 0")
+        _integer(self.seed, "seed", 0)
 
     @property
     def input_dim(self):
@@ -213,10 +221,9 @@ class TrainConfig:
     def __post_init__(self):
         if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
             raise ContractError("learning_rate must be finite and > 0")
-        if self.minibatch_size < 1:
-            raise ContractError("minibatch_size must be >= 1")
-        if self.shuffle_seed < 0:
-            raise ContractError("shuffle_seed must be >= 0")
+        _integer(self.epochs, "epochs")
+        _integer(self.minibatch_size, "minibatch_size", 1)
+        _integer(self.shuffle_seed, "shuffle_seed", 0)
         if not np.isfinite(self.lr_decay) or self.lr_decay <= 0:
             raise ContractError("lr_decay must be finite and > 0")
 

@@ -51,7 +51,7 @@ __all__ = [
 # The look-ahead strategies, which score through a kernel state, and the
 # name of their scorer in ``acquire``: ``<name>(state, inputs)`` scores
 # candidate rows, ``score_<name>(batch)`` a LookaheadBatch.
-_LOOKAHEAD_SCORERS = {"mlmoc": "mlmoc", "emoc": "emoc", "eer": "eer_lin", "mlmoc-inf": "mlmoc"}
+_LOOKAHEAD_SCORERS = {"mlmoc": "mlmoc", "emoc": "emoc", "eer": "eer_lin"}
 
 STRATEGIES = ("random", "entropy", "margin", *_LOOKAHEAD_SCORERS, "mlmoc-naive", "mlmoc-1step")
 
@@ -83,7 +83,7 @@ class Pool:
     def initial(cls, dataset, initial_labeled, seed):
         """Random initial labeled set of the given size."""
         n = len(dataset)
-        if not 1 <= initial_labeled <= n:
+        if not 1 <= net._integer(initial_labeled, "initial_labeled") <= n:
             raise ContractError("initial_labeled must be in [1, pool size]")
         rng = np.random.default_rng(seed)
         labeled = np.sort(rng.choice(n, size=initial_labeled, replace=False))
@@ -159,10 +159,13 @@ class RunConfig:
             raise ContractError(
                 f"unknown strategy {self.strategy!r}; valid: {', '.join(STRATEGIES)}"
             )
+        net._integer(self.initial_labeled, "initial_labeled", 1)
+        net._integer(self.subset_size, "subset_size")
+        net._integer(self.query_batch_size, "query_batch_size")
+        net._integer(self.cycles, "cycles", 1)
+        net._integer(self.retrain_every, "retrain_every")
         if not 1 <= self.query_batch_size <= self.subset_size:
             raise ContractError("need subset_size >= query_batch_size >= 1")
-        if self.cycles < 1:
-            raise ContractError("cycles must be >= 1")
         if self.sequential and self.strategy not in _LOOKAHEAD_SCORERS:
             raise ContractError(
                 f"sequential mode needs a look-ahead strategy "
@@ -170,20 +173,12 @@ class RunConfig:
             )
         if self.train.epochs < 1:
             raise ContractError("train epochs must be >= 1")
-        if self.naive_epochs < 0:
-            raise ContractError("naive_epochs must be >= 0")
-        if self.seed < 0:
-            raise ContractError("seed must be >= 0")
+        net._integer(self.naive_epochs, "naive_epochs", 0)
+        net._integer(self.seed, "seed", 0)
         if self.score_baseline not in acquire.BASELINES:
             raise ContractError(
                 f"unknown score_baseline {self.score_baseline!r}; "
                 f"valid: {', '.join(acquire.BASELINES)}"
-            )
-        closed_form = kernel.INFINITE_NTK_NONLINEARITIES
-        if self.strategy == "mlmoc-inf" and self.mlp.nonlinearity not in closed_form:
-            raise ContractError(
-                f"mlmoc-inf needs nonlinearity {' or '.join(closed_form)}, "
-                f"got {self.mlp.nonlinearity!r}"
             )
 
 
@@ -196,10 +191,10 @@ def sample_subset(pool, size, seed):
     """Uniform sample (without replacement) of unlabeled dataset indices.
 
     Returns every unlabeled index when there are at most ``size``. Output
-    is sorted, so candidate order follows dataset order. A negative size
-    raises ContractError.
+    is sorted, so candidate order follows dataset order. A negative or
+    non-integer size raises ContractError.
     """
-    if size < 0:
+    if net._integer(size, "subset size") < 0:
         raise ContractError(f"subset size {size} is negative")
     unlabeled = pool.unlabeled_indices
     if size >= len(unlabeled):
@@ -213,11 +208,12 @@ def query_batch_topk(result, k):
     """Top-k candidate positions by score; ties break toward low index.
 
     Degenerate candidates are passed over unless fewer than k others
-    remain. A k outside [0, candidate count] raises ContractError.
+    remain. A k that is not an integer in [0, candidate count] raises
+    ContractError.
     """
     scores = result.scores
     n = len(scores)
-    if not 0 <= k <= n:
+    if not 0 <= net._integer(k, "k") <= n:
         raise ContractError(f"k={k} is outside [0, {n}], the candidate count")
     return np.lexsort((np.arange(n), -scores, result.degenerate_flags))[:k].tolist()
 
@@ -263,15 +259,12 @@ def _run(config, train_data, test_data, on_cycle_end):
     )
     params = net.init(replace(config.mlp, seed=_mix(config.mlp.seed, config.seed)))
     params = net.train_sgd(params, pool.labeled_dataset(), train_cfg)
-    kernel_fn = None
-    if config.strategy == "mlmoc-inf":
-        kernel_fn = lambda params, a, b: kernel.infinite_ntk_fc(params.config, a, b)
     state = None
     records = []
     for cycle in range(config.cycles):
         t0 = time.perf_counter()
         if state is None and config.strategy in _LOOKAHEAD_SCORERS:
-            state = kernel.build_state(params, pool.labeled_dataset(), kernel_fn=kernel_fn)
+            state = kernel.build_state(params, pool.labeled_dataset())
         subset = sample_subset(pool, config.subset_size, _mix(config.seed, 1, cycle))
         candidates = train_data.inputs[subset]
         if config.sequential:

@@ -8,7 +8,7 @@ that raises records its exception instead. ``tests/test_equivalence.py``
 reruns every run and compares it with ``equivalence_record.json``, so a
 change that moves any pick, count, accuracy or parameter bit fails there.
 
-The matrix covers all nine strategies in batch mode, the four look-ahead
+The matrix covers all eight strategies in batch mode, the three look-ahead
 strategies in sequential mode with k = 1 and 4 and ``retrain_every`` 0
 and 2, both score baselines, 2-8-2 and 2-64-2 relu MLPs, and three data
 sets: two Gaussians, two spirals, and two Gaussians with 30 of their
@@ -29,6 +29,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUME
     os.environ.setdefault(_var, "1")
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -37,8 +38,6 @@ import numpy as np
 from ntkal import data, net, pool
 
 RECORD_PATH = Path(__file__).with_name("equivalence_record.json")
-
-LOOKAHEAD = ("mlmoc", "emoc", "eer", "mlmoc-inf")
 
 
 def _repeated(seed):
@@ -57,15 +56,28 @@ DATASETS = {
 
 HIDDEN = (8, 64)
 
+# The first seed of each group of runs; a group's runs take consecutive
+# seeds. A run's seed also picks its data set (seed % 3) and, unless given,
+# its hidden width (seed % 2), so no run's settings depend on the runs
+# listed before it.
+BATCH = {
+    "random": 0, "entropy": 2, "margin": 4, "mlmoc": 6, "emoc": 8, "eer": 10,
+    "mlmoc-naive": 14, "mlmoc-1step": 16,
+}
+BATCH_RAW = {"mlmoc": 18, "emoc": 20}
+SEQUENTIAL = {"mlmoc": 24, "emoc": 28, "eer": 32}
+SEQUENTIAL_RAW = {"mlmoc": 40, "emoc": 41}
+
 
 def _matrix():
     """Run id -> settings; every run uses relu, a seed-0 MLP and SGD at lr 0.05."""
+    assert list(BATCH) == list(pool.STRATEGIES), "every strategy runs in batch mode"
     runs = {}
-    names = tuple(DATASETS)
 
-    def add(mode, strategy, hidden, n, **settings):
+    def add(mode, strategy, seed, **settings):
+        dataset = settings.pop("dataset", tuple(DATASETS)[seed % len(DATASETS)])
+        hidden = settings.pop("hidden", HIDDEN[seed % len(HIDDEN)])
         baseline = settings.get("score_baseline", "linearized")
-        dataset = settings.pop("dataset", names[n % len(names)])
         run_id = f"{mode}-{strategy}-{baseline}-2-{hidden}-2-{dataset}"
         if mode == "seq":
             run_id += f"-k{settings['query_batch_size']}-r{settings['retrain_every']}"
@@ -82,32 +94,26 @@ def _matrix():
             epochs=30,
             minibatch_size=8,
             naive_epochs=2,
-            seed=len(runs),
+            seed=seed,
         )
         base.update(settings)
         runs[run_id] = base
 
-    n = 0
-    for strategy in pool.STRATEGIES:
-        for hidden in HIDDEN:
-            add("batch", strategy, hidden, n)
-            n += 1
-    for strategy in ("mlmoc", "emoc", "mlmoc-inf"):
-        for hidden in HIDDEN:
-            add("batch", strategy, hidden, n, score_baseline="raw")
-            n += 1
-    for strategy in LOOKAHEAD:
-        for k in (1, 4):
-            for retrain_every in (0, 2):
-                add("seq", strategy, HIDDEN[n % 2], n, query_batch_size=k, retrain_every=retrain_every)
-                n += 1
-    for strategy in ("mlmoc", "emoc"):
-        add("seq", strategy, 64, n, score_baseline="raw", query_batch_size=4, retrain_every=2)
-        n += 1
+    for strategy, first in BATCH.items():
+        for seed in (first, first + 1):
+            add("batch", strategy, seed)
+    for strategy, first in BATCH_RAW.items():
+        for seed in (first, first + 1):
+            add("batch", strategy, seed, score_baseline="raw")
+    for strategy, first in SEQUENTIAL.items():
+        for seed, (k, retrain_every) in enumerate(itertools.product((1, 4), (0, 2)), first):
+            add("seq", strategy, seed, query_batch_size=k, retrain_every=retrain_every)
+    for strategy, seed in SEQUENTIAL_RAW.items():
+        add("seq", strategy, seed, hidden=64, score_baseline="raw", query_batch_size=4, retrain_every=2)
     # The settings of the duplicate-point state that dpotrf factors on rounding.
     add(
-        "seq", "mlmoc", 64, n, dataset="repeated", query_batch_size=4, retrain_every=2,
-        initial_labeled=20, subset_size=12, epochs=100, seed=7,
+        "seq", "mlmoc", 7, hidden=64, dataset="repeated", query_batch_size=4, retrain_every=2,
+        initial_labeled=20, subset_size=12, epochs=100,
     )
     return runs
 

@@ -13,6 +13,11 @@ quantity the package computes another way, so tests can cross-check it.
 - ``empirical_ntk_blocks``: the kernel as each layer's products over the
   whole block, summed, with no row chunks and no mirror, against which
   ``kernel.FeatureBatch.gram_chunks`` is checked.
+- ``infinite_ntk_fc``: the analytic wide-limit kernel of relu and erf
+  networks, which ``kernel.empirical_ntk`` approaches as the widths grow.
+  ``relu_dual`` / ``erf_dual`` are its closed-form Gaussian expectations.
+- ``table_state``: a KernelState whose kernel is a given PSD table over
+  row ids, for hand-worked look-ahead examples.
 - ``gains``: the (n, n) look-ahead gains of a batch, divided out of its
   dense posterior covariance whole; the package reads them in chunks.
 - ``change_norms``: reference-summed change norms of a look-ahead batch
@@ -39,7 +44,7 @@ import struct
 
 import numpy as np
 
-from ntkal import acquire, data, linalg, net
+from ntkal import acquire, data, kernel, linalg, net
 from ntkal.errors import DivergenceError, ShapeError
 
 
@@ -108,6 +113,62 @@ def empirical_ntk_blocks(params, a, b=None):
         (aa @ ab.T / cfg.widths[l] + cfg.beta**2) * (da @ db.T)
         for l, ((aa, da), (ab, db)) in enumerate(zip(fa, fb))
     )
+
+
+def relu_dual(kaa, kbb, kab):
+    """E[relu(u) relu(v)] and E[relu'(u) relu'(v)], entry (i, j) for a centered
+    Gaussian (u, v) with variances kaa[i], kbb[j] and covariance kab[i, j]."""
+    norm = np.sqrt(np.maximum(np.outer(kaa, kbb), 1e-300))
+    cos = np.clip(kab / norm, -1.0, 1.0)
+    theta = np.arccos(cos)
+    ew = norm / (2.0 * np.pi) * (np.sin(theta) + (np.pi - theta) * cos)
+    ed = (np.pi - theta) / (2.0 * np.pi)
+    return ew, ed
+
+
+def erf_dual(kaa, kbb, kab):
+    """``relu_dual`` for erf."""
+    denom = np.outer(1.0 + 2.0 * kaa, 1.0 + 2.0 * kbb)
+    ew = (2.0 / np.pi) * np.arcsin(np.clip(2.0 * kab / np.sqrt(denom), -1.0, 1.0))
+    ed = (4.0 / np.pi) / np.sqrt(np.maximum(denom - 4.0 * kab * kab, 1e-300))
+    return ew, ed
+
+
+def infinite_ntk_fc(config, a, b):
+    """Closed-form wide-limit tangent kernel of a relu or erf MLP, (len(a), len(b)).
+
+    The standard layerwise recursion for fully-connected networks (Jacot
+    et al. 2018), run over the rows of a and b together: from
+    S_1(x, y) = <x, y>/n_0 + beta^2, each layer maps S through the
+    nonlinearity's Gaussian expectation E[s(u) s(v)] (plus beta^2), while
+    the tangent kernel accumulates T_{l+1} = S_{l+1} + T_l * E[s'(u) s'(v)].
+    """
+    dual = {"relu": relu_dual, "erf": erf_dual}[config.nonlinearity]
+    a = np.atleast_2d(a)
+    x = np.vstack([a, np.atleast_2d(b)])
+    s = x @ x.T / config.widths[0] + config.beta**2
+    theta = s
+    for _ in range(config.n_layers - 1):
+        ew, ed = dual(np.diag(s), np.diag(s), s)
+        s = ew + config.beta**2
+        theta = s + theta * ed
+    return theta[: len(a), len(a) :]
+
+
+def table_state(table, targets):
+    """(state, rows): a KernelState whose kernel k(i, j) is ``table[i, j]``, a
+    PSD table over row ids, and the input rows that stand for the ids.
+
+    Row i is sqrt(n) chol(table)[i], an input of a zero one-layer identity
+    network with beta = 0, whose kernel is <x, y>/n and whose outputs are
+    zero. The labeled set is the first len(targets) rows.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    rows = np.sqrt(len(table)) * np.linalg.cholesky(table)
+    config = net.MlpConfig((len(table), targets.shape[1]), nonlinearity="identity", beta=0.0)
+    params = params_from_flat(config, np.zeros(config.param_count))
+    return kernel.build_state_xy(params, rows[: len(targets)], targets), rows
 
 
 def squared_loss(params, inputs, targets):

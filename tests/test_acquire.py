@@ -512,7 +512,7 @@ class TestPickPath:
         raw = acquire.mlmoc(state, cands, baseline="raw", picks=4)
         np.testing.assert_array_equal(raw.scores, acquire.mlmoc(state, cands, "raw").scores)
 
-    @pytest.mark.parametrize("picks", [-1, 2.0, "3"])
+    @pytest.mark.parametrize("picks", [-1, 2.0, "3", True])
     def test_bad_picks_rejected(self, picks):
         state, rng = self._state(24)
         with pytest.raises(ContractError, match="picks"):
@@ -810,34 +810,17 @@ class TestScoringReadsOnly:
 
 class TestEer:
     def _three_point_kernel_state(self):
-        # Hand kernel over ids 0 (labeled) and 1, 2 (candidates) chosen so
+        # Hand kernel over rows 0 (labeled) and 1, 2 (candidates) chosen so
         # neither candidate moves the other: k(2,1) = k(2,0) k(0,0)^-1 k(0,1).
-        table = {
-            (0, 0): 2.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 3.0,
-            (0, 2): 1.0, (2, 0): 1.0, (1, 2): 0.5, (2, 1): 0.5, (2, 2): 2.0,
-        }
-
-        def kernel_fn(params, rows_a, rows_b):
-            return np.array(
-                [
-                    [table[(int(ra[0]), int(rb[0]))] for rb in np.atleast_2d(rows_b)]
-                    for ra in np.atleast_2d(rows_a)
-                ]
-            )
-
-        cfg = net.MlpConfig((1, 2), nonlinearity="identity", beta=0.0)
-        params = oracles.params_from_flat(cfg, np.zeros(cfg.param_count))
-        state = kernel.build_state_xy(
-            params, np.array([[0.0]]), np.array([[0.0, 0.0]]), kernel_fn=kernel_fn
-        )
-        return state
+        table = [[2.0, 1.0, 1.0], [1.0, 3.0, 0.5], [1.0, 0.5, 2.0]]
+        return oracles.table_state(table, [[0.0, 0.0]])
 
     def test_unmoved_uniform_probabilities_give_ln2(self):
         # Labeling either candidate moves only its own prediction, from
         # (0, 0) onto the label; the other one stays at (0, 0) and adds
         # ln 2 to the entropy sum under every hypothetical label.
-        state = self._three_point_kernel_state()
-        result = acquire.eer_lin(state, np.array([[1.0], [2.0]]))
+        state, rows = self._three_point_kernel_state()
+        result = acquire.eer_lin(state, rows[1:])
         own = float(acquire.entropy(acquire.softmax(np.array([1.0, 0.0]))))
         np.testing.assert_allclose(result.scores, -(LN2 + own), rtol=0.0, atol=1e-12)
 

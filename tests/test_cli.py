@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ntkal import cli
+from ntkal import cli, pool
 
 import oracles
 
@@ -127,7 +127,18 @@ def _readme_tables():
     return tables
 
 
+def _readme_row(key):
+    """The meaning column of the README's one config-table row of ``key``."""
+    (meaning,) = re.findall(rf"^\| `{key}` \|.*\| ([^|]+) \|$", README.read_text(), re.M)
+    return meaning
+
+
 class TestReadmeGrammar:
+    def test_strategy_rows_list_the_strategies(self):
+        named = lambda key: re.findall(r"`([\w-]+)`", _readme_row(key))
+        assert named("strategy") == list(pool.STRATEGIES)
+        assert named("sequential") == list(pool._LOOKAHEAD_SCORERS)
+
     def test_tables_list_the_keys_the_loader_reads(self, tmp_path):
         tables = _readme_tables()
         assert sorted(tables) == ["data", "mlp", "run", "train"]
@@ -172,10 +183,12 @@ class TestCmdRun:
         assert 0.0 <= summary["runs"][0]["final_accuracy"] <= 1.0
 
     def test_unknown_strategy_exit_2_names_valid(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, strategy="definitely-not")
-        assert cli.cmd_run(cfg, out_dir=tmp_path / "o") == 2
-        err = capsys.readouterr().err
-        assert "mlmoc" in err and "entropy" in err and "random" in err
+        for strategy in ("definitely-not", "mlmoc-inf"):  # mlmoc-inf: a deleted strategy
+            cfg = _write_config(tmp_path, strategy=strategy)
+            assert cli.cmd_run(cfg, out_dir=tmp_path / "o") == 2
+            assert not (tmp_path / "o").exists()
+            err = capsys.readouterr().err
+            assert "config error" in err and all(s in err for s in pool.STRATEGIES)
 
     @pytest.mark.parametrize(
         "strategy, old, new",
@@ -183,6 +196,7 @@ class TestCmdRun:
             ("mlmoc", "seeds = 0", "seeds = 0\nscore_baseline = rwa"),
             ("eer", "seeds = 0", "seeds = 0\nscore_baseline = rwa"),
             ("mlmoc-naive", "seeds = 0", "seeds = 0\nnaive_epochs = -1"),
+            # mlmoc-inf is a deleted strategy: refused whatever the network.
             ("mlmoc-inf", "nonlinearity = relu", "nonlinearity = identity"),
             ("random", "learning_rate = 0.05", "learning_rate = nan"),
             ("random", "minibatch_size = 8", "minibatch_size = 8\nlr_decay = inf"),

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import erf as scipy_erf
 
-from ntkal import data, kernel, linalg, net
-from ntkal.errors import ContractError, ShapeError, UnsupportedActivationError
+from ntkal import data, kernel, net
+from ntkal.errors import ContractError, ShapeError
 
 import oracles
 
@@ -87,6 +87,8 @@ class TestEmpiricalNtk:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         if symmetric:
             np.testing.assert_array_equal(got, got.T)
+            diag = kernel.FeatureBatch(params, a).diag()
+            np.testing.assert_allclose(diag, np.diag(want), rtol=1e-13, atol=0.0)
 
 
 class TestBuildState:
@@ -130,33 +132,6 @@ class TestBuildState:
         np.testing.assert_array_equal(state.targets, ds.one_hot)
         with pytest.raises(TypeError):
             data.Dataset(inputs, labels, one_hot=np.eye(2)[[1, 1, 0, 0]], class_count=2)
-
-    @pytest.mark.parametrize("kind", ["hand", "infinite"])
-    def test_kernel_fn_gram_is_the_whole_call(self, monkeypatch, kind):
-        # A kernel_fn state's Gram comes from the upper-triangle chunk loop,
-        # one kernel_fn call per chunk, over more rows than two chunks. It
-        # must be exactly symmetric and equal one whole kernel_fn call:
-        # exactly for an elementwise hand kernel, to rounding for the
-        # wide-limit kernel.
-        params = net.init(net.MlpConfig((6, 16, 16, 3), nonlinearity="relu"))
-        rng = np.random.default_rng(11)
-        n = 2 * kernel.CHUNK_ROWS + 37
-        x = rng.uniform(0.0, 1.0, (n, 6))
-
-        def kernel_fn(p, a, b):
-            if kind == "hand":  # 1 + min of the row sums, a PSD kernel
-                return 1.0 + np.minimum.outer(a.sum(axis=1), b.sum(axis=1))
-            return kernel.infinite_ntk_fc(p.config, a, b)
-
-        grams, original = [], linalg.cholesky
-        monkeypatch.setattr(linalg, "cholesky", lambda a: grams.append(a) or original(a))
-        y = data.one_hot_encode(rng.integers(0, 3, n), 3)
-        kernel.build_state_xy(params, x, y, kernel_fn=kernel_fn)
-        (gram,) = grams
-        want = kernel_fn(params, x, x)
-        np.testing.assert_array_equal(gram, gram.T)
-        rtol = 0.0 if kind == "hand" else 1e-14
-        np.testing.assert_allclose(gram, want, rtol=rtol, atol=0.0)
 
     def test_empty_rejected(self):
         params = _random_params((2, 4, 2), 0)
@@ -236,72 +211,22 @@ def _monte_carlo_dual(fn, cov, seed, n=2_000_000):
 
 
 class TestInfiniteNtk:
+    """The wide-limit kernel of ``oracles``, the limit ``empirical_ntk`` approaches."""
+
     def test_positive_diagonal_and_symmetry(self):
         cfg = net.MlpConfig((3, 64, 2), nonlinearity="relu")
         rng = np.random.default_rng(0)
         a = rng.standard_normal((5, 3))
-        k = kernel.infinite_ntk_fc(cfg, a, a)
+        k = oracles.infinite_ntk_fc(cfg, a, a)
         assert np.all(np.diag(k) > 0.0)
         assert np.allclose(k, k.T, atol=1e-12)
-
-    @pytest.mark.parametrize("nonlinearity", ["relu", "erf"])
-    def test_coincident_rows_independent_of_batch(self, nonlinearity):
-        # k(x, x) is the same whether x is evaluated alone, inside a block
-        # with other rows, or against a labeled set that contains it.
-        cfg = net.MlpConfig((784, 16, 16, 10), nonlinearity=nonlinearity)
-        params = net.init(cfg)
-        rng = np.random.default_rng(5)
-        x = rng.uniform(0.0, 1.0, (24, 784)) * (rng.uniform(size=(24, 784)) < 0.2)
-
-        def kernel_fn(p, a, b):
-            return kernel.infinite_ntk_fc(p.config, a, b)
-
-        y = data.one_hot_encode(rng.integers(0, 10, 16), 10)
-        state = kernel.build_state_xy(params, x[:16], y, kernel_fn=kernel_fn)
-        diag = state.features(x).diag()
-        block = state.features(x).add_block(slice(None), slice(None), np.zeros((24, 24)))
-        np.testing.assert_allclose(np.diag(block), diag, rtol=1e-12, atol=0)
-        rows = state.kernel_rows(x[:16])
-        np.testing.assert_allclose(np.diag(rows), diag[:16], rtol=1e-12, atol=0)
-        gram = kernel_fn(params, x[:16], x[:16])  # the Gram build_state_xy factorizes
-        np.testing.assert_allclose(np.diag(gram), diag[:16], rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("nonlinearity", ["relu", "erf"])
-    def test_kernel_diag_one_call_per_chunk(self, nonlinearity):
-        # FeatureBatch.diag takes the diagonals of CHUNK_ROWS-row diagonal blocks;
-        # the values equal one-row evaluations bitwise, duplicates included.
-        cfg = net.MlpConfig((20, 16, 16, 3), nonlinearity=nonlinearity)
-        params = net.init(cfg)
-        rng = np.random.default_rng(6)
-        x = rng.uniform(0.0, 1.0, (2 * kernel.CHUNK_ROWS + 37, 20))
-        x[300] = x[10]
-        calls = []
-
-        def kernel_fn(p, a, b):
-            calls.append(len(a))
-            return kernel.infinite_ntk_fc(p.config, a, b)
-
-        y = data.one_hot_encode(rng.integers(0, 3, 8), 3)
-        state = kernel.build_state_xy(params, x[:8], y, kernel_fn=kernel_fn)
-        calls.clear()
-        diag = state.features(x).diag()
-        assert calls == [kernel.CHUNK_ROWS, kernel.CHUNK_ROWS, 37]
-        per_row = [kernel.infinite_ntk_fc(cfg, row[None, :], row[None, :])[0, 0] for row in x]
-        np.testing.assert_array_equal(diag, per_row)
-
-    def test_unsupported_activation(self):
-        cfg = net.MlpConfig((3, 4, 2), nonlinearity="identity")
-        with pytest.raises(UnsupportedActivationError):
-            kernel.infinite_ntk_fc(cfg, np.zeros((1, 3)), np.zeros((1, 3)))
 
     @pytest.mark.parametrize("name,fn", [("relu", lambda u: np.maximum(u, 0.0)),
                                          ("erf", scipy_erf)])
     def test_dual_expectations_against_sampling(self, name, fn):
         # The closed-form Gaussian expectations driving the recursion are
         # checked against seeded Monte-Carlo estimates.
-        from ntkal.kernel import _erf_dual, _relu_dual
-
-        dual = _relu_dual if name == "relu" else _erf_dual
+        dual = oracles.relu_dual if name == "relu" else oracles.erf_dual
         rng = np.random.default_rng(42)
         for trial in range(5):
             m = rng.standard_normal((2, 2))
@@ -316,9 +241,7 @@ class TestInfiniteNtk:
         ("erf", lambda u: 2.0 / np.sqrt(np.pi) * np.exp(-u * u)),
     ])
     def test_derivative_duals_against_sampling(self, name, deriv):
-        from ntkal.kernel import _erf_dual, _relu_dual
-
-        dual = _relu_dual if name == "relu" else _erf_dual
+        dual = oracles.relu_dual if name == "relu" else oracles.erf_dual
         rng = np.random.default_rng(13)
         for trial in range(5):
             m = rng.standard_normal((2, 2))
@@ -338,7 +261,7 @@ class TestInfiniteNtk:
         deviations = {}
         for width in (256, 4096):
             cfg = net.MlpConfig((3, width, 2), **cfg_base)
-            limit = kernel.infinite_ntk_fc(cfg, pairs_a, pairs_b)
+            limit = oracles.infinite_ntk_fc(cfg, pairs_a, pairs_b)
             devs = []
             for seed in range(20):
                 params = net.init(net.MlpConfig((3, width, 2), seed=seed, **cfg_base))

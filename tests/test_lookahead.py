@@ -19,14 +19,10 @@ def _problem(l_size=15, c=2, dim=3, seed=0, width=32):
     return params, x, y, kernel.build_state_xy(params, x, y)
 
 
-def _dense_predict(params, x, y, q, kernel_fn=None):
+def _dense_predict(params, x, y, q):
     """Brute-force converged linearized prediction via a dense inverse."""
-    if kernel_fn is None:
-        gram = kernel.empirical_ntk(params, x, x)
-        cross = kernel.empirical_ntk(params, q, x)
-    else:
-        gram = kernel_fn(params, x, x)
-        cross = kernel_fn(params, q, x)
+    gram = kernel.empirical_ntk(params, x, x)
+    cross = kernel.empirical_ntk(params, q, x)
     residual = y - net.forward(params, x)
     return net.forward(params, q) + cross @ np.linalg.inv(gram) @ residual
 
@@ -64,30 +60,13 @@ class TestPredictLin:
 
 
 def _hand_kernel_state():
-    """State over one labeled point with a hand-set kernel.
+    """(state, rows): a state over one labeled point with a hand-set kernel.
 
-    Kernel values are looked up by the first input coordinate:
-    labeled point a=0 with k(a,a)=2; candidate b=1 with k(a,b)=1,
-    k(b,b)=3; reference point r=2 with k(r,a)=1, k(r,b)=2.
+    Labeled point a (row 0) with k(a,a)=2; candidate b (row 1) with
+    k(a,b)=1, k(b,b)=3; reference point r (row 2) with k(r,a)=1,
+    k(r,b)=2, k(r,r)=4.
     """
-    table = {
-        (0, 0): 2.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 3.0,
-        (0, 2): 1.0, (2, 0): 1.0, (1, 2): 2.0, (2, 1): 2.0, (2, 2): 4.0,
-    }
-
-    def kernel_fn(params, rows_a, rows_b):
-        out = np.zeros((len(rows_a), len(rows_b)))
-        for i, ra in enumerate(np.atleast_2d(rows_a)):
-            for j, rb in enumerate(np.atleast_2d(rows_b)):
-                out[i, j] = table[(int(ra[0]), int(rb[0]))]
-        return out
-
-    cfg = net.MlpConfig((1, 1), nonlinearity="identity", beta=0.0)
-    params = oracles.params_from_flat(cfg, np.zeros(cfg.param_count))
-    state = kernel.build_state_xy(
-        params, np.array([[0.0]]), np.array([[1.0]]), kernel_fn=kernel_fn
-    )
-    return state
+    return oracles.table_state([[2.0, 1.0, 1.0], [1.0, 3.0, 2.0], [1.0, 2.0, 4.0]], [[1.0]])
 
 
 def _lookahead_after(state, xc, yc, q):
@@ -109,8 +88,8 @@ class TestPrepareCandidate:
         # gains (k(q,a) v - k(q,b)) / u at q = a, b, r are 0, -1 and -0.6,
         # and the shift base is the current prediction k(b,a) K^{-1} y_a = 1/2.
         # Candidate a is the labeled point itself, so it is degenerate.
-        state = _hand_kernel_state()
-        batch = lookahead.lookahead_batch(state, np.array([[0.0], [1.0], [2.0]]))
+        state, rows = _hand_kernel_state()
+        batch = lookahead.lookahead_batch(state, rows)
         gains = oracles.gains(batch)
         np.testing.assert_allclose(gains[:, 1], [0.0, -1.0, -0.6], atol=1e-12)
         np.testing.assert_allclose(batch.shift_base[1], [0.5], atol=1e-12)
@@ -130,22 +109,8 @@ class TestPrepareCandidate:
     def test_orthogonal_candidate(self):
         # Zero cross kernel leaves u equal to the self kernel and v zero:
         # the candidate moves only itself, by its whole residual.
-        table = {(0, 0): 2.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 3.0}
-
-        def kernel_fn(params, rows_a, rows_b):
-            return np.array(
-                [
-                    [table[(int(ra[0]), int(rb[0]))] for rb in np.atleast_2d(rows_b)]
-                    for ra in np.atleast_2d(rows_a)
-                ]
-            )
-
-        cfg = net.MlpConfig((1, 1), nonlinearity="identity", beta=0.0)
-        params = oracles.params_from_flat(cfg, np.zeros(cfg.param_count))
-        state = kernel.build_state_xy(
-            params, np.array([[0.0]]), np.array([[1.0]]), kernel_fn=kernel_fn
-        )
-        batch = lookahead.lookahead_batch(state, np.array([[0.0], [1.0]]))
+        state, rows = oracles.table_state([[2.0, 0.0], [0.0, 3.0]], [[1.0]])
+        batch = lookahead.lookahead_batch(state, rows)
         np.testing.assert_allclose(oracles.gains(batch)[:, 1], [0.0, -1.0], atol=1e-12)
         np.testing.assert_allclose(batch.shift_base[1], [0.0], atol=1e-12)
 
@@ -383,14 +348,11 @@ def _partly_degenerate_state(rng, n):
     return state, cands, repeated
 
 
-def _kernel_fn_state(rng, n):
+def _erf_state(rng, n):
     params = net.init(net.MlpConfig((4, 24, 24, 3), nonlinearity="erf", seed=55))
     x = rng.standard_normal((15, 4))
     y = data.one_hot_encode(rng.integers(0, 3, 15), 3)
-    state = kernel.build_state_xy(
-        params, x, y, kernel_fn=lambda p, a, b: kernel.infinite_ntk_fc(p.config, a, b)
-    )
-    return state, rng.standard_normal((n, 4)), 0
+    return kernel.build_state_xy(params, x, y), rng.standard_normal((n, 4)), 0
 
 
 class TestStreamedColumnSums:
@@ -402,7 +364,7 @@ class TestStreamedColumnSums:
             pytest.param(partial(_labeled_state, jittered=False), id="unjittered"),
             pytest.param(partial(_labeled_state, jittered=True), id="jittered"),
             pytest.param(_partly_degenerate_state, id="partly-degenerate"),
-            pytest.param(_kernel_fn_state, id="kernel_fn"),
+            pytest.param(_erf_state, id="erf"),
         ],
     )
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
@@ -421,8 +383,9 @@ class TestCondition:
     def test_index_out_of_range_rejected(self):
         _, _, _, state = _problem(seed=44)
         batch = lookahead.lookahead_batch(state, np.random.default_rng(45).standard_normal((3, 3)))
-        with pytest.raises(ContractError):
-            lookahead.condition(batch, 3, np.array([1.0, 0.0]))
+        for i in (3, -1, 1.0, True):  # 1.0 and True used to raise bare IndexError, ValueError
+            with pytest.raises(ContractError):
+                lookahead.condition(batch, i, np.array([1.0, 0.0]))
 
     def test_bad_labels_rejected(self):
         # A label must have one finite entry per class, whether or not the

@@ -60,6 +60,9 @@ class TestInit:
             net.MlpConfig((3,))
         with pytest.raises(ContractError):
             net.MlpConfig((3, 0, 2))
+        for widths in ((2, 2.7, 2), (2, True, 2), (2.0, 2)):  # once truncated by int()
+            with pytest.raises(ContractError, match="widths must be an integer"):
+                net.MlpConfig(widths)
         with pytest.raises(ContractError):
             net.MlpConfig((3, 2), beta=-1.0)
         with pytest.raises(ContractError):
@@ -239,6 +242,14 @@ class TestTrainSgd:
         jittered = oracles.params_from_flat(cfg, oracles.flat(params) + 1.0)
         b = net.train_sgd(jittered, ds, tc)
         assert np.array_equal(oracles.flat(a), oracles.flat(b))
+
+    @pytest.mark.parametrize(
+        "field, value", [("epochs", 5.5), ("minibatch_size", 8.5), ("shuffle_seed", True)]
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        settings = dict(learning_rate=0.1, epochs=1)
+        with pytest.raises(ContractError, match=f"{field} must be an integer"):
+            net.TrainConfig(**{**settings, field: value})
 
     def test_non_finite_settings_rejected(self):
         for bad in (np.nan, np.inf):

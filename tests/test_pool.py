@@ -146,6 +146,11 @@ class TestSampleSubset:
         p = pool.Pool.initial(ds, 10, seed=0)
         with pytest.raises(ContractError, match="negative"):
             pool.sample_subset(p, -1, seed=0)
+        # Non-integer sizes used to reach rng.choice as bare TypeErrors.
+        with pytest.raises(ContractError, match="integer"):
+            pool.sample_subset(p, 2.5, seed=0)
+        with pytest.raises(ContractError, match="integer"):
+            pool.Pool.initial(ds, 2.5, seed=0)
 
     def test_deterministic(self):
         ds, _ = _toy_data()
@@ -185,6 +190,13 @@ class TestTopK:
         # A slice [:k] would silently return n - |k| positions.
         result = acquire.AcquisitionResult.from_scores(np.ones(3))
         with pytest.raises(ContractError, match="outside"):
+            pool.query_batch_topk(result, k)
+
+    @pytest.mark.parametrize("k", [2.0, True, "1"])
+    def test_non_integer_k_rejected(self, k):
+        # 2.0 used to reach the slice [:k] as a bare TypeError.
+        result = acquire.AcquisitionResult.from_scores(np.ones(3))
+        with pytest.raises(ContractError, match="integer"):
             pool.query_batch_topk(result, k)
 
     def test_zero_k_picks_nothing(self):
@@ -470,7 +482,7 @@ class TestRunSequential:
         err = np.max(np.abs(streaming - rebuilt)) / max(np.max(np.abs(rebuilt)), 1e-12)
         assert err < 1e-6
 
-    @pytest.mark.parametrize("strategy", ["mlmoc", "emoc", "eer", "mlmoc-inf"])
+    @pytest.mark.parametrize("strategy", ["mlmoc", "emoc", "eer"])
     def test_matches_per_pick_rescoring(self, strategy):
         # The subset is the whole unlabeled set, so a rescoring loop over
         # public API reproduces every candidate set. Cycle 1 retrains, so
@@ -484,21 +496,13 @@ class TestRunSequential:
         pool.run_sequential_al(
             cfg, train, test, on_cycle_end=lambda c, p, prm, st: seen.append((p, prm))
         )
-        scorer = {
-            "mlmoc": acquire.mlmoc, "mlmoc-inf": acquire.mlmoc,
-            "emoc": acquire.emoc, "eer": acquire.eer_lin,
-        }[strategy]
-        kernel_fn = None
-        if strategy == "mlmoc-inf":
-            kernel_fn = lambda params, a, b: kernel.infinite_ntk_fc(params.config, a, b)
+        scorer = {"mlmoc": acquire.mlmoc, "emoc": acquire.emoc, "eer": acquire.eer_lin}[strategy]
         labeled = list(seen[-1][0].labeled_indices[: cfg.initial_labeled])
         state = None
         for cycle, (cycle_pool, params_after) in enumerate(seen):
             params = seen[0][1] if cycle < 2 else seen[1][1]
             if state is None:
-                state = kernel.build_state(
-                    params, train.subset(labeled), kernel_fn=kernel_fn
-                )
+                state = kernel.build_state(params, train.subset(labeled))
             subset = sorted(set(range(len(train))) - set(labeled))
             for _ in range(cfg.query_batch_size):
                 result = scorer(state, train.inputs[subset])
@@ -655,6 +659,11 @@ class TestRunConfigValidation:
             _tiny_config(query_batch_size=20, subset_size=10)
         with pytest.raises(ContractError):
             _tiny_config(cycles=0)
+        # Non-integer counts used to pass and fail later as bare TypeErrors.
+        for bad in (dict(cycles=2.5), dict(initial_labeled=8.0), dict(subset_size=16.5),
+                    dict(query_batch_size=True), dict(retrain_every=1.0)):
+            with pytest.raises(ContractError, match="must be an integer"):
+                _tiny_config(**bad)
 
     def test_requires_kernel_strategy(self):
         for strategy in ("random", "entropy", "margin", "mlmoc-naive", "mlmoc-1step"):
