@@ -37,10 +37,6 @@ __all__ = ["main", "cmd_run", "cmd_report", "load_run_spec"]
 # --- config parsing -------------------------------------------------------
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _as_bool(raw):
     lowered = raw.strip().lower()
     if lowered in ("true", "1", "yes", "on"):
@@ -50,11 +46,14 @@ def _as_bool(raw):
     raise ValueError("expected a boolean")
 
 
-def _as_seed(raw):
-    seed = int(raw)
-    if seed < 0:
-        raise ValueError("expected a non-negative integer")
-    return seed
+def _at_least(minimum):
+    def convert(raw):
+        value = int(raw)
+        if value < minimum:
+            raise ValueError(f"expected an integer >= {minimum}")
+        return value
+
+    return convert
 
 
 def _as_int_list(raw):
@@ -95,11 +94,11 @@ _GRAMMAR = {
         "n_per_class": (int, "500"),
         "noise": (float, "0.2"),
         "separation": (float, "4.0"),
-        "seed": (_as_seed, "0"),
+        "seed": (_at_least(0), "0"),
         "test_n_per_class": (int, "0"),
         "mnist_dir": (str, ""),
-        "pool_size": (int, "10000"),
-        "test_size": (int, "10000"),
+        "pool_size": (_at_least(1), "10000"),
+        "test_size": (_at_least(1), "10000"),
     },
 }
 
@@ -107,11 +106,11 @@ _GRAMMAR = {
 def _get(parser, section, key, conv, default):
     raw = parser.get(section, key, fallback=default)
     if raw is None:
-        raise ConfigError(f"[{section}] is missing required key {key!r}")
+        raise FormatError(f"[{section}] is missing required key {key!r}")
     try:
         return conv(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+        raise FormatError(f"[{section}] {key} = {raw!r}: {exc}") from None
 
 
 def load_run_spec(config_path):
@@ -119,18 +118,18 @@ def load_run_spec(config_path):
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     path = Path(config_path)
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise FormatError(f"config file not found: {path}")
     try:
         parser.read_string(path.read_text(), source=str(path))
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from None
+        raise FormatError(f"cannot parse {path}: {exc}") from None
 
     for section in parser.sections():
         if section not in _GRAMMAR:
-            raise ConfigError(f"unknown section [{section}]")
+            raise FormatError(f"unknown section [{section}]")
         for key in parser.options(section):
             if key not in _GRAMMAR[section]:
-                raise ConfigError(f"[{section}] has unknown key {key!r}")
+                raise FormatError(f"[{section}] has unknown key {key!r}")
 
     spec = {
         section: {
@@ -140,9 +139,9 @@ def load_run_spec(config_path):
         for section, keys in _GRAMMAR.items()
     }
     if not spec["run"]["seeds"]:
-        raise ConfigError("[run] seeds is empty: list at least one seed")
+        raise FormatError("[run] seeds is empty: list at least one seed")
     if spec["data"]["kind"] not in ("spirals", "two_gaussians", "mnist"):
-        raise ConfigError(
+        raise FormatError(
             f"[data] kind = {spec['data']['kind']!r}: expected spirals, "
             f"two_gaussians, or mnist"
         )
@@ -200,7 +199,7 @@ def cmd_run(config_path, seed=None, out_dir="."):
         train_data, test_data = _load_datasets(spec["data"])
         configs = [_build_run_config(spec, s, train_data) for s in seeds]
         configs[0].check_pool(len(train_data))  # the seed does not change the budget
-    except (ConfigError, ContractError, FormatError, OSError) as exc:
+    except (ContractError, FormatError, OSError) as exc:
         # Bad configs, invalid strategy names, budgets beyond the pool and
         # unreadable data files all surface as exit code 2 before any output.
         print(f"config error: {exc}", file=sys.stderr)

@@ -31,10 +31,11 @@ in float64, as m rows of Sigma at O(m n (L + sum of widths));
 whole (``FeatureBatch.gram``) for ``condition``, eer_lin and the raw
 baseline, which derive gain columns from it where they read them. Gains
 are never stored. ``augment_state`` extends the Cholesky factor by a
-block of k labeled rows: their W and the factor of their own block
-S = K - W^T W (``FeatureBatch.gram`` too), taken in row order by the
-rank-one downdates of ``condition``. A cycle's picks cost one factor
-pass, one solve and one copy of the state.
+block of k labeled rows (Seeger's low-rank Cholesky update), all read
+from one ``lookahead_batch`` over them: their W and the factor of their
+own block S = K - W^T W (its dense Sigma), taken in row order by the
+rank-one downdates of ``condition``. In a sequential cycle that keeps
+its state, the picks cost one factor pass, one solve and one copy of it.
 
 Once a candidate x* is really labeled, ``condition`` updates the batch
 in O(n^2) instead of a fresh ``lookahead_batch`` on the augmented state.
@@ -91,18 +92,6 @@ def predict_lin(state, q):
 def _degenerate(schur, self_k):
     """Flags of candidates inside the labeled span: schur <= scale * max(k(c,c), 0)."""
     return schur <= DEGENERATE_U_SCALE * np.maximum(self_k, 0.0)
-
-
-def _schur_rows(state, features):
-    """k(c, X) (n, L), k(c, c), W_c = L^{-1} k(X, c) (L, n), the unjittered
-    Schur complement k(c,c) - |W_c|^2 and the degeneracy flags of the rows
-    of a FeatureBatch. The augmented jittered Gram's pivot is schur + jitter.
-    """
-    k_cl = features.cross(state)
-    self_k = features.diag()
-    w = solve_triangular(state.factor.lower, k_cl.T, lower=True, check_finite=False)
-    schur = self_k - np.einsum("ln,ln->n", w, w)
-    return k_cl, self_k, w, schur, _degenerate(schur, self_k)
 
 
 def _label(y, *shape):
@@ -266,11 +255,13 @@ def lookahead_batch(state, candidates):
     features = state.features(candidates)
     if len(features.rows) == 0:
         raise ContractError("candidate set is empty")
-    k_cl, self_k, w, schur, degenerate = _schur_rows(state, features)
+    k_cl, self_k = features.cross(state), features.diag()
+    w = solve_triangular(state.factor.lower, k_cl.T, lower=True, check_finite=False)
+    schur = self_k - np.einsum("ln,ln->n", w, w)
     outputs = features.outputs()
     return LookaheadBatch(
         outputs=outputs,
-        degenerate=degenerate,
+        degenerate=_degenerate(schur, self_k),
         shift_base=outputs + k_cl @ state.solved_residual,
         schur=schur,
         self_k=self_k,
@@ -320,21 +311,21 @@ def augment_state(state, x, y):
 
     Rows enter in order, extending the factor (module docstring); a row
     ``_degenerate`` flags against the labeled set and the rows entered
-    before it is skipped. Predictions match a cold rebuild on the enlarged
-    set. Raises DegenerateCandidateError when no row enters, ShapeError for
-    labels of another shape and ContractError for no rows or non-finite x or y.
+    before it is skipped. All it reads of the rows is one ``lookahead_batch``
+    over them. Predictions match a cold rebuild on the enlarged set. Raises
+    DegenerateCandidateError when no row enters, ShapeError for labels of
+    another shape and ContractError for no rows or non-finite x or y.
     """
-    features = state.features(x)
-    k, classes = len(features.rows), state.targets.shape[1]
-    if k == 0:
+    if np.shape(x) == (0, state.inputs.shape[1]):  # a wrong width stays a ShapeError
         raise ContractError("no rows to augment with")
+    batch = lookahead_batch(state, x)
+    (k, classes), (features, w) = batch.outputs.shape, batch.covariance
     y = _label(y, k, classes) if np.ndim(x) == 2 else _label(y, classes)[None, :]
-    _, self_k, w, schur, _ = _schur_rows(state, features)
-    s = features.gram(w)
-    s[np.diag_indices(k)] = schur
-    jitter, lower, enter = state.factor.jitter_applied, np.zeros((k, k)), np.zeros(k, bool)
+    s = batch.dense().sigma
+    s[np.diag_indices(k)] = batch.schur
+    jitter, lower, enter = batch.jitter, np.zeros((k, k)), np.zeros(k, bool)
     for j in range(k):
-        if _degenerate(s[j, j], self_k[j]):
+        if _degenerate(s[j, j], batch.self_k[j]):
             continue
         u, col = s[j, j] + jitter, s[j + 1 :, j]
         lower[j, j], lower[j + 1 :, j], enter[j] = np.sqrt(u), col / np.sqrt(u), True
@@ -345,7 +336,7 @@ def augment_state(state, x, y):
     lower = np.block([[state.factor.lower, np.zeros_like(w)], [w.T, lower[np.ix_(enter, enter)]]])
     factor = linalg.CholeskyFactor(lower=lower, jitter_applied=jitter)
     # Extended like the factor, not recomputed from targets.
-    residual = np.vstack([state.residual, y[enter] - features.outputs()[enter]])
+    residual = np.vstack([state.residual, y[enter] - batch.outputs[enter]])
     cache = tuple(
         (np.vstack([a, na[enter]]), np.vstack([d, nd[enter]]))
         for (a, d), (na, nd) in zip(state.factor_cache, features.factors)

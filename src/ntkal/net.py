@@ -221,7 +221,7 @@ class TrainConfig:
     def __post_init__(self):
         if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
             raise ContractError("learning_rate must be finite and > 0")
-        _integer(self.epochs, "epochs")
+        _integer(self.epochs, "epochs", 0)
         _integer(self.minibatch_size, "minibatch_size", 1)
         _integer(self.shuffle_seed, "shuffle_seed", 0)
         if not np.isfinite(self.lr_decay) or self.lr_decay <= 0:

@@ -8,9 +8,10 @@ k picks with their true labels into the labeled set, and evaluates.
 - Batch mode picks the top k of one scoring and retrains with SGD every
   cycle.
 - Sequential mode (look-ahead strategies only) picks one point at a
-  time, conditioning the cycle's look-ahead batch on its true label; the
-  picks then enter the kernel state as one block (``augment_state``, no
-  SGD). SGD runs every ``retrain_every`` cycles and drops the state.
+  time, conditioning the cycle's look-ahead batch on its true label. SGD
+  runs every ``retrain_every`` cycles and drops the state; in a cycle
+  that keeps it, the picks enter the kernel state as one block
+  (``augment_state``, no SGD).
 
 Cost model, for n subset candidates against L labels: each cycle pays
 one ``lookahead_batch`` pass (one gradient-factor pass over the subset,
@@ -18,10 +19,11 @@ one triangular solve, the n x n covariance in row chunks at O(L n^2)).
 Batch linearized mlmoc/emoc reduce the chunks and hold no n x n array;
 given the pick count k, they reduce them in float32 and sum again in
 float64 only the candidates whose error bounds reach the k-th boundary.
-Sequential mode forms the n x n covariance once per cycle; each pick then
-pays O(n^2) and allocates no n x n array: scoring and a rank-one downdate
-in place (``lookahead.condition``). The k picks then enter the state in
-one ``augment_state`` call, which copies the (L + k)^2 factor once.
+A sequential batch is dense from the start, the n x n covariance formed
+once per cycle; each pick then pays O(n^2) and allocates no n x n array:
+scoring and a rank-one downdate in place (``lookahead.condition``). A
+cycle that keeps the state enters its k picks in one ``augment_state``
+call, which copies the (L + k)^2 factor once.
 ``mlmoc-1step`` makes one forward and backward pass over the labeled set
 and one over the subset, then a forward pass over the subset per
 candidate; ``mlmoc-naive`` retrains a copy of the network per candidate.
@@ -268,11 +270,8 @@ def _run(config, train_data, test_data, on_cycle_end):
         subset = sample_subset(pool, config.subset_size, _mix(config.seed, 1, cycle))
         candidates = train_data.inputs[subset]
         if config.sequential:
-            candidates = lookahead.lookahead_batch(state, candidates)
-            if k > 1:
-                # condition downdates Sigma in place; the first score then reads
-                # it too, instead of contracting the subset's kernel again.
-                candidates = candidates.dense()
+            # dense from the start: the first score reads Sigma, condition downdates it
+            candidates = lookahead.lookahead_batch(state, candidates).dense()
         chosen, degenerate_skipped = [], 0
         while len(chosen) < k:
             result = _score(config, cycle, params, pool, state, candidates)
@@ -283,7 +282,10 @@ def _run(config, train_data, test_data, on_cycle_end):
                 candidates = lookahead.condition(
                     candidates, picked[0], train_data.one_hot[chosen[-1]]
                 )
-        if config.sequential:
+        retrained = not config.sequential or (
+            config.retrain_every > 0 and (cycle + 1) % config.retrain_every == 0
+        )
+        if not retrained:  # the picks enter only a state the cycle keeps
             try:
                 state = lookahead.augment_state(
                     state, train_data.inputs[chosen], train_data.one_hot[chosen]
@@ -294,9 +296,6 @@ def _run(config, train_data, test_data, on_cycle_end):
 
         pool = pool.acquire(chosen)
         train_seconds = 0.0
-        retrained = not config.sequential or (
-            config.retrain_every > 0 and (cycle + 1) % config.retrain_every == 0
-        )
         if retrained:
             t1 = time.perf_counter()
             params = net.train_sgd(params, pool.labeled_dataset(), train_cfg)
@@ -347,8 +346,7 @@ def run_sequential_al(config, train_data, test_data, on_cycle_end=None):
     return _run(config, train_data, test_data, on_cycle_end)
 
 
-def run_al(config, train_data, test_data):
-    """Dispatch to the batch or sequential loop per the configuration."""
-    if config.sequential:
-        return run_sequential_al(config, train_data, test_data)
-    return run_batch_al(config, train_data, test_data)
+def run_al(config, train_data, test_data, on_cycle_end=None):
+    """The batch or sequential loop, as ``config.sequential`` says; records and
+    observer as in ``run_batch_al`` and ``run_sequential_al``."""
+    return _run(config, train_data, test_data, on_cycle_end)

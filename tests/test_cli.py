@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ntkal import cli, pool
+from ntkal.errors import FormatError
 
 import oracles
 
@@ -54,31 +55,31 @@ def _non_timing_columns(csv_text):
 
 class TestConfigParsing:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(cli.ConfigError, match="not found"):
+        with pytest.raises(FormatError, match="not found"):
             cli.load_run_spec(tmp_path / "nope.cfg")
 
     def test_unknown_section(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[wat]\nx = 1\n")
-        with pytest.raises(cli.ConfigError, match=r"\[wat\]"):
+        with pytest.raises(FormatError, match=r"\[wat\]"):
             cli.load_run_spec(path)
 
     def test_bad_int_names_key(self, tmp_path):
         path = _write_config(tmp_path)
         text = path.read_text().replace("cycles = 3", "cycles = three")
         path.write_text(text)
-        with pytest.raises(cli.ConfigError, match="cycles"):
+        with pytest.raises(FormatError, match="cycles"):
             cli.load_run_spec(path)
 
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[run]\nstrategy = random\n")
-        with pytest.raises(cli.ConfigError, match="initial_labeled"):
+        with pytest.raises(FormatError, match="initial_labeled"):
             cli.load_run_spec(path)
 
     def test_empty_seed_list(self, tmp_path):
         path = _write_config(tmp_path, seeds="")
-        with pytest.raises(cli.ConfigError, match="seeds"):
+        with pytest.raises(FormatError, match="seeds"):
             cli.load_run_spec(path)
         assert cli.cmd_run(path, out_dir=tmp_path / "o") == 2
         assert not (tmp_path / "o").exists()
@@ -97,7 +98,7 @@ class TestConfigParsing:
         path = _write_config(tmp_path)
         path.write_text(path.read_text().replace(old, new))
         key = new.split("\n")[-1].split(" = ")[0]
-        with pytest.raises(cli.ConfigError, match=rf"\[{section}\] has unknown key '{key}'"):
+        with pytest.raises(FormatError, match=rf"\[{section}\] has unknown key '{key}'"):
             cli.load_run_spec(path)
         assert cli.cmd_run(path, out_dir=tmp_path / "o") == 2
         assert not (tmp_path / "o").exists()
@@ -113,7 +114,7 @@ class TestConfigParsing:
     def test_bad_data_kind(self, tmp_path):
         path = _write_config(tmp_path)
         path.write_text(path.read_text().replace("two_gaussians", "imagenet"))
-        with pytest.raises(cli.ConfigError, match="imagenet"):
+        with pytest.raises(FormatError, match="imagenet"):
             cli.load_run_spec(path)
 
 
@@ -161,7 +162,7 @@ class TestReadmeGrammar:
         assert {s: sorted(spec[s]) for s in spec} == {s: sorted(k) for s, k in tables.items()}
         for section, keys in tables.items():
             for key in (k for k, required in keys.items() if required):
-                with pytest.raises(cli.ConfigError, match=f"missing required key '{key}'"):
+                with pytest.raises(FormatError, match=f"missing required key '{key}'"):
                     cli.load_run_spec(write(skip=(section, key)))
 
 
@@ -242,6 +243,28 @@ class TestCmdRun:
         assert cli.cmd_run(cfg, out_dir=tmp_path / "o") == 2
         assert not (tmp_path / "o").exists()
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["pool_size", "test_size"])
+    def test_negative_count_mnist_exit_2(self, tmp_path, capsys, key):
+        # Counts below 1 are config errors naming the key, not numpy's
+        # "negative dimensions" from sampling the split.
+        for split in ("train", "t10k"):
+            oracles.write_idx_images(
+                tmp_path / f"{split}-images-idx3-ubyte", np.zeros((4, 28, 28), dtype=np.uint8)
+            )
+            oracles.write_idx_labels(
+                tmp_path / f"{split}-labels-idx1-ubyte", np.arange(4, dtype=np.uint8)
+            )
+        cfg = _write_config(tmp_path)
+        cfg.write_text(
+            cfg.read_text().replace(
+                "kind = two_gaussians", f"kind = mnist\nmnist_dir = {tmp_path}\n{key} = -3"
+            )
+        )
+        assert cli.cmd_run(cfg, out_dir=tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and f"[data] {key} = '-3'" in err
 
     def test_rerun_is_identical_modulo_timing(self, tmp_path):
         cfg = _write_config(tmp_path, strategy="mlmoc", seeds="0 1")

@@ -274,8 +274,8 @@ class TestCovarianceInPlace:
         # block, exactly. W may come in either memory order.
         params, x, state, rng = self._state(False)
         cands = self._candidates(rng, n, candidates_only)
-        features = state.features(cands)
-        w = np.asarray(lookahead._schur_rows(state, features)[2], order=order)
+        features, w = lookahead.lookahead_batch(state, cands).covariance
+        w = np.asarray(w, order=order)
         want = oracles.empirical_ntk_blocks(params, cands) - w.T @ w
         sigma = features.gram(w)
         np.testing.assert_array_equal(sigma, sigma.T)
@@ -586,21 +586,26 @@ class TestAugmentState:
             np.testing.assert_array_equal(d[-1], nd[0])
 
     def test_one_factor_pass_per_block(self, monkeypatch):
-        # A block of k rows costs one k-row gradient-factor pass, and its
-        # factor-cache rows are bitwise those of that pass.
+        # A block of k rows costs one look-ahead batch over them, on one
+        # k-row gradient-factor pass, and its factor-cache rows are bitwise
+        # those of that pass.
         params, x, y, state = _problem(seed=40)
         xc = np.random.default_rng(41).standard_normal((5, 3))
         yc = np.eye(2)[[0, 1, 1, 0, 1]]
-        calls = []
-        original = net.grad_factors
+        calls, batches = [], []
+        original, original_batch = net.grad_factors, lookahead.lookahead_batch
 
         def counting(params, rows):
             calls.append(len(rows))
             return original(params, rows)
 
         monkeypatch.setattr(net, "grad_factors", counting)
+        monkeypatch.setattr(
+            lookahead, "lookahead_batch", lambda *a: batches.append(a) or original_batch(*a)
+        )
         new = lookahead.augment_state(state, xc, yc)
         assert calls == [5]
+        assert len(batches) == 1 and batches[0][0] is state and batches[0][1] is xc
         monkeypatch.undo()
         assert new.labeled_count == state.labeled_count + 5
         for (a, d), (na, nd) in zip(new.factor_cache, net.grad_factors(params, xc)):

@@ -251,6 +251,12 @@ class TestTrainSgd:
         with pytest.raises(ContractError, match=f"{field} must be an integer"):
             net.TrainConfig(**{**settings, field: value})
 
+    def test_negative_epochs_rejected_at_construction(self):
+        # 0 stays legal: it is the naive oracle's budget, and train_sgd rejects it.
+        assert net.TrainConfig(learning_rate=0.1, epochs=0).epochs == 0
+        with pytest.raises(ContractError, match="epochs must be >= 0"):
+            net.TrainConfig(learning_rate=0.1, epochs=-3)
+
     def test_non_finite_settings_rejected(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ContractError, match="learning_rate"):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -408,6 +410,23 @@ class TestRunLoop:
         assert len(seen) == cfg.cycles
 
     @pytest.mark.parametrize("sequential", [False, True])
+    def test_run_al_observes_as_the_mode_entry(self, sequential):
+        # run_al runs the mode's own loop and passes the observer on.
+        train, test = _toy_data()
+        cfg = _tiny_config(strategy="mlmoc", sequential=sequential, cycles=3, retrain_every=2)
+        runs = []
+        for entry in (pool.run_al, pool.run_sequential_al if sequential else pool.run_batch_al):
+            seen = []
+
+            def observe(cycle, p, params, state):
+                count = None if state is None else state.labeled_count
+                seen.append((cycle, p.labeled_indices.tolist(), params.weights[0].tobytes(), count))
+
+            records = entry(cfg, train, test, on_cycle_end=observe)
+            runs.append(([replace(r, query_seconds=0.0, train_seconds=0.0) for r in records], seen))
+        assert runs[0] == runs[1] and len(runs[0][1]) == cfg.cycles
+
+    @pytest.mark.parametrize("sequential", [False, True])
     @pytest.mark.parametrize(
         "strategy, scorer", [("mlmoc", "mlmoc"), ("emoc", "emoc"), ("eer", "eer_lin")]
     )
@@ -530,10 +549,11 @@ class TestRunSequential:
         # The subset's kernel block is contracted once per cycle, not once
         # per pick and not once for scoring plus once for conditioning:
         # later picks condition the cycle's batch. The subset's gradient
-        # factors come from one pass per cycle too. The k picks enter the
-        # state as one block, so their own k x k block is contracted once.
-        # Each cycle first rebuilds the state from the retrained network,
-        # which contracts the labeled Gram as one block.
+        # factors come from one pass per cycle too. In a cycle that keeps
+        # the state, the k picks enter it as one block, so their own k x k
+        # block is contracted once; a cycle that retrains contracts none.
+        # A cycle after a retrain first rebuilds the state from the
+        # retrained network, which contracts the labeled Gram as one block.
         blocks, factor_rows = [], []
         original_block, original_factors = kernel.FeatureBatch.add_block, net.grad_factors
 
@@ -548,14 +568,18 @@ class TestRunSequential:
         monkeypatch.setattr(kernel.FeatureBatch, "add_block", counting_block)
         monkeypatch.setattr(net, "grad_factors", counting_factors)
         train, test = _toy_data()
-        cfg = _tiny_config(strategy="mlmoc", sequential=True, cycles=3, query_batch_size=4)
+        cfg = _tiny_config(
+            strategy="mlmoc", sequential=True, cycles=3, query_batch_size=4, retrain_every=2
+        )
         pool.run_sequential_al(cfg, train, test)
         n, k = cfg.subset_size, cfg.query_batch_size
-        labeled = [cfg.initial_labeled + cycle * k for cycle in range(cfg.cycles)]
-        assert max(labeled + [n]) <= kernel.CHUNK_ROWS
-        assert blocks == [
-            (size, slice(0, size), slice(0, size)) for l in labeled for size in (l, n, k)
-        ]
+        kept = [(cycle + 1) % cfg.retrain_every != 0 for cycle in range(cfg.cycles)]
+        sizes = []
+        for cycle, keeps in enumerate(kept):
+            rebuilt = cycle == 0 or not kept[cycle - 1]
+            sizes += [cfg.initial_labeled + cycle * k] * rebuilt + [n] + [k] * keeps
+        assert kept == [True, False, True] and max(sizes) <= kernel.CHUNK_ROWS
+        assert blocks == [(size, slice(0, size), slice(0, size)) for size in sizes]
         assert factor_rows.count(n) == cfg.cycles
 
     def test_picks_enter_the_state_once_per_cycle(self, monkeypatch):
@@ -591,6 +615,21 @@ class TestRunSequential:
             np.testing.assert_array_equal(y, train.one_hot[picks])
         assert 1 not in factor_rows
         assert seen[-1][1].labeled_count == cfg.initial_labeled + cfg.cycles * k
+
+    @pytest.mark.parametrize("retrain_every, calls", [(0, 3), (1, 0), (2, 2)])
+    def test_picks_enter_only_a_kept_state(self, monkeypatch, retrain_every, calls):
+        # A cycle that retrains drops its state, so its picks never enter it.
+        seen = []
+        original = lookahead.augment_state
+        monkeypatch.setattr(
+            lookahead, "augment_state", lambda *a: seen.append(len(a[1])) or original(*a)
+        )
+        train, test = _toy_data()
+        cfg = _tiny_config(
+            strategy="mlmoc", sequential=True, cycles=3, retrain_every=retrain_every
+        )
+        pool.run_sequential_al(cfg, train, test)
+        assert seen == [cfg.query_batch_size] * calls
 
     def test_dispatch_checks_mode(self):
         train, test = _toy_data()
