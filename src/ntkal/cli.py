@@ -91,11 +91,11 @@ _GRAMMAR = {
     },
     "data": {
         "kind": (str, None),
-        "n_per_class": (int, "500"),
+        "n_per_class": (_at_least(1), "500"),
         "noise": (float, "0.2"),
         "separation": (float, "4.0"),
         "seed": (_at_least(0), "0"),
-        "test_n_per_class": (int, "0"),
+        "test_n_per_class": (_at_least(0), "0"),
         "mnist_dir": (str, ""),
         "pool_size": (_at_least(1), "10000"),
         "test_size": (_at_least(1), "10000"),

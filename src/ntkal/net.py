@@ -11,13 +11,15 @@ Forward, backward, and SGD are written directly in numpy so that
 per-example gradients of the first output logit (the features behind the
 empirical tangent kernel) are available in the factorized
 activation/delta form used for fast Gram computation; the flat vectors
-are never formed.
+are never formed. SGD steps each layer's weights with one in-place BLAS
+dgemm on the scaled deltas, so no weight-sized temporary is made.
 """
 
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm as _dgemm
 from scipy.special import erf as _erf
 
 from .errors import ContractError, DivergenceError, ShapeError
@@ -236,12 +238,16 @@ def train_sgd(params, data, cfg):
     the configuration seed. The result is bitwise reproducible for a
     given shuffle_seed.
 
-    Each step costs only its minibatch; no full-data pass is made. An
-    epoch's loss is the running sum of 0.5 * ||f - y||^2 over its
-    minibatches, each taken before that minibatch's update. Aborts with
-    DivergenceError if an epoch's running loss turns non-finite or exceeds
-    1e6 times the reference loss, which is the first minibatch's loss at
-    the starting parameters scaled by n / (its rows).
+    Each step costs only its minibatch; no full-data pass is made. Each
+    layer's weight step is one dgemm that writes
+    W <- W - a^T (delta * lr / sqrt(n_l)) into W's own memory: the scale
+    goes onto the small (batch, n_{l+1}) delta, alpha = -1 is exact, and
+    no weight-sized temporary is made. An epoch's loss is the running sum
+    of 0.5 * ||f - y||^2 over its minibatches, each taken before that
+    minibatch's update. Aborts with DivergenceError if an epoch's running
+    loss turns non-finite or exceeds 1e6 times the reference loss, which
+    is the first minibatch's loss at the starting parameters scaled by
+    n / (its rows).
     """
     if cfg.epochs < 1:
         raise ContractError("epochs must be >= 1")
@@ -262,7 +268,8 @@ def train_sgd(params, data, cfg):
 
     if not cfg.warm_start:
         params = init(params.config)
-    weights = [w.copy() for w in params.weights]
+    # C order: each transpose is the Fortran array dgemm writes in place.
+    weights = [np.array(w, dtype=np.float64, order="C") for w in params.weights]
     biases = [b.copy() for b in params.biases]
     work = MlpParams(params.config, tuple(weights), tuple(biases))
     mlp = work.config
@@ -289,11 +296,9 @@ def train_sgd(params, data, cfg):
             loss += batch_loss
             # Every delta is taken before any layer is stepped.
             for l, g in enumerate(_backprop(work, preacts, g)):
-                step = acts[l].T @ g
                 biases[l] -= lr * (mlp.beta * g.sum(axis=0))
-                step /= scales[l]
-                step *= lr
-                weights[l] -= step
+                _dgemm(-1.0, (g * (lr / scales[l])).T, acts[l].T, trans_b=1,
+                       beta=1.0, c=weights[l].T, overwrite_c=1)
         if not np.isfinite(loss) or loss > divergence_bar:
             raise DivergenceError(
                 f"training diverged at epoch {epoch + 1}: loss {loss:.3e} vs "

@@ -266,6 +266,25 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert "config error" in err and f"[data] {key} = '-3'" in err
 
+    @pytest.mark.parametrize(
+        "key, value, line",
+        [
+            ("n_per_class", "0", "n_per_class = 0"),
+            ("n_per_class", "-3", "n_per_class = -3"),
+            ("test_n_per_class", "-3", "n_per_class = 30\ntest_n_per_class = -3"),
+        ],
+        ids=["zero-n", "negative-n", "negative-test-n"],
+    )
+    def test_bad_class_count_exit_2_names_its_key(self, tmp_path, capsys, key, value, line):
+        # test_n_per_class = 0 means "same as n_per_class"; below that, each
+        # key is refused under its own name, not the generator's argument's.
+        cfg = _write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("n_per_class = 30", line))
+        assert cli.cmd_run(cfg, out_dir=tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and f"[data] {key} = '{value}'" in err
+
     def test_rerun_is_identical_modulo_timing(self, tmp_path):
         cfg = _write_config(tmp_path, strategy="mlmoc", seeds="0 1")
         out_a, out_b = tmp_path / "a", tmp_path / "b"

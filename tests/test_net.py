@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +297,52 @@ def _assert_matches_reference(params, ds, tc):
         oracles.flat(net.train_sgd(params, ds, tc)),
         oracles.flat(oracles.train_sgd_reference(params, ds, tc)),
     )
+
+
+class TestTrainSgdWorkingCopies:
+    """The in-place weight step writes the working copies, and only them."""
+
+    def _problem(self):
+        params = net.init(net.MlpConfig((12, 24, 16, 3), seed=2))
+        ds = _random_dataset(23, 12, 3, seed=4)
+        return params, ds, net.TrainConfig(learning_rate=0.02, epochs=3, minibatch_size=5)
+
+    def test_caller_parameters_unchanged(self):
+        params, ds, tc = self._problem()
+        before = oracles.flat(params).copy()
+        trained = net.train_sgd(params, ds, tc)
+        assert np.array_equal(oracles.flat(params), before)
+        assert not np.array_equal(oracles.flat(trained), before)
+        for w, t in zip(params.weights, trained.weights):
+            assert not np.shares_memory(w, t)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_start_weight_layout_gives_same_bits(self, layout):
+        params, ds, tc = self._problem()
+        if layout == "fortran":
+            weights = tuple(np.asfortranarray(w) for w in params.weights)
+        else:  # every other column of a wider array: a non-contiguous view
+            weights = tuple(np.repeat(w, 2, axis=1)[:, ::2] for w in params.weights)
+        assert not any(w.flags.c_contiguous for w in weights)
+        start = net.MlpParams(params.config, weights, params.biases)
+        assert np.array_equal(
+            oracles.flat(net.train_sgd(start, ds, tc)),
+            oracles.flat(net.train_sgd(params, ds, tc)),
+        )
+
+    def test_no_weight_sized_temporary_per_step(self):
+        # 64 rows, minibatch 32: 20 steps at the benchmark's 784-256-10 shape.
+        params = net.init(net.MlpConfig((784, 256, 10), seed=0))
+        ds = _random_dataset(64, 784, 10, seed=8)
+        tc = net.TrainConfig(learning_rate=0.05, epochs=10, minibatch_size=32)
+        budget = 8 * (params.config.param_count + 784 * 256)
+        tracemalloc.start()
+        try:
+            net.train_sgd(params, ds, tc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, f"peak {peak} B >= working copies + one W0 ({budget} B)"
 
 
 class TestTrainSgdMatchesReferenceLoop:
