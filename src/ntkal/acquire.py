@@ -366,9 +366,8 @@ def score_eer_lin(ctx):
     return _expected_scores(ctx, -_label_table(ctx, "entropy"), softmax(ctx.outputs), current)
 
 
-def _candidate_rows(rows):
-    """Candidate rows as a 2-D float64 array; ContractError if empty or non-finite."""
-    rows = linalg.as_matrix(rows)
+def _nonempty(rows):
+    """Checked candidate rows, or network outputs at them; ContractError if they hold no entry."""
     if rows.size == 0:
         raise ContractError("candidate set is empty")
     return rows
@@ -376,13 +375,13 @@ def _candidate_rows(rows):
 
 def entropy_score(outputs):
     """Predictive entropy of softmax(outputs) per candidate row."""
-    outputs = _candidate_rows(outputs)
+    outputs = _nonempty(linalg.as_matrix(outputs))
     return AcquisitionResult.from_scores(entropy(softmax(outputs)), _argmax_labels(outputs))
 
 
 def margin_score(outputs):
     """Negative top-2 softmax gap (small gap = high score)."""
-    outputs = _candidate_rows(outputs)
+    outputs = _nonempty(linalg.as_matrix(outputs))
     probs = np.sort(softmax(outputs), axis=1)
     gap = probs[:, -1] - probs[:, -2] if probs.shape[1] > 1 else probs[:, -1]
     return AcquisitionResult.from_scores(-gap, _argmax_labels(outputs))
@@ -425,13 +424,13 @@ def naive_change_scores(params, labeled, candidates, retrain_cfg):
     and a full-size minibatch it is the reference that
     ``one_step_change_scores`` computes in closed form.
     """
-    candidates = _candidate_rows(candidates)
-    outputs = np.atleast_2d(net.forward(params, candidates))
+    candidates = _nonempty(net._check_input(params, candidates)[0])
+    outputs = net.forward(params, candidates)
     labels = _argmax_labels(outputs)
     scores = np.zeros(len(candidates))
     for i, x_cand in enumerate(candidates):
         retrained = naive_sgd_oracle(params, labeled, (x_cand, labels[i]), retrain_cfg)
-        after = np.atleast_2d(net.forward(retrained, candidates))
+        after = net.forward(retrained, candidates)
         scores[i] = float(np.sum(np.linalg.norm(after - outputs, axis=1)))
     return AcquisitionResult.from_scores(scores, labels)
 
@@ -457,9 +456,8 @@ def one_step_change_scores(params, labeled, candidates, learning_rate):
     the labeled set plus a candidate raises DivergenceError (epoch 1), as
     ``net.train_sgd`` would.
     """
-    if not np.isfinite(learning_rate) or learning_rate <= 0:
-        raise ContractError("learning_rate must be finite and > 0")
-    x, _ = net._check_input(params, _candidate_rows(candidates))
+    net.TrainConfig(learning_rate, epochs=1)  # rejects a learning rate as SGD would
+    x = _nonempty(net._check_input(params, candidates)[0])
     y = np.asarray(labeled.one_hot, dtype=np.float64)
     if y.shape[1] != params.config.output_dim:
         raise ShapeError(

@@ -16,6 +16,7 @@ environment (``OMP_NUM_THREADS=1``, ``OPENBLAS_NUM_THREADS=1``, ...).
 
 import argparse
 import configparser
+import copy
 import dataclasses
 import json
 import math
@@ -60,55 +61,50 @@ def _as_int_list(raw):
     return [int(tok) for tok in raw.replace(",", " ").split()]
 
 
-# Every key of every section, in config-echo order: (converter, default
-# text); None marks a required key. README.md documents the same table.
+_CONVERTERS = {str: str, int: int, float: float, bool: _as_bool}
+
+
+def _keys(config, **lists):
+    """{key: (converter, default)} for the scalar fields of a config dataclass,
+    in field order; ``dataclasses.MISSING`` marks a required key. ``lists``
+    maps a field to (key, default) of an integer list that sets it."""
+    keys = {}
+    for f in dataclasses.fields(config):
+        if f.name in lists:
+            key, default = lists[f.name]
+            keys[key] = (_as_int_list, default)
+        elif f.type in _CONVERTERS:
+            keys[f.name] = (_CONVERTERS[f.type], f.default)
+    return keys
+
+
+# Every key of every section, in config-echo order: (converter, default).
+# [run], [mlp] and [train] are the fields of the config each one builds;
+# README.md documents the same tables.
 _GRAMMAR = {
-    "run": {
-        "strategy": (str, None),
-        "initial_labeled": (int, None),
-        "query_batch_size": (int, None),
-        "subset_size": (int, None),
-        "cycles": (int, None),
-        "sequential": (_as_bool, "false"),
-        "retrain_every": (int, "1"),
-        "seeds": (_as_int_list, "0"),
-        "naive_epochs": (int, "15"),
-        "score_baseline": (str, "linearized"),
-    },
-    "mlp": {
-        "hidden": (_as_int_list, "256"),
-        "nonlinearity": (str, "relu"),
-        "beta": (float, "1.0"),
-        "seed": (int, "0"),
-    },
-    "train": {
-        "learning_rate": (float, None),
-        "epochs": (int, None),
-        "minibatch_size": (int, "32"),
-        "shuffle_seed": (int, "0"),
-        "warm_start": (_as_bool, "true"),
-        "lr_decay": (float, "1.0"),
-    },
+    "run": _keys(pool.RunConfig, seed=("seeds", [pool.RunConfig.seed])),
+    "mlp": _keys(net.MlpConfig, widths=("hidden", [256])),
+    "train": _keys(net.TrainConfig),
     "data": {
-        "kind": (str, None),
-        "n_per_class": (_at_least(1), "500"),
-        "noise": (float, "0.2"),
-        "separation": (float, "4.0"),
-        "seed": (_at_least(0), "0"),
-        "test_n_per_class": (_at_least(0), "0"),
+        "kind": (str, dataclasses.MISSING),
+        "n_per_class": (_at_least(1), 500),
+        "noise": (float, 0.2),
+        "separation": (float, 4.0),
+        "seed": (_at_least(0), 0),
+        "test_n_per_class": (_at_least(0), 0),
         "mnist_dir": (str, ""),
-        "pool_size": (_at_least(1), "10000"),
-        "test_size": (_at_least(1), "10000"),
+        "pool_size": (_at_least(1), 10000),
+        "test_size": (_at_least(1), 10000),
     },
 }
 
 
 def _get(parser, section, key, conv, default):
-    raw = parser.get(section, key, fallback=default)
-    if raw is None:
+    raw = parser.get(section, key, fallback=None)
+    if raw is None and default is dataclasses.MISSING:
         raise FormatError(f"[{section}] is missing required key {key!r}")
     try:
-        return conv(raw)
+        return copy.copy(default) if raw is None else conv(raw)  # a spec shares no list default
     except ValueError as exc:
         raise FormatError(f"[{section}] {key} = {raw!r}: {exc}") from None
 
@@ -157,9 +153,8 @@ def _load_datasets(dspec):
     if dspec["kind"] in synthetic:
         gen, shape = synthetic[dspec["kind"]]
         test_n = dspec["test_n_per_class"] or dspec["n_per_class"]
-        test_seed = int(np.random.SeedSequence([dspec["seed"], 0x7E57]).generate_state(1)[0])
         train = gen(dspec["n_per_class"], dspec[shape], dspec["seed"])
-        return train, gen(test_n, dspec[shape], test_seed)
+        return train, gen(test_n, dspec[shape], pool._mix(dspec["seed"], 0x7E57))
     mnist_dir = Path(dspec["mnist_dir"] or os.environ.get("NTKAL_MNIST_DIR", ""))
     train = data_mod.load_mnist_idx(
         mnist_dir / "train-images-idx3-ubyte", mnist_dir / "train-labels-idx1-ubyte"

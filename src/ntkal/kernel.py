@@ -86,12 +86,16 @@ class KernelState:
     """
 
     params: net.MlpParams
-    inputs: np.ndarray  # (L, n_0)
     targets: np.ndarray  # (L, C) one-hot
     residual: np.ndarray  # (L, C) targets minus the network outputs at build
     factor: linalg.CholeskyFactor
     solved_residual: np.ndarray  # (L, C)
     factor_cache: tuple  # per-layer (activation, delta) of the labeled rows
+
+    @property
+    def inputs(self):
+        """The labeled rows (L, n_0): the first layer's activations in ``factor_cache``."""
+        return self.factor_cache[0][0]
 
     @property
     def labeled_count(self):
@@ -110,8 +114,8 @@ class KernelState:
 class FeatureBatch:
     """Query rows q under a network's kernel and what one gradient-factor
     pass over them gives: k(q, X) against a state, k(q, q), its symmetric
-    blocks and the network outputs. Constructing one makes the pass, after
-    ``linalg.as_matrix`` checks the rows.
+    blocks and the network outputs. Constructing one makes the pass, whose
+    first activations are the rows as ``net.grad_factors`` checked them.
     """
 
     params: net.MlpParams
@@ -119,9 +123,9 @@ class FeatureBatch:
     factors: tuple = field(init=False)  # per-layer (activation, delta) of the rows
 
     def __post_init__(self):
-        rows = linalg.as_matrix(self.rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "factors", tuple(net.grad_factors(self.params, rows)))
+        factors = tuple(net.grad_factors(self.params, self.rows))
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "rows", factors[0][0])
 
     def outputs(self):
         """Network outputs at the rows, bitwise equal to ``net.forward``."""
@@ -186,20 +190,20 @@ def build_state_xy(params, inputs, targets):
 
     The labeled Gram is ``FeatureBatch.gram`` of the labeled rows. The
     state keeps their gradient factors, so later kernel rows cost one
-    factor pass over the query rows only. Raises
-    ContractError for non-finite rows, ShapeError unless y is (L, outputs).
+    factor pass over the query rows only. Rows follow ``net._check_input``;
+    raises ContractError for no rows or non-finite targets, ShapeError
+    unless the targets are (L, outputs).
     """
-    x, y = linalg.as_matrix(inputs), linalg.as_matrix(targets)
-    if len(x) < 1:
+    features, y = FeatureBatch(params, inputs), linalg.as_matrix(targets)
+    n = len(features.rows)
+    if n < 1:
         raise ContractError("labeled set is empty")
-    if y.shape != (len(x), params.config.output_dim):
-        raise ShapeError(f"targets {y.shape}, expected ({len(x)}, {params.config.output_dim})")
-    features = FeatureBatch(params, x)
+    if y.shape != (n, params.config.output_dim):
+        raise ShapeError(f"targets {y.shape}, expected ({n}, {params.config.output_dim})")
     factor = linalg.cholesky(features.gram())
     residual = y - features.outputs()
     return KernelState(
         params=params,
-        inputs=features.rows,
         targets=y,
         residual=residual,
         factor=factor,

@@ -250,19 +250,23 @@ class LookaheadBatch:
 def lookahead_batch(state, candidates):
     """Closed-form look-ahead for every candidate row; see LookaheadBatch.
 
-    Empty or non-finite candidate sets raise ContractError.
+    Rows follow ``net._check_input``; an empty candidate set raises
+    ContractError. W is solved in the memory of the cross kernel k(c, X),
+    whose transpose is Fortran-ordered, so the two are never held at once.
     """
     features = state.features(candidates)
     if len(features.rows) == 0:
         raise ContractError("candidate set is empty")
-    k_cl, self_k = features.cross(state), features.diag()
-    w = solve_triangular(state.factor.lower, k_cl.T, lower=True, check_finite=False)
+    k_cl, self_k, outputs = features.cross(state), features.diag(), features.outputs()
+    shift_base = outputs + k_cl @ state.solved_residual
+    w = solve_triangular(
+        state.factor.lower, k_cl.T, lower=True, overwrite_b=True, check_finite=False
+    )
     schur = self_k - np.einsum("ln,ln->n", w, w)
-    outputs = features.outputs()
     return LookaheadBatch(
         outputs=outputs,
         degenerate=_degenerate(schur, self_k),
-        shift_base=outputs + k_cl @ state.solved_residual,
+        shift_base=shift_base,
         schur=schur,
         self_k=self_k,
         jitter=state.factor.jitter_applied,
@@ -343,7 +347,6 @@ def augment_state(state, x, y):
     )
     return replace(
         state,
-        inputs=np.vstack([state.inputs, features.rows[enter]]),
         targets=np.vstack([state.targets, y[enter]]),
         residual=residual,
         factor=factor,

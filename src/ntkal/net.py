@@ -22,6 +22,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm as _dgemm
 from scipy.special import erf as _erf
 
+from . import linalg
 from .errors import ContractError, DivergenceError, ShapeError
 
 __all__ = [
@@ -127,14 +128,14 @@ def init(config):
 
 
 def _check_input(params, x):
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x.reshape(1, -1)
-    if x.ndim != 2 or x.shape[1] != params.config.input_dim:
+    """The one input-row rule: x as a 2-D float64 array (a 1-D x is one row)
+    and whether it was 1-D; ShapeError unless it has the network's input
+    width, ContractError if an entry is not finite (``linalg.as_matrix``)."""
+    single = np.ndim(x) == 1
+    x = linalg.as_matrix(x)
+    if x.shape[1] != params.config.input_dim:
         raise ShapeError(
-            f"input has shape {x.shape}, network expects "
-            f"(batch, {params.config.input_dim})"
+            f"input has shape {x.shape}, network expects (batch, {params.config.input_dim})"
         )
     return x, single
 
@@ -253,13 +254,8 @@ def train_sgd(params, data, cfg):
         raise ContractError("epochs must be >= 1")
     if len(data) < 1:
         raise ContractError("training data is empty")
-    x = np.asarray(data.inputs, dtype=np.float64)
+    x, _ = _check_input(params, data.inputs)
     y = np.asarray(data.one_hot, dtype=np.float64)
-    if x.shape[1] != params.config.input_dim:
-        raise ShapeError(
-            f"data dim {x.shape[1]} does not match network input "
-            f"{params.config.input_dim}"
-        )
     if y.shape[1] != params.config.output_dim:
         raise ShapeError(
             f"target dim {y.shape[1]} does not match network output "

@@ -7,6 +7,9 @@ order), each cycle's ``labeled_size``, ``degenerate_skipped`` and
 that raises records its exception instead. ``tests/test_equivalence.py``
 reruns every run and compares it with ``equivalence_record.json``, so a
 change that moves any pick, count, accuracy or parameter bit fails there.
+The record's ``blas_core`` entry names the OpenBLAS core that numpy's and
+scipy's bundled libraries ran on when it was written: the bits depend on
+it, and a failing comparison names both that core and the one it ran on.
 
 The matrix covers all eight strategies in batch mode, the three look-ahead
 strategies in sequential mode with k = 1 and 4 and ``retrain_every`` 0
@@ -28,12 +31,14 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import ctypes
 import hashlib
 import itertools
 import json
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from ntkal import data, net, pool
 
@@ -121,6 +126,24 @@ def _matrix():
 MATRIX = _matrix()
 
 
+def blas_cores():
+    """{"numpy": core, "scipy": core}: the OpenBLAS core each package's bundled
+    library selected at run time (``OPENBLAS_CORETYPE`` overrides it), None
+    for a library that does not say."""
+    cores = {}
+    for package in (np, scipy):
+        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        cores[package.__name__] = None
+        for path in sorted(libs.glob("*openblas*.so*")):
+            lib = ctypes.CDLL(str(path))  # already loaded: dlopen returns the same handle
+            for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+                corename = getattr(lib, symbol, None)
+                if corename is not None:
+                    corename.argtypes, corename.restype = [], ctypes.c_char_p
+                    cores[package.__name__] = corename().decode()
+    return cores
+
+
 def _params_sha256(params):
     h = hashlib.sha256()
     for a in (*params.weights, *params.biases):
@@ -163,9 +186,9 @@ def run_one(settings):
 
 
 def main():
-    record = {run_id: run_one(settings) for run_id, settings in MATRIX.items()}
-    RECORD_PATH.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {len(record)} runs to {RECORD_PATH}")
+    runs = {run_id: run_one(settings) for run_id, settings in MATRIX.items()}
+    RECORD_PATH.write_text(json.dumps({"blas_core": blas_cores(), **runs}, indent=1) + "\n")
+    print(f"wrote {len(runs)} runs to {RECORD_PATH}")
 
 
 if __name__ == "__main__":

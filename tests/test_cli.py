@@ -119,12 +119,16 @@ class TestConfigParsing:
 
 
 def _readme_tables():
-    """{section: {key: required}} from the README's config key tables."""
+    """{section: {key: default}} from the README's config key tables: the
+    default column's text without backticks, "" where it says empty."""
     text = README.read_text()
     tables = {}
     for section, body in re.findall(r"^### `\[(\w+)\]`\n(.*?)(?=^#|\Z)", text, re.M | re.S):
         rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| ([^|]+) \|", body, re.M)
-        tables[section] = {key: default.strip() == "*required*" for key, default in rows}
+        tables[section] = {
+            key: "" if default.strip() == "empty" else default.strip().strip("`")
+            for key, default in rows
+        }
     return tables
 
 
@@ -143,27 +147,29 @@ class TestReadmeGrammar:
     def test_tables_list_the_keys_the_loader_reads(self, tmp_path):
         tables = _readme_tables()
         assert sorted(tables) == ["data", "mlp", "run", "train"]
+        required = {s: [k for k, d in keys.items() if d == "*required*"] for s, keys in tables.items()}
         values = {"strategy": "mlmoc", "kind": "spirals"}
 
         def write(skip=None):
             lines = []
-            for section, keys in tables.items():
+            for section, keys in required.items():
                 lines.append(f"[{section}]")
-                lines += [
-                    f"{key} = {values.get(key, 1)}"
-                    for key, required in keys.items()
-                    if required and (section, key) != skip
-                ]
+                lines += [f"{key} = {values.get(key, 1)}" for key in keys if (section, key) != skip]
             path = tmp_path / "required.cfg"
             path.write_text("\n".join(lines) + "\n")
             return path
 
         spec = cli.load_run_spec(write())  # optional keys may all be left out
         assert {s: sorted(spec[s]) for s in spec} == {s: sorted(k) for s, k in tables.items()}
-        for section, keys in tables.items():
-            for key in (k for k, required in keys.items() if required):
+        for section, keys in required.items():
+            for key in keys:
                 with pytest.raises(FormatError, match=f"missing required key '{key}'"):
                     cli.load_run_spec(write(skip=(section, key)))
+        # Each README default, read by the key's converter, is the loader's.
+        for section, keys in tables.items():
+            for key in set(keys) - set(required[section]):
+                convert, default = cli._GRAMMAR[section][key]
+                assert convert(keys[key]) == default == spec[section][key], (section, key)
 
 
 class TestCmdRun:

@@ -13,6 +13,7 @@ import pytest
 import equivalence_record as er
 
 RECORD = json.loads(er.RECORD_PATH.read_text())
+RECORDED_ON = RECORD.pop("blas_core")
 
 
 def test_record_covers_the_matrix():
@@ -22,4 +23,6 @@ def test_record_covers_the_matrix():
 
 @pytest.mark.parametrize("run_id", list(er.MATRIX))
 def test_run_matches_record(run_id):
-    assert er.run_one(er.MATRIX[run_id]) == RECORD[run_id]
+    assert er.run_one(er.MATRIX[run_id]) == RECORD[run_id], (
+        f"recorded on OpenBLAS core {RECORDED_ON}, run on {er.blas_cores()}"
+    )

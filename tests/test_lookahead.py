@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -207,6 +208,29 @@ class TestLookaheadBatch:
         _, _, _, state = _problem()
         with pytest.raises(ContractError):
             lookahead.lookahead_batch(state, np.zeros((0, 3)))
+
+    def test_solve_overwrites_the_cross_kernel(self):
+        # W is solved in the memory of k(c, X), so one (n, L) array and the
+        # cross kernel's row-chunk temporaries bound the traced peak; holding
+        # both took 2.1 (n, L) arrays.
+        rng = np.random.default_rng(60)
+        params = net.init(net.MlpConfig((4, 16, 2), seed=60))
+        l_size, n = 400, 1000
+        state = kernel.build_state_xy(
+            params, rng.standard_normal((l_size, 4)), np.eye(2)[rng.integers(0, 2, l_size)]
+        )
+        cands = rng.standard_normal((n, 4))
+        tracemalloc.start()
+        try:
+            batch = lookahead.lookahead_batch(state, cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * l_size * (n + 3 * kernel.CHUNK_ROWS)
+        _, w = batch.covariance
+        np.testing.assert_array_equal(
+            w, solve_triangular(state.factor.lower, state.kernel_rows(cands).T, lower=True)
+        )
 
 
 class TestCovarianceInPlace:
@@ -546,6 +570,17 @@ class TestAugmentState:
         with pytest.raises(DegenerateCandidateError):
             lookahead.augment_state(state, x[0], y[0])
 
+    def test_labeled_rows_are_stored_once(self):
+        # The labeled rows are the first layer's cached activations, not a
+        # copy stacked beside them.
+        params, x, y, state = _problem(seed=33)
+        xc = np.random.default_rng(34).standard_normal((2, 3))
+        new = lookahead.augment_state(state, xc, np.eye(2))
+        assert new.inputs is new.factor_cache[0][0]
+        np.testing.assert_array_equal(new.inputs, np.vstack([x, xc]))
+        with pytest.raises(TypeError):
+            replace(new, inputs=x)  # not a field of its own
+
     def test_extends_cache_and_agrees(self):
         params, x, y, state = _problem(seed=30)
         assert state.factor_cache is not None
@@ -567,7 +602,7 @@ class TestAugmentState:
         original = net.grad_factors
 
         def counting(params, rows):
-            calls.append(len(rows))
+            calls.append(len(np.atleast_2d(rows)))
             return original(params, rows)
 
         monkeypatch.setattr(net, "grad_factors", counting)

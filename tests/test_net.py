@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ntkal import data, net
+from ntkal import acquire, data, kernel, net
 from ntkal.errors import ContractError, DivergenceError, ShapeError
 
 import oracles
@@ -119,6 +119,49 @@ class TestForward:
         params = net.init(net.MlpConfig((3, 2)))
         with pytest.raises(ShapeError):
             net.forward(params, np.zeros((4, 5)))
+
+
+# Every entry that takes input rows, called on rows x of a 3-2 network:
+# each checks them by ``net._check_input``.
+_ROW_ENTRIES = {
+    "forward": lambda params, labeled, x: net.forward(params, x),
+    "grad_factors": lambda params, labeled, x: net.grad_factors(params, x),
+    "FeatureBatch": lambda params, labeled, x: kernel.FeatureBatch(params, x),
+    "build_state_xy": lambda params, labeled, x: kernel.build_state_xy(
+        params, x, np.eye(2)[np.arange(len(x)) % 2]
+    ),
+    "one_step_change_scores": lambda params, labeled, x: acquire.one_step_change_scores(
+        params, labeled, x, 0.05
+    ),
+    "naive_change_scores": lambda params, labeled, x: acquire.naive_change_scores(
+        params, labeled, x, net.TrainConfig(0.05, epochs=1)
+    ),
+}
+
+
+class TestInputRowRule:
+    @staticmethod
+    def _setup():
+        rng = np.random.default_rng(5)
+        params = net.init(net.MlpConfig((3, 8, 2), seed=5))
+        labeled = data.make_dataset(rng.standard_normal((4, 3)), [0, 1, 0, 1], 2)
+        return params, labeled, rng.standard_normal((3, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", list(_ROW_ENTRIES))
+    def test_non_finite_row_is_a_contract_error(self, entry, bad):
+        # net.forward and net.grad_factors used to return NaN.
+        params, labeled, x = self._setup()
+        x[1, 2] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            _ROW_ENTRIES[entry](params, labeled, x)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    @pytest.mark.parametrize("entry", list(_ROW_ENTRIES))
+    def test_wrong_width_is_a_shape_error(self, entry, width):
+        params, labeled, _ = self._setup()
+        with pytest.raises(ShapeError, match=r"expects \(batch, 3\)"):
+            _ROW_ENTRIES[entry](params, labeled, np.ones((3, width)))
 
 
 class TestGradFirstLogit:
