@@ -57,8 +57,14 @@ def _at_least(minimum):
     return convert
 
 
-def _as_int_list(raw):
-    return [int(tok) for tok in raw.replace(",", " ").split()]
+def _int_list_at_least(minimum):
+    def convert(raw):
+        values = [int(tok) for tok in raw.replace(",", " ").split()]
+        if any(value < minimum for value in values):
+            raise ValueError(f"expected integers >= {minimum}")
+        return values
+
+    return convert
 
 
 _CONVERTERS = {str: str, int: int, float: float, bool: _as_bool}
@@ -67,12 +73,12 @@ _CONVERTERS = {str: str, int: int, float: float, bool: _as_bool}
 def _keys(config, **lists):
     """{key: (converter, default)} for the scalar fields of a config dataclass,
     in field order; ``dataclasses.MISSING`` marks a required key. ``lists``
-    maps a field to (key, default) of an integer list that sets it."""
+    maps a field to (key, default, minimum) of an integer list that sets it."""
     keys = {}
     for f in dataclasses.fields(config):
         if f.name in lists:
-            key, default = lists[f.name]
-            keys[key] = (_as_int_list, default)
+            key, default, minimum = lists[f.name]
+            keys[key] = (_int_list_at_least(minimum), default)
         elif f.type in _CONVERTERS:
             keys[f.name] = (_CONVERTERS[f.type], f.default)
     return keys
@@ -82,8 +88,8 @@ def _keys(config, **lists):
 # [run], [mlp] and [train] are the fields of the config each one builds;
 # README.md documents the same tables.
 _GRAMMAR = {
-    "run": _keys(pool.RunConfig, seed=("seeds", [pool.RunConfig.seed])),
-    "mlp": _keys(net.MlpConfig, widths=("hidden", [256])),
+    "run": _keys(pool.RunConfig, seed=("seeds", [pool.RunConfig.seed], 0)),
+    "mlp": _keys(net.MlpConfig, widths=("hidden", [256], 1)),
     "train": _keys(net.TrainConfig),
     "data": {
         "kind": (str, dataclasses.MISSING),

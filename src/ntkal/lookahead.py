@@ -77,11 +77,6 @@ __all__ = [
 # adding it cannot change a fixed-kernel regression.
 DEGENERATE_U_SCALE = 1e-10
 
-# float32's unit roundoff, and the multiple of sqrt(d) in the float32 reduce
-# sink's error bound; see _sink_halfwidths.
-_U32 = 2.0**-24
-_SQRT_D_MULTIPLE = 1.5
-
 
 def predict_lin(state, q):
     """Converged linearized prediction at query rows q, shape (len(q), C)."""
@@ -124,30 +119,24 @@ def _sink_halfwidths(batch, w, widths):
 
     A float32 entry of Sigma is contracted from the factors and W rounded to
     float32, by inner products of length at most d = max(L, widths) and a
-    few operations per layer. The worst-case analysis (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 3) bounds its error e(r, c) by
-    about d u32 (|k|(r, c) + |W_r|^T |W_c|), with |k| the kernel of the
-    factors' absolute values. Cauchy-Schwarz, within each layer and then
-    over the layers, gives |k|(r, c) <= sqrt(k(r,r) k(c,c)), and
-    |W_r|^T |W_c| <= |W_r| |W_c|. Modeled as independent and mean-zero,
-    rounding errors grow as sqrt(d) u instead of d u: the sqrt(d) rule of
-    Higham & Mary ("Mixed precision algorithms in numerical linear
-    algebra", Acta Numerica 31, 2022). So
+    few operations per layer; its error e(r, c) is modeled as
+    ``linalg._kappa_u32(d)`` times (|k|(r, c) + |W_r|^T |W_c|), with |k| the
+    kernel of the factors' absolute values. Cauchy-Schwarz, within each
+    layer and then over the layers, gives |k|(r, c) <= sqrt(k(r,r) k(c,c)),
+    and |W_r|^T |W_c| <= |W_r| |W_c|. So
 
         h_c = kappa u32 (sqrt(k(c,c)) sum_r sqrt(k(r,r)) + |W_c| sum_r |W_r|),
-        kappa = 1.5 sqrt(d),
 
     with |W_c|^2 = k(c,c) - schur_c, bounds sum_r |e(r, c)|, which bounds the
-    error of column c's sum of |Sigma|. The rule is a model, not a proof. The
-    realized sum_r |e(r, c)| stayed below 0.15 sqrt(d) u32 times the bracket
-    on every state measured (L from 15 to 1000, MLPs from 4-24-2 to
-    784-256-10, and a jittered rank-deficient state), so kappa leaves a 10x
-    margin; a test holds it to 5x.
+    error of column c's sum of |Sigma|. The realized sum_r |e(r, c)| stayed
+    below 0.15 sqrt(d) u32 times the bracket on every state measured (L from
+    15 to 1000, MLPs from 4-24-2 to 784-256-10, and a jittered rank-deficient
+    state), so kappa leaves a 10x margin; a test holds it to 5x.
     """
-    kappa = _SQRT_D_MULTIPLE * np.sqrt(max(len(w), *widths))
+    kappa_u = linalg._kappa_u32(max(len(w), *widths))
     k_norms = np.sqrt(np.maximum(batch.self_k, 0.0))
     w_norms = np.sqrt(np.maximum(batch.self_k - batch.schur, 0.0))
-    return kappa * _U32 * (k_norms * np.sum(k_norms) + w_norms * np.sum(w_norms))
+    return kappa_u * (k_norms * np.sum(k_norms) + w_norms * np.sum(w_norms))
 
 
 def _undecided(lo, hi, picks, live):

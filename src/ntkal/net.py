@@ -13,6 +13,8 @@ empirical tangent kernel) are available in the factorized
 activation/delta form used for fast Gram computation; the flat vectors
 are never formed. SGD steps each layer's weights with one in-place BLAS
 dgemm on the scaled deltas, so no weight-sized temporary is made.
+``Evaluator`` labels fixed input rows from a float32 forward pass and
+evaluates again in float64 the rows that its error bound leaves undecided.
 """
 
 import numbers
@@ -31,12 +33,16 @@ __all__ = [
     "TrainConfig",
     "init",
     "forward",
+    "Evaluator",
     "grad_factors",
     "factor_outputs",
     "train_sgd",
 ]
 
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
+
+# Each nonlinearity's Lipschitz constant: the most it stretches a distance.
+_LIPSCHITZ = {"relu": 1.0, "erf": _TWO_OVER_SQRT_PI, "identity": 1.0}
 
 NONLINEARITIES = ("relu", "erf", "identity")
 
@@ -184,6 +190,106 @@ def forward(params, x):
     acts, _ = _forward_trace(params, x)
     out = acts[-1]
     return out[0] if single else out
+
+
+def _row_norms(a):
+    """2-norms of the rows of a 2-D array, as float64."""
+    return np.sqrt(np.einsum("ij,ij->i", a, a), dtype=np.float64)
+
+
+class Evaluator:
+    """The labels ``argmax(forward(params, x))`` of fixed input rows x, from a
+    float32 pass with its undecided rows rechecked in float64.
+
+    The rows are checked once by the input-row rule and kept as a float32
+    copy with their float64 2-norms. ``labels(params)`` runs the forward pass
+    in float32 and carries a bound on each row's distance from the float64
+    pass through every layer (``_float32_pass``). A row is decided when its
+    top output's lower bound exceeds every other output's upper bound;
+    every other row, a non-finite one included, is evaluated again by
+    ``forward``. So the labels equal ``np.argmax(forward(params, x), axis=1)``
+    row for row, while the float32 products cost about half the float64 ones.
+    """
+
+    def __init__(self, params, x):
+        x, _ = _check_input(params, x)
+        self._x = x
+        with np.errstate(over="ignore"):  # an overflow reads inf and is rechecked
+            self._x32 = x.astype(np.float32)
+            self._norms = _row_norms(x)
+
+    def labels(self, params):
+        """Each row's index of its largest output, shape (rows,)."""
+        if params.config.input_dim != self._x.shape[1]:
+            raise ShapeError(
+                f"rows have width {self._x.shape[1]}, network expects {params.config.input_dim}"
+            )
+        outputs, bounds = self._float32_pass(params)
+        top = np.argmax(outputs, axis=1)
+        rows = np.arange(len(top))
+        # A non-finite output has a NaN or infinite bound, and every
+        # comparison with one fails, so its row stays undecided.
+        with np.errstate(invalid="ignore"):
+            upper = outputs + bounds
+            lower = outputs[rows, top] - bounds[rows, top]
+        upper[rows, top] = -np.inf
+        undecided = np.flatnonzero(~(lower > np.max(upper, axis=1)))
+        if undecided.size:
+            top[undecided] = np.argmax(forward(params, self._x[undecided]), axis=1)
+        return top
+
+    def _float32_pass(self, params):
+        """The float32 pass's outputs, as float64, and a bound on each entry's
+        distance from ``forward``'s; both (rows, C).
+
+        Every rounding of the pass is modeled as at most kappa u32 times what
+        it rounds, with kappa u32 = ``linalg._kappa_u32(max(widths))`` as in
+        the float32 reduce sink. The input rows lie within
+        e_i = kappa u32 |x_i| of x in 2-norm. Layer l rounds its scaled
+        weights W[l] / sqrt(n_l) and beta b[l] once to float32; with c_j the
+        2-norm of scaled weight column j, Cauchy-Schwarz bounds what the
+        product of rows a with column j rounds, and what the weights'
+        rounding moves it by, by |a_i| c_j. So pre-activation entry (i, j)
+        lies within
+
+            (e_i + 2 kappa u32 |a_i|) c_j + kappa u32 (|beta b_j| + |h_ij|)
+
+        of its float64 value, the last terms being the bias's rounding and
+        the sum's. A hidden layer bounds the row's 2-norm instead,
+        (e_i + 2 kappa u32 |a_i|) |c| + kappa u32 (|beta b| + |h_i|), which
+        the nonlinearity stretches by at most its Lipschitz constant, and
+        float32 erf adds kappa u32 |a_i| of its own rounding. The model is
+        first order in u32: float64's own rounding and products of roundings
+        fall inside kappa's margin, which a test holds to 5x over the
+        realized errors. A non-finite entry gets a non-finite bound.
+        """
+        cfg = params.config
+        kappa_u = linalg._kappa_u32(max(cfg.widths))
+        a, norms = self._x32, self._norms
+        err = kappa_u * norms
+        with np.errstate(over="ignore", invalid="ignore"):
+            for l in range(cfg.n_layers):
+                scale = 1.0 / np.sqrt(cfg.widths[l])
+                w = np.empty(params.weights[l].shape, dtype=np.float32)
+                np.multiply(params.weights[l], scale, out=w, casting="same_kind")
+                bias = cfg.beta * params.biases[l]
+                h = a @ w
+                h += bias.astype(np.float32)
+                col = scale * np.sqrt(np.einsum("ij,ij->j", params.weights[l], params.weights[l]))
+                reach = err + 2 * kappa_u * norms
+                if l + 1 == cfg.n_layers:
+                    bounds = np.outer(reach, col) + kappa_u * (
+                        np.abs(bias) + np.abs(h, dtype=np.float64)
+                    )
+                    return h.astype(np.float64), bounds
+                err = _LIPSCHITZ[cfg.nonlinearity] * (
+                    reach * np.linalg.norm(col)
+                    + kappa_u * (np.linalg.norm(bias) + _row_norms(h))
+                )
+                a = _act(cfg.nonlinearity, h)
+                norms = _row_norms(a)
+                if cfg.nonlinearity == "erf":
+                    err += kappa_u * norms
 
 
 def grad_factors(params, x):

@@ -27,6 +27,11 @@ call, which copies the (L + k)^2 factor once.
 ``mlmoc-1step`` makes one forward and backward pass over the labeled set
 and one over the subset, then a forward pass over the subset per
 candidate; ``mlmoc-naive`` retrains a copy of the network per candidate.
+Evaluating the network after a retrain makes one float32 forward pass
+over the test rows, which a run casts to float32 once (``net.Evaluator``),
+and a float64 pass over only the rows whose top label that pass leaves in
+doubt. A sequential cycle that keeps its state evaluates the linearized
+predictor in float64 (``lookahead.predict_lin``).
 """
 
 import time
@@ -113,7 +118,9 @@ class CycleRecord:
 
     ``labeled_size`` counts labels after the cycle's picks. ``test_accuracy``
     is the network's after a retrain, else (sequential cycles without SGD)
-    the linearized predictor's of the live kernel state. ``query_seconds``
+    the linearized predictor's of the live kernel state. The network's
+    comes from a float32 forward pass whose undecided rows are rechecked in
+    float64 (``net.Evaluator``), and equals the float64 network's. ``query_seconds``
     times state building, scoring and picking, ``train_seconds`` the SGD
     (0 without a retrain). ``degenerate_skipped`` is the most candidates
     flagged degenerate by any one scoring of the cycle: batch mode has one.
@@ -260,6 +267,7 @@ def _run(config, train_data, test_data, on_cycle_end):
         config.train, shuffle_seed=_mix(config.train.shuffle_seed, config.seed)
     )
     params = net.init(replace(config.mlp, seed=_mix(config.mlp.seed, config.seed)))
+    evaluator = net.Evaluator(params, test_data.inputs)
     params = net.train_sgd(params, pool.labeled_dataset(), train_cfg)
     state = None
     records = []
@@ -300,14 +308,14 @@ def _run(config, train_data, test_data, on_cycle_end):
             t1 = time.perf_counter()
             params = net.train_sgd(params, pool.labeled_dataset(), train_cfg)
             train_seconds = time.perf_counter() - t1
-            test_outputs = net.forward(params, test_data.inputs)
+            test_labels = evaluator.labels(params)
         else:
-            test_outputs = lookahead.predict_lin(state, test_data.inputs)
+            test_labels = np.argmax(lookahead.predict_lin(state, test_data.inputs), axis=1)
         records.append(
             CycleRecord(
                 cycle=cycle,
                 labeled_size=len(pool.labeled_indices),
-                test_accuracy=float(np.mean(np.argmax(test_outputs, axis=1) == test_data.labels)),
+                test_accuracy=float(np.mean(test_labels == test_data.labels)),
                 query_seconds=query_seconds,
                 train_seconds=train_seconds,
                 strategy=config.strategy,

@@ -234,6 +234,23 @@ class TestCmdRun:
         assert not (tmp_path / "o").exists()
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("seeds = 0", "seeds = 0, -1", "[run] seeds = '0, -1': expected integers >= 0"),
+            ("hidden = 16", "hidden = 0", "[mlp] hidden = '0': expected integers >= 1"),
+            ("hidden = 16", "hidden = 16, -3", "[mlp] hidden = '16, -3': expected integers >= 1"),
+        ],
+        ids=["negative-seed", "zero-hidden", "negative-hidden"],
+    )
+    def test_int_list_below_minimum_names_its_key(self, tmp_path, capsys, old, new, message):
+        # These used to name the dataclass fields seed and widths, which a config cannot set.
+        cfg = _write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert cli.cmd_run(cfg, out_dir=tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_zero_count_mnist_exit_2(self, tmp_path, capsys):
         for split in ("train", "t10k"):
             oracles.write_idx_images(

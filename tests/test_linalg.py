@@ -89,3 +89,36 @@ class TestCholSolve:
         b = rng.standard_normal((30, 2))
         x = linalg.chol_solve(linalg.cholesky(a), b)
         assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+
+class TestNonFiniteInput:
+    # Each of these used to return NaN (cholesky([[inf]]) also warned from
+    # the symmetry check's a - a.T).
+    @pytest.mark.parametrize(
+        "a",
+        [[[np.nan]], [[np.inf]], [[-np.inf]], [[1.0, np.nan], [np.nan, 1.0]],
+         [[1.0, np.inf], [np.inf, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]],
+        ids=["nan", "inf", "-inf", "nan-offdiag", "inf-offdiag", "inf-diag"],
+    )
+    def test_cholesky_rejects(self, a):
+        with pytest.raises(ContractError, match="non-finite"):
+            linalg.cholesky(np.array(a))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(2,), (2, 3)], ids=["vector", "matrix"])
+    def test_chol_solve_rejects(self, bad, shape):
+        b = np.ones(shape)
+        b.flat[0] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            linalg.chol_solve(linalg.cholesky(np.eye(2)), b)
+
+    @pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 3)), np.array([np.nan, 1.0])],
+                             ids=["1-d", "non-square", "1-d-non-finite"])
+    def test_shape_errors_stay_shape_errors(self, a):
+        with pytest.raises(ShapeError, match="square"):
+            linalg.cholesky(a)
+
+
+def test_kappa_u32_is_the_sqrt_d_rule_floored_at_ten():
+    assert linalg._kappa_u32(784) == 1.5 * np.sqrt(784) * 2.0**-24
+    assert linalg._kappa_u32(8) == 10 * 2.0**-24

@@ -126,6 +126,7 @@ class TestForward:
 _ROW_ENTRIES = {
     "forward": lambda params, labeled, x: net.forward(params, x),
     "grad_factors": lambda params, labeled, x: net.grad_factors(params, x),
+    "Evaluator": lambda params, labeled, x: net.Evaluator(params, x),
     "FeatureBatch": lambda params, labeled, x: kernel.FeatureBatch(params, x),
     "build_state_xy": lambda params, labeled, x: kernel.build_state_xy(
         params, x, np.eye(2)[np.arange(len(x)) % 2]
@@ -162,6 +163,104 @@ class TestInputRowRule:
         params, labeled, _ = self._setup()
         with pytest.raises(ShapeError, match=r"expects \(batch, 3\)"):
             _ROW_ENTRIES[entry](params, labeled, np.ones((3, width)))
+
+
+def _spy_forward(monkeypatch):
+    """Replace net.forward with a wrapper; returns the list of row blocks it saw."""
+    seen = []
+    original = net.forward
+    monkeypatch.setattr(net, "forward", lambda params, x: seen.append(x) or original(params, x))
+    return seen
+
+
+class TestEvaluator:
+    """``Evaluator.labels`` against the float64 ``argmax(forward)``."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize(
+        "widths", [(8, 2), (784, 10), (2, 8, 2), (784, 256, 10), (3, 8, 8, 2), (20, 64, 32, 16, 5)]
+    )
+    @pytest.mark.parametrize("nonlinearity", net.NONLINEARITIES)
+    def test_labels_match_float64_and_bound_keeps_5x_margin(self, nonlinearity, widths, scale):
+        # 0 to 3 hidden layers. The bound's rounding model is meant to leave
+        # a 10x margin over the realized float32 error; this holds it to 5x.
+        params = net.init(net.MlpConfig(widths, nonlinearity=nonlinearity, seed=3))
+        x = scale * np.random.default_rng(4).standard_normal((300, widths[0]))
+        evaluator = net.Evaluator(params, x)
+        reference = net.forward(params, x)
+        assert np.array_equal(evaluator.labels(params), np.argmax(reference, axis=1))
+        outputs, bounds = evaluator._float32_pass(params)
+        assert np.all(np.abs(outputs - reference) <= bounds / 5)
+
+    def test_labels_follow_the_parameters(self):
+        # One evaluator serves every parameter set of its network.
+        cfg = net.MlpConfig((5, 16, 4), seed=0)
+        x = np.random.default_rng(1).standard_normal((100, 5))
+        evaluator = net.Evaluator(net.init(cfg), x)
+        for seed in range(4):
+            params = net.init(dataclasses.replace(cfg, seed=seed))
+            assert np.array_equal(evaluator.labels(params), np.argmax(net.forward(params, x), 1))
+
+    @staticmethod
+    def _tied(rows):
+        """An identity 4-3 network whose outputs 0 and 1 differ by about 1e-9
+        relative, far inside float32's resolution, and rows whose first
+        ``rows`` tie those two outputs while the rest are won by output 2."""
+        rng = np.random.default_rng(7)
+        w = rng.standard_normal(4)
+        w[3] = 0.0
+        nudge = np.zeros(4)
+        nudge[:3] = 1e-9 * rng.standard_normal(3)
+        weights = np.stack([w, w + nudge, 50.0 * np.eye(4)[3]], axis=1)
+        cfg = net.MlpConfig((4, 3), nonlinearity="identity", beta=0.0)
+        params = net.MlpParams(cfg, (weights,), (np.zeros(3),))
+        x = rng.standard_normal((2 * rows, 4))
+        x[:rows, 3] = 0.0
+        x[:rows] *= np.sign(x[:rows] @ w)[:, None]  # outputs 0 and 1 beat output 2's zero
+        x[rows:, 3] = 10.0
+        return params, x
+
+    def test_tied_rows_are_rechecked(self, monkeypatch):
+        params, x = self._tied(200)
+        evaluator = net.Evaluator(params, x)
+        reference = np.argmax(net.forward(params, x), axis=1)
+        outputs, _ = evaluator._float32_pass(params)
+        # float32 cannot tell outputs 0 and 1 apart, float64 can: without the
+        # recheck about half the tied rows would get the wrong label.
+        assert np.sum(np.argmax(outputs, axis=1) != reference) > 50
+        seen = _spy_forward(monkeypatch)
+        assert np.array_equal(evaluator.labels(params), reference)
+        assert len(seen) == 1 and np.array_equal(seen[0], x[:200])
+
+    @pytest.mark.parametrize(
+        "big", [1e39, 3e38], ids=["input-overflows", "product-overflows"]
+    )
+    def test_float32_overflow_is_rechecked(self, monkeypatch, big):
+        # 1e39 is inf in float32; 3e38 is finite, but a row of it sums past
+        # float32's largest value. float64 holds both.
+        cfg = net.MlpConfig((2, 3), nonlinearity="identity", beta=0.0)
+        params = net.MlpParams(cfg, (np.array([[1.0, 1.0, -1.0], [1.0, 0.5, -1.0]]),), (np.zeros(3),))
+        x = np.array([[1.0, 2.0], [big, big], [-2.0, 1.0], [-big, -big]])
+        evaluator = net.Evaluator(params, x)
+        reference = net.forward(params, x)
+        assert np.all(np.isfinite(reference))
+        seen = _spy_forward(monkeypatch)
+        assert np.array_equal(evaluator.labels(params), np.argmax(reference, axis=1))
+        assert len(seen) == 1 and np.array_equal(seen[0], x[[1, 3]])
+
+    def test_non_finite_parameters_recheck_every_row(self, monkeypatch):
+        params = net.init(net.MlpConfig((3, 8, 2), seed=0))
+        params.weights[1][2, 1] = np.nan
+        x = np.random.default_rng(0).standard_normal((6, 3))
+        reference = np.argmax(net.forward(params, x), axis=1)
+        seen = _spy_forward(monkeypatch)
+        assert np.array_equal(net.Evaluator(params, x).labels(params), reference)
+        assert len(seen) == 1 and np.array_equal(seen[0], x)
+
+    def test_other_input_width_is_a_shape_error(self):
+        evaluator = net.Evaluator(net.init(net.MlpConfig((3, 2))), np.ones((4, 3)))
+        with pytest.raises(ShapeError, match="width 3"):
+            evaluator.labels(net.init(net.MlpConfig((5, 2))))
 
 
 class TestGradFirstLogit:

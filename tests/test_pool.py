@@ -452,6 +452,45 @@ class TestRunLoop:
             assert calls == [scorer, "score_" + scorer] * cfg.cycles
 
 
+class TestTestAccuracy:
+    """Records' ``test_accuracy`` after a retrain comes from ``net.Evaluator``;
+    it must equal the float64 network's."""
+
+    @staticmethod
+    def _float64_accuracy(params, test):
+        return float(np.mean(np.argmax(net.forward(params, test.inputs), axis=1) == test.labels))
+
+    @pytest.mark.parametrize("strategy", ["random", "mlmoc"])
+    def test_batch_records_match_float64_network(self, strategy):
+        train = data.gen_spirals(60, 0.2, 0)
+        test = data.gen_spirals(150, 0.2, 1)
+        cfg = _tiny_config(strategy, cycles=4, mlp=net.MlpConfig((2, 32, 2), seed=0))
+        expected = []
+        records = pool.run_batch_al(
+            cfg, train, test,
+            on_cycle_end=lambda c, p, params, s: expected.append(self._float64_accuracy(params, test)),
+        )
+        assert [r.test_accuracy for r in records] == expected
+        assert 0.0 < min(expected) and max(expected) < 1.0  # the labels are not all one way
+
+    def test_retraining_sequential_cycles_match_float64_network(self):
+        train = data.gen_spirals(60, 0.2, 0)
+        test = data.gen_spirals(150, 0.2, 1)
+        cfg = _tiny_config(
+            "mlmoc", sequential=True, cycles=4, retrain_every=2,
+            mlp=net.MlpConfig((2, 32, 2), seed=0),
+        )
+        retrained = {}
+
+        def observe(cycle, p, params, state):
+            if state is None:  # a retrain drops the state
+                retrained[cycle] = self._float64_accuracy(params, test)
+
+        records = pool.run_sequential_al(cfg, train, test, on_cycle_end=observe)
+        assert sorted(retrained) == [1, 3]
+        assert {c: records[c].test_accuracy for c in retrained} == retrained
+
+
 class TestRunSequential:
     def test_k1_matches_batch_selections(self):
         train, test = _toy_data()
