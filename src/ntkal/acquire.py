@@ -38,8 +38,9 @@ accurate on saturated softmaxes and large gains.
 Myopic baselines (entropy, margin, random) and two look-ahead baselines
 measured on the network itself round out the comparison suite: a naive
 oracle that really retrains a copy with SGD per candidate, and one
-full-batch gradient step, scored in closed form from a step on the
-labeled set shared by all candidates plus a rank-one step per candidate.
+full-batch gradient step: ``net.train_sgd``'s step on the labeled set,
+shared by all candidates, plus a rank-one step per candidate in closed
+form.
 """
 
 from dataclasses import dataclass
@@ -401,10 +402,8 @@ def naive_sgd_oracle(params, labeled, candidate, retrain_cfg):
 
     ``candidate`` is (x, one-hot label). Copies the parameters and
     warm-starts on the labeled set plus that point for the configured
-    epochs. Zero epochs returns ``params`` itself.
+    epochs. Zero epochs return the copy unstepped.
     """
-    if retrain_cfg.epochs == 0:
-        return params
     x_cand, y_cand = candidate
     aug = data_mod.make_dataset(
         np.vstack([labeled.inputs, np.reshape(x_cand, (1, -1))]),
@@ -445,50 +444,35 @@ def one_step_change_scores(params, labeled, candidates, learning_rate):
     retraining a copy per candidate.
 
     The step is theta - lr * grad L_labeled - lr * grad l_c, every delta
-    taken at theta. The labeled part gives base parameters, formed once.
-    The candidate's own part is rank one per layer, lr / sqrt(n_l) *
+    taken at theta. The labeled part is ``net.train_sgd``'s one full-batch
+    step on the labeled set, taken once as the base parameters. The
+    candidate's own part is rank one per layer, lr / sqrt(n_l) *
     outer(a_l(c), g_l(c)) for the weights and lr * beta * g_l(c) for the
     biases, so at the reference rows the stepped layer's pre-activations
     are the base layer's less lr * (a . a_l(c) / n_l + beta^2) g_l(c).
     Layer 0's input is shared, so its base pre-activations are formed
     once. A learning rate that ``net.TrainConfig`` rejects, and empty or
     non-finite candidate sets, raise ContractError; a non-finite loss of
-    the labeled set plus a candidate raises DivergenceError (epoch 1), as
-    ``net.train_sgd`` would.
+    the labeled set (from ``net.train_sgd``) or of a candidate raises
+    DivergenceError (epoch 1), as ``net.train_sgd`` would on their union.
     """
-    net.TrainConfig(learning_rate, epochs=1)  # rejects a learning rate as SGD would
+    step = net.TrainConfig(learning_rate, epochs=1, minibatch_size=max(len(labeled), 1))
     x = _nonempty(net._check_input(params, candidates)[0])
-    y = np.asarray(labeled.one_hot, dtype=np.float64)
-    if y.shape[1] != params.config.output_dim:
-        raise ShapeError(
-            f"target dim {y.shape[1]} does not match network output "
-            f"{params.config.output_dim}"
-        )
+    base = net.train_sgd(params, labeled, step)
     cfg = params.config
     acts, preacts = net._forward_trace(params, x)
     outputs = acts[-1]
     labels = _argmax_labels(outputs)
     own = outputs - labels
-    lab_x, _ = net._check_input(params, labeled.inputs)
-    lab_acts, lab_preacts = net._forward_trace(params, lab_x)
-    residual = lab_acts[-1] - y
     with np.errstate(over="ignore"):  # a blown-up loss reads inf
-        losses = 0.5 * float(np.sum(residual * residual)) + 0.5 * np.sum(own * own, axis=1)
+        losses = 0.5 * np.sum(own * own, axis=1)
     diverged = np.flatnonzero(~np.isfinite(losses))
     if diverged.size:
         i = diverged[0]
         raise DivergenceError(
-            f"training diverged at epoch 1: loss {losses[i]:.3e} on the labeled set "
-            f"plus candidate {i}",
-            epoch=1,
+            f"training diverged at epoch 1: loss {losses[i]:.3e} at candidate {i}", epoch=1
         )
 
-    weights, biases = [], []
-    for l, g in enumerate(net._backprop(params, lab_preacts, residual)):
-        step = learning_rate * (lab_acts[l].T @ g) / np.sqrt(cfg.widths[l])
-        weights.append(params.weights[l] - step)
-        biases.append(params.biases[l] - learning_rate * cfg.beta * g.sum(axis=0))
-    base = net.MlpParams(cfg, tuple(weights), tuple(biases))
     deltas = net._backprop(params, preacts, own)
     first = net._layer(base, 0, x)
     beta2 = cfg.beta**2

@@ -57,6 +57,11 @@ def _integer(value, name, minimum=None):
     return int(value)
 
 
+def _is_finite(value):
+    """Whether ``value`` is a finite real number other than a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and np.isfinite(value)
+
+
 def _act(name, h):
     if name == "relu":
         return np.maximum(h, 0.0)
@@ -91,8 +96,8 @@ class MlpConfig:
                 f"unknown nonlinearity {self.nonlinearity!r}; "
                 f"choose from {NONLINEARITIES}"
             )
-        if not np.isfinite(self.beta) or self.beta < 0:
-            raise ContractError("beta must be finite and >= 0")
+        if not _is_finite(self.beta) or self.beta < 0:
+            raise ContractError(f"beta must be finite and >= 0, got {self.beta!r}")
         _integer(self.seed, "seed", 0)
 
     @property
@@ -324,26 +329,24 @@ class TrainConfig:
     epochs: int
     minibatch_size: int = 32
     shuffle_seed: int = 0
-    warm_start: bool = True
-    lr_decay: float = 1.0  # multiplicative, applied after each epoch
 
     def __post_init__(self):
-        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
-            raise ContractError("learning_rate must be finite and > 0")
+        if not _is_finite(self.learning_rate) or self.learning_rate <= 0:
+            raise ContractError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate!r}"
+            )
         _integer(self.epochs, "epochs", 0)
         _integer(self.minibatch_size, "minibatch_size", 1)
         _integer(self.shuffle_seed, "shuffle_seed", 0)
-        if not np.isfinite(self.lr_decay) or self.lr_decay <= 0:
-            raise ContractError("lr_decay must be finite and > 0")
 
 
 def train_sgd(params, data, cfg):
     """Minibatch SGD on the squared loss for cfg.epochs epochs.
 
-    Targets are the dataset's one-hot rows. With warm_start the given
-    parameters are the starting point; otherwise training restarts from
-    the configuration seed. The result is bitwise reproducible for a
-    given shuffle_seed.
+    Targets are the dataset's one-hot rows. Training starts from a copy of
+    the given parameters and steps at the fixed learning rate; the result
+    is bitwise reproducible for a given shuffle_seed. With zero epochs the
+    inputs are checked all the same and the copy returns unstepped.
 
     Each step costs only its minibatch; no full-data pass is made. Each
     layer's weight step is one dgemm that writes
@@ -352,12 +355,11 @@ def train_sgd(params, data, cfg):
     no weight-sized temporary is made. An epoch's loss is the running sum
     of 0.5 * ||f - y||^2 over its minibatches, each taken before that
     minibatch's update. Aborts with DivergenceError if an epoch's running
-    loss turns non-finite or exceeds 1e6 times the reference loss, which
-    is the first minibatch's loss at the starting parameters scaled by
-    n / (its rows).
+    loss turns non-finite, at the minibatch that makes it so and before
+    that minibatch's backward pass and update, or if at the epoch's end it
+    exceeds 1e6 times the reference loss, which is the first minibatch's
+    loss at the starting parameters scaled by n / (its rows).
     """
-    if cfg.epochs < 1:
-        raise ContractError("epochs must be >= 1")
     if len(data) < 1:
         raise ContractError("training data is empty")
     x, _ = _check_input(params, data.inputs)
@@ -368,8 +370,6 @@ def train_sgd(params, data, cfg):
             f"{params.config.output_dim}"
         )
 
-    if not cfg.warm_start:
-        params = init(params.config)
     # C order: each transpose is the Fortran array dgemm writes in place.
     weights = [np.array(w, dtype=np.float64, order="C") for w in params.weights]
     biases = [b.copy() for b in params.biases]
@@ -378,10 +378,9 @@ def train_sgd(params, data, cfg):
     scales = [np.sqrt(w) for w in mlp.widths]
 
     n = len(x)
-    mb = cfg.minibatch_size
+    lr, mb = cfg.learning_rate, cfg.minibatch_size
     rng = np.random.default_rng(cfg.shuffle_seed)
     initial_loss = None
-    lr = cfg.learning_rate
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -396,6 +395,8 @@ def train_sgd(params, data, cfg):
                 initial_loss = batch_loss * n / len(g)
                 divergence_bar = 1e6 * max(initial_loss, 1e-12)
             loss += batch_loss
+            if not np.isfinite(loss):
+                break  # an overflowing step is never taken
             # Every delta is taken before any layer is stepped.
             for l, g in enumerate(_backprop(work, preacts, g)):
                 biases[l] -= lr * (mlp.beta * g.sum(axis=0))
@@ -407,5 +408,4 @@ def train_sgd(params, data, cfg):
                 f"initial {initial_loss:.3e}",
                 epoch=epoch + 1,
             )
-        lr *= cfg.lr_decay
     return work

@@ -24,9 +24,10 @@ once per cycle; each pick then pays O(n^2) and allocates no n x n array:
 scoring and a rank-one downdate in place (``lookahead.condition``). A
 cycle that keeps the state enters its k picks in one ``augment_state``
 call, which copies the (L + k)^2 factor once.
-``mlmoc-1step`` makes one forward and backward pass over the labeled set
-and one over the subset, then a forward pass over the subset per
-candidate; ``mlmoc-naive`` retrains a copy of the network per candidate.
+``mlmoc-1step`` takes ``net.train_sgd``'s one full-batch step on the
+labeled set, makes one forward and backward pass over the subset, then a
+forward pass over the subset per candidate; ``mlmoc-naive`` retrains a
+copy of the network per candidate.
 Evaluating the network after a retrain makes one float32 forward pass
 over the test rows, which a run casts to float32 once (``net.Evaluator``),
 and a float64 pass over only the rows whose top label that pass leaves in
@@ -254,7 +255,7 @@ def _score(config, cycle, params, pool, state, candidates):
         return acquire.one_step_change_scores(
             params, labeled, candidates, config.train.learning_rate
         )
-    retrain = replace(config.train, epochs=config.naive_epochs, warm_start=True)
+    retrain = replace(config.train, epochs=config.naive_epochs)
     return acquire.naive_change_scores(params, labeled, candidates, retrain)
 
 

@@ -208,8 +208,6 @@ def train_sgd_reference(params, data, cfg):
     """
     x = np.asarray(data.inputs, dtype=np.float64)
     y = np.asarray(data.one_hot, dtype=np.float64)
-    if not cfg.warm_start:
-        params = net.init(params.config)
     weights = [w.copy() for w in params.weights]
     biases = [b.copy() for b in params.biases]
     work = net.MlpParams(params.config, tuple(weights), tuple(biases))
@@ -232,7 +230,6 @@ def train_sgd_reference(params, data, cfg):
         loss = squared_loss(work, x, y)
         if not np.isfinite(loss) or loss > divergence_bar:
             raise DivergenceError(f"diverged at epoch {epoch + 1}", epoch=epoch + 1)
-        lr *= cfg.lr_decay
     return work
 
 

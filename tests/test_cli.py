@@ -91,8 +91,11 @@ class TestConfigParsing:
             ("run", "cycles = 3", "cycles = 3\ncycle = 3"),
             ("mlp", "hidden = 16", "hidden = 16\nwidth = 16"),
             ("data", "seed = 0", "seed = 0\nsepration = 3.0"),
+            # SGD always warm-starts at one learning rate: no key sets either.
+            ("train", "minibatch_size = 8", "minibatch_size = 8\nwarm_start = false"),
+            ("train", "minibatch_size = 8", "minibatch_size = 8\nlr_decay = 0.9"),
         ],
-        ids=["train", "run", "mlp", "data"],
+        ids=["train", "run", "mlp", "data", "train-warm-start", "train-lr-decay"],
     )
     def test_unknown_key_names_section_and_key(self, tmp_path, capsys, section, old, new):
         path = _write_config(tmp_path)
